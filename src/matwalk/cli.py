@@ -63,7 +63,8 @@ def main(argv=None):
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except MatwalkError as exc:
+    except (MatwalkError, ValueError) as exc:
+        # a library ValueError is a bad value met at run time, not a crash
         seed = resolve_seed(config, args.seed)
         print(f"runtime error in scenario {config.name!r} (seed {seed}): {exc}",
               file=sys.stderr)

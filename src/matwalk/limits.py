@@ -232,17 +232,14 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
     over the atoms; longer words are sampled, one per particle, from streams
     derived from ``seed``.  Requires the corrector from the dual cloud.
     """
-    from .stationary import psi_eval_many  # local import to avoid a cycle
+    from .stationary import psi_eval_many, psi_one_step  # local import to avoid a cycle
 
     x_rows = nu.reps
-    psi_x = psi_eval_many(psi, x_rows)
     if word_len == 1:
+        psi_x, steps = psi_one_step(mu, psi, x_rows)
         per_particle = np.zeros(nu.size)
-        for a, w in zip(mu.atoms, mu.weights):
-            moved = x_rows @ a.T
-            norms = np.linalg.norm(moved, axis=1)
-            centered = (np.log(norms) + psi_eval_many(psi, moved / norms[:, None])
-                        - psi_x - lambda1)
+        for w, (log_norm, psi_gx) in zip(mu.weights, steps):
+            centered = log_norm + psi_gx - psi_x - lambda1
             per_particle += w * centered**2
     else:
         if word_len < 1:
@@ -250,7 +247,9 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
         sigma, finals = walks.vector_walk(
             mu.atoms, mu.weights, x_rows, word_len, nu.size, seed, rng.TAG_WALK
         )
-        centered = sigma + psi_eval_many(psi, finals) - psi_x - word_len * lambda1
+        psi_x, psi_wx = np.split(psi_eval_many(psi, np.concatenate([x_rows, finals]),
+                                               groups=2), 2)
+        centered = sigma + psi_wx - psi_x - word_len * lambda1
         per_particle = centered**2 / word_len
     value = float(per_particle @ nu.weights)
     return VarianceEstimate(

@@ -20,7 +20,7 @@ which is exact in distribution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
 from . import rng
 from .cocycles import sup_norm
@@ -291,8 +291,10 @@ def _gaussian_truncated_second_moment(var, a):
     """E[X^2 1_{|X| >= a}] for X ~ N(0, var), in closed form."""
     if var == 0.0:
         return 0.0
-    c = a / np.sqrt(var)
-    return float(2.0 * var * (c * _norm.pdf(c) + _norm.sf(c)))
+    # on a one-element array, as NumPy's scalar exp can differ in the last bit
+    c = np.array([a / np.sqrt(var)])
+    pdf = np.exp(-c**2 / 2.0) / np.sqrt(2 * np.pi)
+    return float(2.0 * var * (c * pdf + ndtr(-c))[0])
 
 
 def brown_triangular_check(spec):

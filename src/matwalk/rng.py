@@ -7,6 +7,14 @@ by its key: replica ``r`` of an experiment always uses ``index = r`` no matter
 how work is scheduled across worker threads.  Tags keep the streams of
 different sub-experiments (main walk, exponent calibration run, dual-cloud
 run, ...) disjoint under one master seed.
+
+A stream can also be entered part way: ``replica_uniforms(..., skip=k)``
+returns draws ``k, k + 1, ...`` of every replica stream without drawing the
+first ``k``.  Philox makes four 64-bit outputs per counter value, so the skip
+starts the counter at ``k // 4`` (as ``Philox.advance(k // 4)`` would from
+zero) and discards ``k % 4`` draws; the result equals the columns ``k:`` of
+a draw from the start of each stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).
 """
 
 import numpy as np
@@ -36,19 +44,31 @@ def stream(master_seed, tag, index=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def replica_uniforms(master_seed, tag, replicas, count, first_replica=0):
+def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0):
     """Uniforms for a block of replica streams, one row per replica.
 
-    Row ``i`` holds the first ``count`` uniforms of the stream
+    Row ``i`` holds uniforms ``skip, ..., skip + count - 1`` of the stream
     ``(master_seed, tag, first_replica + i)``, so the result is independent of
-    how replicas are grouped into blocks.
+    how replicas are grouped into blocks.  One bit generator serves the whole
+    block: it is re-keyed and its counter reset for every replica.
     """
+    if skip < 0:
+        raise ValueError(f"cannot skip a negative number of draws: {skip}")
     out = np.empty((replicas, count))
-    key = np.empty(2, dtype=np.uint64)
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
     key[0] = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    # the 256-bit counter as it stands after skip // 4 blocks of four draws
+    state["state"]["counter"][:] = [(skip // 4 >> (64 * k)) & 0xFFFFFFFFFFFFFFFF
+                                    for k in range(4)]
     for i in range(replicas):
         key[1] = np.uint64((tag << 44) | (first_replica + i))
-        out[i] = np.random.Generator(np.random.Philox(key=key)).random(count)
+        bits.state = state
+        if skip % 4:
+            gen.random(skip % 4)
+        gen.random(out=out[i])
     return out
 
 

@@ -13,6 +13,7 @@ no smoothing.  Pairings below ``DELTA_FLOOR`` are treated as exact zeros
 """
 
 import csv
+import threading
 from dataclasses import dataclass
 from math import inf
 
@@ -157,8 +158,8 @@ def advance_cloud(mu, cloud, steps=1):
     seed, burn_in, _ = cloud.provenance
     tag = rng.TAG_DUAL_CLOUD if cloud.dual else rng.TAG_CLOUD
     atoms = np.array([a.T for a in mu.atoms]) if cloud.dual else mu.atoms
-    u = rng.replica_uniforms(seed, tag, cloud.size, burn_in + steps)
-    words = rng.indices_from_uniforms(u[:, burn_in:], mu.weights)
+    u = rng.replica_uniforms(seed, tag, cloud.size, steps, skip=burn_in)
+    words = rng.indices_from_uniforms(u, mu.weights)
     v = cloud.reps.copy()
     for k in range(steps):
         v = np.einsum("nij,nj->ni", atoms[words[:, k]], v)
@@ -212,40 +213,81 @@ def psi_eval(psi, x):
     return float(psi_eval_many(psi, x.rep[None, :])[0])
 
 
-def psi_eval_many(psi, x_rows):
+def psi_eval_many(psi, x_rows, groups=1):
     """Vectorized corrector evaluation at many unit rows.
 
-    Blocked over both the evaluation points and the cloud so the pairing
-    matrix never exceeds a few megabytes regardless of cloud size.
+    Blocked over both the evaluation points and the cloud, 2048 of each: a
+    worker thread holds one 32 MB pairing matrix, worked in place, whatever
+    the cloud size.  Blocks are spread over the walk threads and every row
+    adds up its cloud blocks in cloud order, so the values do not depend on
+    the thread count.  ``x_rows`` may stack ``groups`` sets of equally many
+    rows; each set is blocked from its own first row, so its values are those
+    of a call on that set alone (BLAS rounds a product by its block shape).
     """
     cloud = psi.dual_cloud
     x_rows = np.asarray(x_rows, dtype=float)
-    out = np.zeros(x_rows.shape[0])
+    if groups < 1 or len(x_rows) % groups:
+        raise ValueError(f"cannot split {len(x_rows)} rows into {groups} equal sets")
+    size = len(x_rows) // groups
+    chunks = [(base + lo, min(_EVAL_CHUNK, size - lo))
+              for base in range(0, len(x_rows), max(size, 1))
+              for lo in range(0, size, _EVAL_CHUNK)]
     positive = cloud.weights > 0.0
-    for lo in range(0, x_rows.shape[0], _EVAL_CHUNK):
-        chunk = x_rows[lo:lo + _EVAL_CHUNK]
-        acc = np.zeros(chunk.shape[0])
-        for clo in range(0, cloud.size, _EVAL_CHUNK):
-            reps = cloud.reps[clo:clo + _EVAL_CHUNK]
-            vals = _pairings(reps, chunk)
+    per_thread = threading.local()   # one pairing buffer per worker thread
+
+    def block_sum(lo, count, clo):
+        reps = cloud.reps[clo:clo + _EVAL_CHUNK]
+        if not hasattr(per_thread, "buf"):
+            per_thread.buf = np.empty(min(size, _EVAL_CHUNK) * min(cloud.size, _EVAL_CHUNK))
+        vals = per_thread.buf[:count * len(reps)].reshape(count, len(reps))
+        np.matmul(x_rows[lo:lo + count], reps.T, out=vals)
+        np.abs(vals, out=vals)
+        np.minimum(vals, 1.0, out=vals)
+        if vals.min() <= DELTA_FLOOR:
             bad = (vals <= DELTA_FLOOR) & positive[None, clo:clo + _EVAL_CHUNK]
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
-                raise SingularEvaluationError(
-                    f"evaluation point {lo + i} is orthogonal to cloud atom {clo + j}",
+                return SingularEvaluationError(
+                    f"evaluation point {(lo + i) % size} is orthogonal to cloud atom {clo + j}",
                     atom_index=int(clo + j),
                 )
             # zero-weight atoms may pair to zero; keep them out of the log
             vals[vals <= DELTA_FLOOR] = 1.0
-            np.log(vals, out=vals)
-            acc += vals @ cloud.weights[clo:clo + _EVAL_CHUNK]
-        out[lo:lo + _EVAL_CHUNK] = acc
+        np.log(vals, out=vals)
+        return vals @ cloud.weights[clo:clo + _EVAL_CHUNK]
+
+    cloud_blocks = range(0, cloud.size, _EVAL_CHUNK)
+    sums = iter(walks._run_blocks(
+        block_sum, [(lo, count, clo) for lo, count in chunks for clo in cloud_blocks]))
+    out = np.zeros(len(x_rows))
+    for lo, count in chunks:
+        acc = np.zeros(count)
+        for _ in cloud_blocks:
+            part = next(sums)
+            if isinstance(part, SingularEvaluationError):
+                raise part
+            acc += part
+        out[lo:lo + count] = acc
     return out
 
 
 def markov_apply(mu, f, x):
     """One averaging step: ``sum_i w_i f(g_i x)`` (exact finite sum)."""
     return float(sum(w * f(act(a, x)) for a, w in zip(mu.atoms, mu.weights)))
+
+
+def psi_one_step(mu, psi, x_rows):
+    """``psi(x)`` and, per atom ``g``, ``(log |g x|, psi(g x))`` at unit rows.
+
+    One stacked evaluation serves the points and all their images; each set
+    of rows keeps the values of a call of its own.
+    """
+    moved = [x_rows @ a.T for a in mu.atoms]
+    norms = [np.linalg.norm(m, axis=1) for m in moved]
+    stacked = np.concatenate([x_rows] + [m / n[:, None] for m, n in zip(moved, norms)])
+    psi_x, *psi_gx = np.split(psi_eval_many(psi, stacked, groups=len(moved) + 1),
+                              len(moved) + 1)
+    return psi_x, [(np.log(n), p) for n, p in zip(norms, psi_gx)]
 
 
 @dataclass(frozen=True)
@@ -264,14 +306,12 @@ def cohomological_residual(mu, psi, lambda1, xs):
     """
     xs = list(xs)
     x_rows = np.stack([x.rep for x in xs])
-    psi_x = psi_eval_many(psi, x_rows)
+    psi_x, steps = psi_one_step(mu, psi, x_rows)
     avg_psi_gx = np.zeros(len(xs))
     drift_vals = np.zeros(len(xs))
-    for a, w in zip(mu.atoms, mu.weights):
-        moved = x_rows @ a.T
-        norms = np.linalg.norm(moved, axis=1)
-        drift_vals += w * np.log(norms)
-        avg_psi_gx += w * psi_eval_many(psi, moved / norms[:, None])
+    for w, (log_norm, psi_gx) in zip(mu.weights, steps):
+        drift_vals += w * log_norm
+        avg_psi_gx += w * psi_gx
     res = drift_vals - psi_x + avg_psi_gx - lambda1
     return ResidualReport(
         residuals=res,

@@ -1,4 +1,6 @@
 import filecmp
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,23 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "bad_determinant" in err and "seed 3" in err
+
+
+def test_library_value_error_is_runtime_error(tmp_path):
+    # a zero start vector passes the config check and fails inside the library
+    cfg = write_config(tmp_path, {
+        "name": "zero_start",
+        "kind": "clt",
+        "dimension": 2,
+        "master_seed": 4,
+        "measure": {"atoms": [[2.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0]]},
+        "schedule": {"n": 20, "samples": 16, "start": [0, 0]},
+    })
+    proc = subprocess.run([sys.executable, "-m", "matwalk.cli", "run", cfg,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "zero_start" in proc.stderr and "seed 4" in proc.stderr
 
 
 def test_seed_priority_flag_config_env(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -132,3 +135,10 @@ def test_brown_single_spike_flags_violation():
 def test_brown_rejects_uncentered_rows():
     with pytest.raises(ValueError):
         mw.TriangularArraySpec(kind="iid_gaussian", row_sizes=(100,), shift=0.5)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, matwalk; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import matwalk as mw
+from matwalk import rng, walks
+from matwalk.stationary import canonicalize_rows, psi_eval_many
 from matwalk.stats import mean_ci_halfwidth
 
 
@@ -76,11 +78,9 @@ def test_dual_cloud_is_adjugate_pushforward_in_dim2(free_pair):
     dual = mw.estimate_dual_stationary(free_pair, burn_in=60, particles=500, seed=5)
     # same stream family: the dual engine tags its draws differently, so push
     # the same start cloud through explicit words instead
-    from matwalk import rng, walks
     starts = mw.start_cloud(2, 500)
     finals = walks.cloud_walk(mirrored.atoms, mirrored.weights, starts, 60, 5,
                               rng.TAG_DUAL_CLOUD)
-    from matwalk.stationary import canonicalize_rows
     assert canonicalize_rows(finals) == pytest.approx(dual.reps, abs=1e-10)
 
 
@@ -117,6 +117,76 @@ def test_psi_orthogonal_atom_raises():
     with pytest.raises(mw.SingularEvaluationError) as err:
         mw.psi_eval(psi, mw.ProjectivePoint([1.0, 0.0]))
     assert err.value.atom_index == 0
+
+
+def _thread_runs(fn):
+    """``fn()`` at one and at two walk threads."""
+    out = []
+    for threads in (1, 2):
+        walks.set_thread_count(threads)
+        try:
+            out.append(fn())
+        finally:
+            walks.set_thread_count(1)
+    return out
+
+
+def test_psi_eval_many_same_bytes_at_any_thread_count(free_pair):
+    # more than one 2048-row block and more than one 2048-particle cloud block
+    dual = mw.estimate_dual_stationary(free_pair, burn_in=40, particles=4500, seed=2)
+    psi = mw.PsiFunction(dual)
+    x = np.random.default_rng(3).normal(size=(4200, 2))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    one, two = _thread_runs(lambda: psi_eval_many(psi, x))
+    assert one.tobytes() == two.tobytes()
+    assert np.all(one <= 0.0)
+
+
+def test_psi_eval_many_stacked_sets_match_separate_calls(free_pair):
+    # 1001 rows: BLAS rounds the last rows of a block by their place in it
+    dual = mw.estimate_dual_stationary(free_pair, burn_in=40, particles=2100, seed=2)
+    psi = mw.PsiFunction(dual)
+    sets = np.random.default_rng(4).normal(size=(3, 1001, 2))
+    sets /= np.linalg.norm(sets, axis=2)[:, :, None]
+    stacked = psi_eval_many(psi, sets.reshape(-1, 2), groups=3)
+    separate = np.concatenate([psi_eval_many(psi, s) for s in sets])
+    assert stacked.tobytes() == separate.tobytes()
+
+
+def test_psi_singular_pairing_reported_in_scan_order():
+    # row 700 meets cloud atom 4500 and row 2500 meets atom 10: the first
+    # 2048-row block is scanned over the whole cloud before the second
+    rng_ = np.random.default_rng(5)
+    reps = rng_.normal(size=(5000, 2))
+    reps[4500], reps[10] = [0.0, 1.0], [1.0, 0.0]
+    cloud = mw.EmpiricalMeasure(reps=canonicalize_rows(reps),
+                                weights=np.full(5000, 1 / 5000), dual=True)
+    x = canonicalize_rows(rng_.normal(size=(3000, 2)))
+    x[700], x[2500] = [1.0, 0.0], [0.0, 1.0]
+
+    def first_singular():
+        with pytest.raises(mw.SingularEvaluationError) as err:
+            psi_eval_many(mw.PsiFunction(cloud), x)
+        return err.value.atom_index, str(err.value)
+
+    one, two = _thread_runs(first_singular)
+    assert one == two == (4500, "evaluation point 700 is orthogonal to cloud atom 4500")
+
+
+def test_advance_cloud_continues_each_stream(free_pair):
+    dual = mw.estimate_dual_stationary(free_pair, burn_in=30, particles=4500, seed=6)
+    one, two = _thread_runs(lambda: mw.advance_cloud(free_pair, dual, 2))
+    assert one.reps.tobytes() == two.reps.tobytes()
+    assert one.provenance == (6, 32, 4500)
+    # the two new steps read draws 30 and 31 of every particle's stream
+    u = rng.replica_uniforms(6, rng.TAG_DUAL_CLOUD, dual.size, 32)
+    words = rng.indices_from_uniforms(u[:, 30:], free_pair.weights)
+    dual_atoms = np.array([a.T for a in free_pair.atoms])
+    v = dual.reps.copy()
+    for k in range(2):
+        v = np.einsum("nij,nj->ni", dual_atoms[words[:, k]], v)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+    assert one.reps.tobytes() == canonicalize_rows(v).tobytes()
 
 
 def test_psi_is_nonpositive(free_pair):

@@ -116,3 +116,18 @@ def test_rescale_interval_scales_with_growth():
     wild = walks.rescale_interval(np.diag([1e6, 1e-6])[None])
     assert tame == 64
     assert 1 <= wild < 64
+
+
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 499, 500, 501])
+def test_replica_uniforms_skip_is_the_prefix_tail(skip):
+    full = rng.replica_uniforms(31, rng.TAG_DUAL_CLOUD, 6, 510, first_replica=40)
+    tail = rng.replica_uniforms(31, rng.TAG_DUAL_CLOUD, 6, 510 - skip, first_replica=40,
+                                skip=skip)
+    assert tail.tobytes() == full[:, skip:].tobytes()
+
+
+def test_replica_uniforms_rows_are_their_own_streams():
+    # one generator serves the block; each row still reads stream r alone
+    block = rng.replica_uniforms(8, rng.TAG_WALK, 5, 33, first_replica=3)
+    for i in range(5):
+        assert block[i].tobytes() == rng.stream(8, rng.TAG_WALK, 3 + i).random(33).tobytes()
