@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import rng
+from . import rng, walks
 from .cocycles import sup_norm
 from .stats import binomial_ci_halfwidth, gaussian_cdf, ks_statistic
 
@@ -128,30 +128,29 @@ def checkpoint_sums(stream, schedule, replicas):
 
 
 def _walk_checkpoint_sums(stream, schedule, replicas):
+    """``S_n = sigma(b_n ... b_1, x_0) - sum_(k<n) drift(x_k)`` at the schedule.
+
+    Positions come from the chunked prefix scan of ``walks``, one bounded
+    segment of the time axis at a time; the drift is then taken at every
+    position of the segment at once.
+    """
     mu = stream.measure
     x0 = np.asarray(getattr(stream.start, "rep", stream.start), dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
-    n_max = schedule[-1]
-    words = rng.replica_words(stream.seed, rng.TAG_MARTINGALE, replicas, n_max, mu.weights)
-    v = np.tile(x0, (replicas, 1))
-    sums = np.zeros(replicas)
+    x = np.tile(x0 / np.linalg.norm(x0), (replicas, 1))
+    cps = np.asarray(schedule)
     out = np.empty((replicas, len(schedule)))
-    cp = 0
-    for k in range(n_max):
-        # drift of the norm cocycle at the current positions
-        step_drift = np.zeros(replicas)
-        moved_norms = np.empty((mu.n_atoms, replicas))
-        for a in range(mu.n_atoms):
-            moved_norms[a] = np.linalg.norm(v @ mu.atoms[a].T, axis=1)
-            step_drift += mu.weights[a] * np.log(moved_norms[a])
-        chosen = words[:, k]
-        inc = np.log(moved_norms[chosen, np.arange(replicas)])
-        sums += inc - step_drift
-        v = np.einsum("nij,nj->ni", mu.atoms[chosen], v)
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        if cp < len(schedule) and k + 1 == schedule[cp]:
-            out[:, cp] = sums
-            cp += 1
+    drift_sum = np.zeros(replicas)
+    for lo, values, units in walks.chunked_walk(mu.atoms, mu.weights, x, schedule[-1],
+                                                stream.seed, rng.TAG_MARTINGALE):
+        before = np.concatenate([x[:, None], units[:, :-1]], axis=1)
+        drift = sum(w * np.log(np.linalg.norm(before @ a.T, axis=2))
+                    for a, w in zip(mu.atoms, mu.weights))
+        drifts = drift_sum[:, None] + np.cumsum(drift, axis=1)
+        inside = (cps > lo) & (cps <= lo + values.shape[1])
+        at = cps[inside] - lo - 1
+        out[:, inside] = values[:, at] - drifts[:, at]
+        drift_sum = drifts[:, -1]
+        x = units[:, -1]
     return out
 
 

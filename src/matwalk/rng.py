@@ -86,7 +86,7 @@ def indices_from_uniforms(u, weights):
     return np.searchsorted(cdf, u, side="right").astype(np.uint16)
 
 
-def replica_words(master_seed, tag, replicas, n_steps, weights, first_replica=0):
-    """Atom-index words for a block of replicas (one word per row)."""
-    u = replica_uniforms(master_seed, tag, replicas, n_steps, first_replica)
+def replica_words(master_seed, tag, replicas, n_steps, weights, first_replica=0, skip=0):
+    """Atom-index words for a block of replicas (one word per row), from letter ``skip`` on."""
+    u = replica_uniforms(master_seed, tag, replicas, n_steps, first_replica, skip)
     return indices_from_uniforms(u, weights)

@@ -1,10 +1,23 @@
-"""Vectorized random-walk engines with per-step renormalization.
+"""Vectorized random-walk engines over letter tables and chunked prefix products.
 
-Long products are never multiplied out.  Scalar cocycle values accumulate as
-``v <- g v`` with periodic rescaling (exact by additivity of the cocycle), and
-log operator norms of products accumulate through scaled matrix states whose
-top singular value is read off at the end.  Entries of a scaled state stay of
-order one, so walks of any length are immune to overflow.
+Long products are never multiplied out.  Replica walks step through a
+*letter table*: the products of ``L`` consecutive atoms, one row per word of
+``L`` letters, so a single gather and a single batched product advance every
+replica by ``L`` letters.  ``L`` is the largest value with ``A^L <= 256`` for
+``A`` atoms and ``L <= rescale_interval(atoms)``, so a table row never holds
+a product of more letters than a scaled state may absorb.  States are
+rescaled at least every ``rescale_interval`` letters (Benettin, Galgani,
+Giorgilli and Strelcyn, Meccanica 15, 1980); scalar cocycle values add up
+the logs of the scales, and log operator norms of products are read off
+scaled matrix states.  Entries of a scaled state stay far from overflow, so
+walks of any length are safe.
+
+A single trajectory is read at every step from chunked prefix products: the
+word is cut into chunks of ``rescale_interval`` letters, the running product
+inside every chunk is formed for all chunks at once, one sequential pass
+carries the unit vector from chunk head to chunk head, and one batched
+product gives the cocycle value after every letter (a blocked prefix scan,
+Blelloch, "Prefix sums and their applications", 1990).
 
 Replicas are split into fixed blocks; each replica draws from its own
 counter-based stream, so results are a pure function of ``(measure, seed,
@@ -20,6 +33,8 @@ from . import rng
 
 _BLOCK = 4096   # replicas per scheduling block (fixed: part of no contract,
                 # results do not depend on it, only wall time does)
+_TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
+_SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
 _THREADS = 1
 
 
@@ -55,6 +70,14 @@ def rescale_interval(atoms):
     return int(np.clip(300.0 / growth, 1, 64))
 
 
+def letters_per_step(n_atoms, interval):
+    """Letters per table step: the largest ``L <= interval`` with ``A^L <= 256``."""
+    letters = 1
+    while letters < interval and n_atoms ** (letters + 1) <= _TABLE_ROWS:
+        letters += 1
+    return letters
+
+
 def _checkpoint_array(checkpoints, n):
     if checkpoints is None:
         return None
@@ -66,6 +89,90 @@ def _checkpoint_array(checkpoints, n):
     return cps
 
 
+def _marks(cps, n):
+    """Step counts at which a walk is read: the checkpoints, then ``n``."""
+    if n < 1:
+        raise ValueError("a walk needs n >= 1 steps")
+    if cps is None:
+        return [n]
+    return [int(c) for c in cps] + ([n] if cps[-1] < n else [])
+
+
+def _norms(state):
+    flat = state.reshape(len(state), -1)
+    return np.sqrt(np.einsum("ni,ni->n", flat, flat))
+
+
+class _LetterTable:
+    """The step engine of the replica walks for one set of atoms.
+
+    Row ``sum_j l_j A^j`` of ``rows`` holds ``a_{l_(L-1)} ... a_{l_0}`` (letter
+    ``l_0`` acts first).  When ``L > 1``, row ``A^L + l`` holds the single atom
+    ``a_l``; single letters finish the stretch up to each read-out, so a
+    checkpoint reads exactly the product of its own letters.
+    """
+
+    def __init__(self, atoms):
+        atoms = np.asarray(atoms, dtype=float)
+        self.n_atoms = len(atoms)
+        self.interval = rescale_interval(atoms)
+        self.letters = letters_per_step(self.n_atoms, self.interval)
+        rows = atoms
+        for _ in range(1, self.letters):
+            rows = np.matmul(atoms[:, None], rows[None]).reshape(-1, *atoms.shape[1:])
+        self.single = len(rows) if self.letters > 1 else 0
+        self.rows = np.concatenate([rows, atoms]) if self.letters > 1 else rows
+
+    def _steps(self, words, marks):
+        """Table rows of every step (steps x replicas), and per step whether to
+        rescale before it and whether to read after it.
+
+        Up to each mark the walk takes whole table steps, then single letters.
+        """
+        parts, rescale, read = [], [], []
+        since = pos = 0
+        for end in marks:
+            full, rest = divmod(end - pos, self.letters)
+            letters = words[:, pos:end - rest].reshape(len(words), full, self.letters)
+            codes = np.zeros((len(words), full), dtype=np.uint16)
+            for j in range(self.letters):
+                codes += letters[:, :, j] * np.uint16(self.n_atoms**j)
+            parts += [codes, words[:, end - rest:end] + np.uint16(self.single)]
+            for step in [self.letters] * full + [1] * rest:
+                rescale.append(since + step > self.interval)
+                since = step if rescale[-1] else since + step
+                read.append(False)
+            read[-1] = True
+            pos = end
+        return np.ascontiguousarray(np.concatenate(parts, axis=1).T), rescale, read
+
+    def walk(self, words, state, marks):
+        """Push ``state`` (rows ``(count, d)`` or matrices ``(count, m, m)``)
+        through the rows of ``words``; log norms at each mark, and the final
+        scaled state.  Vectors read their Euclidean norm, matrices their
+        operator norm.
+        """
+        codes, rescale, read = self._steps(words, marks)
+        vector = state.ndim == 2
+        gathered = np.empty((len(state),) + self.rows.shape[1:])
+        acc = np.zeros(len(state))
+        logs = []
+        for step, code in enumerate(codes):
+            if rescale[step]:
+                scale = _norms(state)
+                acc += np.log(scale)
+                state = state / scale.reshape(-1, *[1] * (state.ndim - 1))
+            np.take(self.rows, code, axis=0, out=gathered)
+            if vector:
+                state = np.einsum("nij,nj->ni", gathered, state)
+            else:
+                state = np.matmul(gathered, state)
+            if read[step]:
+                top = _norms(state) if vector else np.linalg.svd(state, compute_uv=False)[:, 0]
+                logs.append(acc + np.log(top))
+        return np.column_stack(logs), state
+
+
 def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None):
     """Cocycle values ``log |b_n ... b_1 v| / |v|`` for every replica.
 
@@ -73,31 +180,18 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None)
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
     column per checkpoint (the last one need not be ``n``).
     """
-    atoms = np.asarray(atoms, dtype=float)
-    d = atoms.shape[1]
+    table = _LetterTable(atoms)
     start = np.asarray(start, dtype=float)
     shared_start = start.ndim == 1
     cps = _checkpoint_array(checkpoints, n)
-    interval = rescale_interval(atoms)
+    marks = _marks(cps, n)
 
     def run_block(first, count):
         words = rng.replica_words(seed, tag, count, n, weights, first_replica=first)
         v = np.tile(start, (count, 1)) if shared_start else start[first:first + count].copy()
-        acc = np.zeros(count)
-        cp_vals = np.empty((count, len(cps))) if cps is not None else None
-        cp_next = 0
-        for k in range(n):
-            v = np.einsum("nij,nj->ni", atoms[words[:, k]], v)
-            if (k + 1) % interval == 0:
-                norms = np.linalg.norm(v, axis=1)
-                acc += np.log(norms)
-                v /= norms[:, None]
-            if cps is not None and cp_next < len(cps) and k + 1 == cps[cp_next]:
-                cp_vals[:, cp_next] = acc + np.log(np.linalg.norm(v, axis=1))
-                cp_next += 1
-        norms = np.linalg.norm(v, axis=1)
-        final_vals = acc + np.log(norms)
-        return (final_vals if cps is None else cp_vals), v / norms[:, None]
+        logs, v = table.walk(words, v, marks)
+        values = logs[:, 0] if cps is None else logs[:, :len(cps)]
+        return values, v / _norms(v)[:, None]
 
     parts = _run_blocks(run_block, _blocks(replicas))
     values = np.concatenate([p[0] for p in parts])
@@ -113,40 +207,21 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
     so e.g. ``log |P|`` and ``log |P^^2|`` refer to the same product ``P``.
     Returns label -> (replicas,) array, or (replicas, n_checkpoints).
     """
-    labels = list(atom_sets)
-    sets = {lab: np.asarray(atom_sets[lab], dtype=float) for lab in labels}
-    intervals = {lab: rescale_interval(sets[lab]) for lab in labels}
+    tables = {lab: _LetterTable(atoms) for lab, atoms in atom_sets.items()}
     cps = _checkpoint_array(checkpoints, n)
+    marks = _marks(cps, n)
 
     def run_block(first, count):
         words = rng.replica_words(seed, tag, count, n, weights, first_replica=first)
-        states = {lab: np.tile(np.eye(sets[lab].shape[1]), (count, 1, 1)) for lab in labels}
-        acc = {lab: np.zeros(count) for lab in labels}
-        cp_vals = {lab: np.empty((count, len(cps))) for lab in labels} if cps is not None else None
-        cp_next = 0
-        for k in range(n):
-            col = words[:, k]
-            for lab in labels:
-                states[lab] = np.matmul(sets[lab][col], states[lab])
-                if (k + 1) % intervals[lab] == 0:
-                    scale = np.abs(states[lab]).max(axis=(1, 2))
-                    acc[lab] += np.log(scale)
-                    states[lab] /= scale[:, None, None]
-            if cps is not None and cp_next < len(cps) and k + 1 == cps[cp_next]:
-                for lab in labels:
-                    top = np.linalg.svd(states[lab], compute_uv=False)[:, 0]
-                    cp_vals[lab][:, cp_next] = acc[lab] + np.log(top)
-                cp_next += 1
-        if cps is not None:
-            return cp_vals
         out = {}
-        for lab in labels:
-            top = np.linalg.svd(states[lab], compute_uv=False)[:, 0]
-            out[lab] = acc[lab] + np.log(top)
+        for lab, table in tables.items():
+            eye = np.tile(np.eye(table.rows.shape[1]), (count, 1, 1))
+            logs, _ = table.walk(words, eye, marks)
+            out[lab] = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return out
 
     parts = _run_blocks(run_block, _blocks(replicas))
-    return {lab: np.concatenate([p[lab] for p in parts]) for lab in labels}
+    return {lab: np.concatenate([p[lab] for p in parts]) for lab in tables}
 
 
 def cloud_walk(atoms, weights, starts, n, seed, tag):
@@ -155,22 +230,70 @@ def cloud_walk(atoms, weights, starts, n, seed, tag):
     return finals
 
 
+def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
+    """Cocycle values and positions after every letter, by chunked prefix products.
+
+    Row ``r`` walks stream ``first_replica + r`` from the unit row
+    ``starts[r]``.  The time axis is taken in segments of whole chunks that
+    hold about ``2^18`` letter-replica products (at least one chunk per row);
+    each segment yields ``(lo, values, units)``, where ``values[r, k]`` is ``log |b_(lo+k+1) ... b_1 x_r|`` and
+    ``units[r, k]`` the unit row of that vector.
+    """
+    atoms = np.asarray(atoms, dtype=float)
+    d = atoms.shape[1]
+    chunk = rescale_interval(atoms)
+    padded = np.concatenate([atoms, np.eye(d)[None]])   # code A pads the last chunk
+    u = np.array(starts, dtype=float)
+    rows = len(u)
+    base = np.zeros(rows)
+    segment = max(chunk, _SCAN_PRODUCTS // rows // chunk * chunk)
+    for lo in range(0, n, segment):
+        length = min(segment, n - lo)
+        heads_per_row = -(-length // chunk)
+        count = rows * heads_per_row
+        codes = np.full((rows, heads_per_row * chunk), len(atoms), dtype=np.uint16)
+        codes[:, :length] = rng.replica_words(seed, tag, rows, length, weights,
+                                              first_replica=first_replica, skip=lo)
+        codes = np.ascontiguousarray(codes.reshape(count, chunk).T)
+        # prefix products inside every chunk, all chunks at once
+        prods = np.empty((chunk, count, d, d))
+        gathered = np.empty((count, d, d))
+        np.take(padded, codes[0], axis=0, out=prods[0])
+        for j in range(1, chunk):
+            np.matmul(np.take(padded, codes[j], axis=0, out=gathered), prods[j - 1], out=prods[j])
+        # the unit vector at every chunk head, one chunk at a time
+        ends = prods[-1].reshape(rows, heads_per_row, d, d)
+        heads = np.empty((rows, heads_per_row, d, 1))
+        head = u[:, :, None]
+        for k in range(heads_per_row):
+            heads[:, k] = head
+            head = ends[:, k] @ head
+            head /= np.sqrt(np.einsum("rij,rij->r", head, head))[:, None, None]
+        vecs = np.matmul(prods, heads.reshape(count, d, 1))[..., 0]
+        norms = np.sqrt(np.einsum("cni,cni->cn", vecs, vecs))
+        logs = np.log(norms).reshape(chunk, rows, heads_per_row)
+        at_heads = np.zeros((rows, heads_per_row))
+        np.cumsum(logs[-1, :, :-1], axis=1, out=at_heads[:, 1:])
+        values = (logs + (base[:, None] + at_heads)[None]).transpose(1, 2, 0)
+        values = values.reshape(rows, -1)[:, :length]
+        units = (vecs / norms[..., None]).reshape(chunk, rows, heads_per_row, d)
+        units = units.transpose(1, 2, 0, 3).reshape(rows, -1, d)[:, :length]
+        base = values[:, -1]
+        u = units[:, -1]
+        yield lo, values, units
+
+
 def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
     """Running cocycle values ``S_1, ..., S_{n_max}`` along a single walk."""
     atoms = np.asarray(atoms, dtype=float)
-    u = rng.stream(seed, tag, stream_index).random(n_max)
-    word = rng.indices_from_uniforms(u, weights)
     if atoms.shape[1] == 1:
+        u = rng.stream(seed, tag, stream_index).random(n_max)
+        word = rng.indices_from_uniforms(u, weights)
         increments = np.log(np.abs(atoms[:, 0, 0]))[word]
         return np.cumsum(increments)
     v = np.asarray(start, dtype=float)
-    v = v / np.linalg.norm(v)
     out = np.empty(n_max)
-    acc = 0.0
-    for k in range(n_max):
-        v = atoms[word[k]] @ v
-        norm = np.linalg.norm(v)
-        acc += np.log(norm)
-        v /= norm
-        out[k] = acc
+    for lo, values, _ in chunked_walk(atoms, weights, (v / np.linalg.norm(v))[None], n_max,
+                                      seed, tag, first_replica=stream_index):
+        out[lo:lo + values.shape[1]] = values[0]
     return out

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +12,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_checkout():
+    """Tests that start ``python -m matwalk ...`` import ``src/`` too, with or
+    without PYTHONPATH set (pytest's ``pythonpath`` covers this process only)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
+from matwalk import rng
 from matwalk.martingales import INCREMENT_TOL, _scale_segments
 
 
@@ -75,6 +76,28 @@ def test_walk_induced_stream_is_centered(free_pair):
     sums = mw.checkpoint_sums(stream, [200], replicas=4000)[:, 0]
     assert abs(sums.mean()) <= 3 * sums.std(ddof=1) / np.sqrt(4000)
     assert stream.bound > 0.0
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+def test_walk_induced_sums_match_step_loop(measure, request):
+    # 4100 replicas cut the 150-step time axis into three segments of the scan
+    mu = request.getfixturevalue(measure)
+    start = np.arange(1.0, mu.dim + 1.0)
+    stream = mw.DifferenceStream(kind="walk_induced", seed=12, measure=mu, start=start)
+    schedule, replicas = [1, 63, 64, 65, 130, 150], 4100
+    sums = mw.checkpoint_sums(stream, schedule, replicas)
+    words = rng.replica_words(12, rng.TAG_MARTINGALE, replicas, schedule[-1], mu.weights)
+    v = np.tile(start / np.linalg.norm(start), (replicas, 1))
+    acc, want = np.zeros(replicas), []
+    for k in range(schedule[-1]):
+        moved = np.array([np.linalg.norm(v @ a.T, axis=1) for a in mu.atoms])
+        drift = mu.weights @ np.log(moved)
+        acc += np.log(moved[words[:, k], np.arange(replicas)]) - drift
+        v = np.einsum("nij,nj->ni", mu.atoms[words[:, k]], v)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        if k + 1 in schedule:
+            want.append(acc.copy())
+    assert np.allclose(sums, np.column_stack(want), rtol=1e-12, atol=1e-12)
 
 
 def test_azuma_check_on_coin_flips():

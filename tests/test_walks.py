@@ -4,6 +4,8 @@ import pytest
 import matwalk as mw
 from matwalk import rng, walks
 
+from conftest import random_invertible
+
 
 def test_vector_walk_matches_direct_product(free_pair):
     # short walks can be multiplied out: oracle for the scaled engine
@@ -131,3 +133,133 @@ def test_replica_uniforms_rows_are_their_own_streams():
     block = rng.replica_uniforms(8, rng.TAG_WALK, 5, 33, first_replica=3)
     for i in range(5):
         assert block[i].tobytes() == rng.stream(8, rng.TAG_WALK, 3 + i).random(33).tobytes()
+
+
+# --- the letter-table engine against a plain per-letter loop ---------------
+
+def _atom_set(n_atoms):
+    rng_ = np.random.default_rng(40 + n_atoms)
+    return np.array([random_invertible(rng_, 2) for _ in range(n_atoms)])
+
+
+def _letter_loop(atoms, words, states, marks):
+    """Log norms after each mark, one letter at a time, renormalised every step."""
+    vector = states.ndim == 2
+    acc = np.zeros(len(states))
+    out = []
+    for k in range(words.shape[1]):
+        mats = atoms[words[:, k]]
+        states = np.einsum("nij,nj->ni", mats, states) if vector else mats @ states
+        scale = np.linalg.norm(states.reshape(len(states), -1), axis=1)
+        acc += np.log(scale)
+        states = states / scale.reshape(-1, *[1] * (states.ndim - 1))
+        if k + 1 in marks:
+            top = 1.0 if vector else np.linalg.norm(states, ord=2, axis=(1, 2))
+            out.append(acc + np.log(top))
+    return np.column_stack(out), states
+
+
+# letters per table step for each tested atom count: A^L <= 256, L <= 64
+_LETTERS = {1: 64, 2: 8, 4: 4, 20: 1}
+_WALK_CASES = [(3, None), (203, None), (203, [1, 3, 17, 100, 190]), (130, [64, 65, 130])]
+
+
+def test_letters_per_step_follows_the_table_bound():
+    for n_atoms, letters in _LETTERS.items():
+        assert walks.letters_per_step(n_atoms, 64) == letters
+    assert walks.letters_per_step(3, 64) == 5
+    assert walks.letters_per_step(300, 64) == 1
+    assert walks.letters_per_step(1, 21) == 21
+    assert walks.letters_per_step(2, 5) == 5
+
+
+@pytest.mark.parametrize("n_atoms", sorted(_LETTERS))
+@pytest.mark.parametrize("n, checkpoints", _WALK_CASES)
+@pytest.mark.parametrize("shared", [True, False])
+def test_vector_walk_matches_letter_loop(n_atoms, n, checkpoints, shared):
+    atoms = _atom_set(n_atoms)
+    weights = np.full(n_atoms, 1.0 / n_atoms)
+    assert walks.letters_per_step(n_atoms, walks.rescale_interval(atoms)) == _LETTERS[n_atoms]
+    replicas, seed = 7, 21
+    starts = np.random.default_rng(3).normal(size=(replicas, 2))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    start = starts[0] if shared else starts
+    vals, finals = walks.vector_walk(atoms, weights, start, n, replicas, seed, rng.TAG_WALK,
+                                     checkpoints=checkpoints)
+    words = rng.replica_words(seed, rng.TAG_WALK, replicas, n, weights)
+    want, units = _letter_loop(atoms, words, np.tile(start, (replicas, 1)) if shared
+                               else starts.copy(), checkpoints or [n])
+    assert np.allclose(vals, want if checkpoints else want[:, 0], rtol=1e-12, atol=1e-12)
+    assert np.allclose(finals, units, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_atoms", sorted(_LETTERS))
+@pytest.mark.parametrize("n, checkpoints", _WALK_CASES)
+def test_matrix_walk_matches_letter_loop(n_atoms, n, checkpoints):
+    atoms = _atom_set(n_atoms)
+    weights = np.full(n_atoms, 1.0 / n_atoms)
+    replicas, seed = 7, 22
+    out = walks.matrix_walk_log_norms({"id": atoms}, weights, n, replicas, seed, rng.TAG_WALK,
+                                      checkpoints=checkpoints)["id"]
+    words = rng.replica_words(seed, rng.TAG_WALK, replicas, n, weights)
+    want, _ = _letter_loop(atoms, words, np.tile(np.eye(2), (replicas, 1, 1)),
+                           checkpoints or [n])
+    assert np.allclose(out, want if checkpoints else want[:, 0], rtol=1e-12, atol=1e-12)
+
+
+def test_extreme_atoms_stay_finite_over_long_walks():
+    # table rows hold products of up to 8 letters of entries 1e+-6; the
+    # rescaling interval still bounds every state
+    big = np.diag([1e6, 1e-6])
+    atoms = np.array([big, np.linalg.inv(big)])
+    weights = np.array([0.5, 0.5])
+    n, replicas, seed = 20_001, 5, 8
+    words = rng.replica_words(seed, rng.TAG_WALK, replicas, n, weights)
+    drift = np.log(1e6) * (words == 0).sum(axis=1) - np.log(1e6) * (words == 1).sum(axis=1)
+    vals, finals = walks.vector_walk(atoms, weights, np.array([1.0, 0.0]), n, replicas, seed,
+                                     rng.TAG_WALK)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(finals))
+    assert np.allclose(vals, drift, rtol=1e-12)
+    logs = walks.matrix_walk_log_norms({"id": atoms}, weights, n, replicas, seed, rng.TAG_WALK,
+                                       checkpoints=[3, 9999, n])["id"]
+    assert np.all(np.isfinite(logs))
+    single = walks.matrix_walk_log_norms({"id": big[None]}, [1.0], n, 2, seed, rng.TAG_WALK)["id"]
+    assert np.allclose(single, n * np.log(1e6), rtol=1e-12)
+
+
+def test_matrix_walk_independent_of_thread_count(free_pair):
+    sets = {1: free_pair.atoms,
+            2: np.array([mw.exterior_square(a) for a in free_pair.atoms])}
+    args = (sets, free_pair.weights, 200, 3 * walks._BLOCK // 2, 5, rng.TAG_WALK)
+    cps = [3, 77, 150, 199]
+    walks.set_thread_count(1)
+    one = walks.matrix_walk_log_norms(*args, checkpoints=cps)
+    walks.set_thread_count(4)
+    four = walks.matrix_walk_log_norms(*args, checkpoints=cps)
+    walks.set_thread_count(1)
+    for lab in sets:
+        assert one[lab].tobytes() == four[lab].tobytes()
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+@pytest.mark.parametrize("scan_products", [walks._SCAN_PRODUCTS, 200])
+def test_trajectory_cocycle_matches_step_loop(measure, scan_products, request, monkeypatch):
+    # 1001 steps are no multiple of the chunk; a small scan bound cuts the
+    # time axis into several segments
+    mu = request.getfixturevalue(measure)
+    monkeypatch.setattr(walks, "_SCAN_PRODUCTS", scan_products)
+    n_max, seed = 1001, 29
+    assert n_max % walks.rescale_interval(mu.atoms) != 0
+    start = np.arange(1.0, mu.dim + 1.0)
+    traj = walks.trajectory_cocycle(mu.atoms, mu.weights, start, n_max, seed, rng.TAG_WALK,
+                                    stream_index=3)
+    word = rng.indices_from_uniforms(rng.stream(seed, rng.TAG_WALK, 3).random(n_max),
+                                     mu.weights)
+    v = start / np.linalg.norm(start)
+    acc, want = 0.0, np.empty(n_max)
+    for k in range(n_max):
+        v = mu.atoms[word[k]] @ v
+        acc += np.log(np.linalg.norm(v))
+        v /= np.linalg.norm(v)
+        want[k] = acc
+    assert np.allclose(traj, want, rtol=1e-12, atol=1e-12)
