@@ -20,11 +20,10 @@ which is exact in distribution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import rng, walks
 from .cocycles import sup_norm
-from .stats import binomial_ci_halfwidth, gaussian_cdf, ks_statistic
+from .stats import binomial_ci_halfwidth, gaussian_cdf, ks_statistic, ndtr
 
 INCREMENT_TOL = 1e-3   # summability heuristic on the last doubling increment
 LINDEBERG_TOL = 1e-2

@@ -365,7 +365,12 @@ def run_scenario(config, out_dir=None, seed=None, threads=1):
     seed = resolve_seed(config, seed)
     walks.set_thread_count(threads)
     out = Path(out_dir or config.output_dir or Path("out") / config.name)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path through one
+        raise ConfigError(
+            [f"cannot create output directory {str(out)!r}: {exc.strerror or exc}"]
+        ) from exc
     mu = config.to_measure()
     _RUNNERS[config.kind](config, mu, seed, out)
     return out

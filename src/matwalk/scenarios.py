@@ -25,7 +25,6 @@ rejected and every offence is reported at once.
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .measures import (
@@ -191,6 +190,8 @@ def validate_config(data):
 
 def load_config(path):
     """Parse and validate a scenario file."""
+    import yaml  # only scenario files need it; the built-ins are Python
+
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import inf
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import rng, walks
 from .errors import SingularEvaluationError
@@ -28,6 +27,7 @@ from .linalg import (
     ProjectivePoint,
     act,
 )
+from .stats import ndtri
 
 DELTA_FLOOR = 1e-300
 DEFAULT_BURN_IN = 500

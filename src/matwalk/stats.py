@@ -6,10 +6,29 @@ plain callables are assumed continuous; pass an :class:`Ecdf` to compare
 against a step reference exactly.
 """
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr
+
+# Standard normal CDF and quantile from the stdlib, elementwise.  The CDF
+# scales its argument by sqrt(1/2), as the Cephes ndtr does.  Against
+# Cephes, the CDF is within 4e-15 relative on |z| <= 8 and the quantile
+# within 2e-15 absolute on [1e-12, 1 - 1e-12] (tests/test_stats.py).
+_SQRT1_2 = math.sqrt(0.5)
+_NDTR = np.frompyfunc(lambda z: 0.5 * math.erfc(-z * _SQRT1_2), 1, 1)
+_NDTRI = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
+def ndtr(z):
+    """Standard normal CDF ``P(Z <= z)``, elementwise."""
+    return np.asarray(_NDTR(np.asarray(z, dtype=float)), dtype=float)
+
+
+def ndtri(p):
+    """Standard normal quantile, elementwise, for ``0 < p < 1``."""
+    return np.asarray(_NDTRI(np.asarray(p, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -234,3 +234,68 @@ def test_golden_headers_across_kinds(tmp_path):
         assert header == GOLDEN_HEADERS[header_key], name
     cloud_header = (tmp_path / "out_log_regularity_sl2" / "cloud.csv").read_text().splitlines()[0]
     assert cloud_header == GOLDEN_HEADERS["cloud_d2"]
+
+
+NO_SCIPY = """
+import sys
+
+
+class NoScipy:
+    # refuse every scipy import, as on an environment without scipy installed
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed here")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import matwalk
+from matwalk.cli import main
+
+assert main(["list"]) == 0
+for name in sys.argv[2:]:
+    code = main(["run-builtin", name, "--out", f"{sys.argv[1]}/{name}"])
+    assert code == 0, (name, code)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
+"""
+
+
+def test_runs_without_scipy_or_yaml_loaded(tmp_path):
+    # the Gaussian closed forms come from the stdlib, and PyYAML is read only
+    # for scenario files, so the bundle runs on numpy alone
+    names = ["brown_triangular_gaussian", "free_semigroup_sl2_clt", "example_nongaussian"]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path), *names],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    for name in names:
+        assert (tmp_path / name / "report.csv").is_file()
+
+
+def test_invalid_yaml_is_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: [unclosed\n")
+    assert main(["run", str(path)]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", [None, "sub"])
+def test_out_naming_a_file_is_config_error(tmp_path, sub):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    out = target if sub is None else target / sub
+    proc = subprocess.run([sys.executable, "-m", "matwalk", "run-builtin", "lil_scalar",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert str(out) in lines[0]
+    assert target.read_text() == "not a directory\n"
+
+
+def test_python_dash_m_matwalk_lists_the_bundle():
+    proc = subprocess.run([sys.executable, "-m", "matwalk", "list"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "lil_scalar" in proc.stdout

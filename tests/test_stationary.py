@@ -34,6 +34,17 @@ def test_start_cloud_shapes_and_determinism():
     assert np.abs(second_moment - np.eye(3) / 3.0).max() < 0.05
 
 
+def test_start_cloud_unit_rows_in_every_lattice_dimension():
+    for dim in range(3, 13):
+        cloud = mw.start_cloud(dim, 997)
+        assert cloud.shape == (997, dim)
+        assert np.all(np.isfinite(cloud))
+        assert np.abs(np.linalg.norm(cloud, axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+        assert cloud.tobytes() == mw.start_cloud(dim, 997).tobytes()
+    with pytest.raises(ValueError):
+        mw.start_cloud(13, 10)
+
+
 def test_stationary_concentrates_for_contracting_diagonal():
     mu = mw.GeneratorMeasure.from_atoms([np.diag([2.0, 0.5])])
     cloud = mw.estimate_stationary(mu, burn_in=200, particles=2000, seed=1)

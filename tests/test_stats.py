@@ -4,7 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
-from matwalk.stats import binomial_ci_halfwidth, mean_ci_halfwidth, variance_ci_halfwidth
+from matwalk.stats import (
+    binomial_ci_halfwidth,
+    mean_ci_halfwidth,
+    ndtr,
+    ndtri,
+    variance_ci_halfwidth,
+)
+
+EPS = np.finfo(float).eps
 
 # frozen reference values for the standard normal CDF (50-digit evaluation)
 NCDF_REFERENCE = [
@@ -72,6 +80,38 @@ def test_gaussian_cdf_reference_values():
     assert mw.gaussian_cdf(-0.5, mean=0.0, var=0.0) == 0.0
     with pytest.raises(ValueError):
         mw.gaussian_cdf(0.0, var=-1.0)
+
+
+def test_gaussian_cdf_is_exactly_one_half_at_its_mean():
+    assert mw.gaussian_cdf(0.0) == 0.5
+    assert mw.gaussian_cdf(-0.0) == 0.5
+    assert mw.gaussian_cdf(1.5, mean=1.5, var=3.0) == 0.5
+    assert ndtr(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+
+def test_gaussian_cdf_symmetry():
+    x = np.linspace(-8.0, 8.0, 1601)
+    assert np.abs(mw.gaussian_cdf(-x) - (1.0 - mw.gaussian_cdf(x))).max() <= EPS
+
+
+def test_ndtri_inverts_ndtr():
+    # the round trip is as good as the condition number of the quantile allows:
+    # a relative error of a few ulp in p moves x by about eps * p / pdf(x)
+    x = np.linspace(-8.0, 6.0, 14001)
+    p = ndtr(x)
+    pdf = np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
+    assert np.all(np.abs(ndtri(p) - x) <= 4.0 * EPS * (p / pdf + np.abs(x)))
+    assert ndtri(0.5) == 0.0
+    assert ndtr(np.array(0.3)).ndim == 0 and ndtri(np.array([[0.3]])).shape == (1, 1)
+
+
+def test_closed_forms_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    z = np.linspace(-8.0, 8.0, 16001)
+    ref = special.ndtr(z)
+    assert (np.abs(ndtr(z) - ref) / ref).max() <= 4e-15
+    p = np.linspace(1e-12, 1.0 - 1e-12, 100_001)
+    assert np.abs(ndtri(p) - special.ndtri(p)).max() <= 2e-15
 
 
 def test_folded_gaussian_cdf():
