@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, walks
 from .errors import SingularMatrixError
 from .linalg import check_group_element
 
 EIG_GAP_TOL = 1e-6       # relative modulus gap certifying a dominant eigenvalue
-RAW_PRODUCT_LIMIT = 64   # beyond this, products are only formed in scaled form
 WEIGHT_TOL = 1e-12
 
 
@@ -98,7 +97,9 @@ def check_mu(mu):
 
 @dataclass(frozen=True)
 class WordSample:
-    """A sampled word and its left product ``b_n ... b_1`` in scaled form."""
+    """A sampled word and its left product ``b_n ... b_1`` in scaled form:
+    ``matrix`` has operator norm 1 and ``log_scale`` is the log operator norm
+    of the product."""
 
     indices: np.ndarray
     matrix: np.ndarray
@@ -124,34 +125,24 @@ class WalkSampler:
         """First ``n`` atom indices of this stream (prefix-stable in n)."""
         if n < 0:
             raise ValueError("word length must be nonnegative")
-        if n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        u = rng.stream(self.master_seed, rng.TAG_SAMPLER, self.stream_index).random(n)
-        return rng.indices_from_uniforms(u, self.measure.weights)
+        return rng.replica_words(self.master_seed, rng.TAG_SAMPLER, 1, n, self.measure.weights,
+                                 first_replica=self.stream_index)[0]
 
 
-def sample_word(sampler, n, renormalized=None):
+def sample_word(sampler, n):
     """Sample ``n`` i.i.d. letters and their left product ``b_n ... b_1``.
 
-    For long words the product is returned in scaled form
-    ``matrix * exp(log_scale)`` so that no entry overflows; raw products are
-    refused beyond ``RAW_PRODUCT_LIMIT`` unless scaling is requested.
+    The product comes from the letter-table engine of ``walks`` in scaled
+    form, so words of any length are safe; ``n = 0`` gives the identity.
     """
     indices = sampler.word(n)
     d = sampler.measure.dim
-    if renormalized is None:
-        renormalized = n > RAW_PRODUCT_LIMIT
-    prod = np.eye(d)
-    log_scale = 0.0
-    for k in indices:
-        prod = sampler.measure.atoms[int(k)] @ prod
-        if renormalized:
-            s = float(np.abs(prod).max())
-            prod = prod / s
-            log_scale += np.log(s)
-    if not renormalized and n > RAW_PRODUCT_LIMIT:
-        raise ValueError(f"raw products are limited to {RAW_PRODUCT_LIMIT} letters")
-    return WordSample(indices=indices, matrix=prod, log_scale=log_scale)
+    if n == 0:
+        return WordSample(indices=indices, matrix=np.eye(d))
+    table = walks._LetterTable(sampler.measure.atoms)
+    logs, state = table.walk(indices[None], np.eye(d)[None], [n])
+    matrix = state[0] / np.linalg.norm(state[0], 2)
+    return WordSample(indices=indices, matrix=matrix, log_scale=float(logs[0, 0]))
 
 
 def _has_dominant_simple_eigenvalue(mat):

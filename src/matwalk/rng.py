@@ -8,6 +8,11 @@ how work is scheduled across worker threads.  Tags keep the streams of
 different sub-experiments (main walk, exponent calibration run, dual-cloud
 run, ...) disjoint under one master seed.
 
+Every draw goes through ``replica_words`` or ``replica_uniforms``, with two
+exceptions: the scalar martingale streams draw exact block sums from one
+stream per block of replicas (``martingales.checkpoint_sums``), and the
+runner draws its test points from one stream.
+
 A stream can also be entered part way: ``replica_uniforms(..., skip=k)``
 returns draws ``k, k + 1, ...`` of every replica stream without drawing the
 first ``k``.  Philox makes four 64-bit outputs per counter value, so the skip

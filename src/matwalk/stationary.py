@@ -124,6 +124,15 @@ def _equal_weight_cloud(rows, dual, seed, burn_in):
     )
 
 
+def _walk_cloud(mu, dual, starts, seed, skip, steps):
+    """Walk every start row ``steps`` steps from draw ``skip`` of its stream;
+    dual particles move by the transposed atoms (``estimate_dual_stationary``)."""
+    atoms = np.array([a.T for a in mu.atoms]) if dual else mu.atoms
+    tag = rng.TAG_DUAL_CLOUD if dual else rng.TAG_CLOUD
+    finals = walks.cloud_walk(atoms, mu.weights, starts, steps, seed, tag, skip=skip)
+    return _equal_weight_cloud(finals, dual, seed, skip + steps)
+
+
 def estimate_stationary(mu, burn_in=DEFAULT_BURN_IN, particles=DEFAULT_PARTICLES, seed=0):
     """Forward-walk cloud: particle k is ``b_k,burn_in ... b_k,1 x_k``.
 
@@ -133,9 +142,7 @@ def estimate_stationary(mu, burn_in=DEFAULT_BURN_IN, particles=DEFAULT_PARTICLES
     """
     if burn_in < 1 or particles < 1:
         raise ValueError("burn_in and particles must be >= 1")
-    starts = start_cloud(mu.dim, particles)
-    finals = walks.cloud_walk(mu.atoms, mu.weights, starts, burn_in, seed, rng.TAG_CLOUD)
-    return _equal_weight_cloud(finals, False, seed, burn_in)
+    return _walk_cloud(mu, False, start_cloud(mu.dim, particles), seed, 0, burn_in)
 
 
 def estimate_dual_stationary(mu, burn_in=DEFAULT_BURN_IN, particles=DEFAULT_PARTICLES, seed=0):
@@ -147,24 +154,13 @@ def estimate_dual_stationary(mu, burn_in=DEFAULT_BURN_IN, particles=DEFAULT_PART
     """
     if burn_in < 1 or particles < 1:
         raise ValueError("burn_in and particles must be >= 1")
-    dual_atoms = np.array([a.T for a in mu.atoms])
-    starts = start_cloud(mu.dim, particles)
-    finals = walks.cloud_walk(dual_atoms, mu.weights, starts, burn_in, seed, rng.TAG_DUAL_CLOUD)
-    return _equal_weight_cloud(finals, True, seed, burn_in)
+    return _walk_cloud(mu, True, start_cloud(mu.dim, particles), seed, 0, burn_in)
 
 
 def advance_cloud(mu, cloud, steps=1):
-    """Push every particle ``steps`` more steps, continuing its own stream."""
+    """Push every particle ``steps >= 1`` more steps, continuing its own stream."""
     seed, burn_in, _ = cloud.provenance
-    tag = rng.TAG_DUAL_CLOUD if cloud.dual else rng.TAG_CLOUD
-    atoms = np.array([a.T for a in mu.atoms]) if cloud.dual else mu.atoms
-    u = rng.replica_uniforms(seed, tag, cloud.size, steps, skip=burn_in)
-    words = rng.indices_from_uniforms(u, mu.weights)
-    v = cloud.reps.copy()
-    for k in range(steps):
-        v = np.einsum("nij,nj->ni", atoms[words[:, k]], v)
-        v /= np.linalg.norm(v, axis=1)[:, None]
-    return _equal_weight_cloud(v, cloud.dual, seed, burn_in + steps)
+    return _walk_cloud(mu, cloud.dual, cloud.reps, seed, burn_in, steps)
 
 
 def push_cloud(cloud, g):

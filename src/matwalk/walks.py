@@ -19,10 +19,13 @@ carries the unit vector from chunk head to chunk head, and one batched
 product gives the cocycle value after every letter (a blocked prefix scan,
 Blelloch, "Prefix sums and their applications", 1990).
 
-Replicas are split into fixed blocks; each replica draws from its own
-counter-based stream, so results are a pure function of ``(measure, seed,
-tag)`` and in particular independent of the worker-thread count, which only
-spreads blocks across a pool.
+``measures.sample_word`` reads its scaled product off the same letter
+table.  Every word comes from ``rng.replica_words``: replica ``r`` reads stream
+``r``, from letter ``skip`` on, so results are a pure function of
+``(measure, seed, tag)`` and a walk can continue where an earlier one
+stopped.  Replicas are split into fixed blocks.  Vector-walk blocks run in
+order on the calling thread; matrix-walk blocks are spread over a pool of
+worker threads, which changes wall time only.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +42,7 @@ _THREADS = 1
 
 
 def set_thread_count(k):
-    """Worker threads for block scheduling; affects wall time only."""
+    """Worker threads for matrix-walk and psi blocks; affects wall time only."""
     global _THREADS
     _THREADS = max(1, int(k))
 
@@ -173,12 +176,15 @@ class _LetterTable:
         return np.column_stack(logs), state
 
 
-def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None):
+def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None, skip=0):
     """Cocycle values ``log |b_n ... b_1 v| / |v|`` for every replica.
 
     ``start`` is a unit row (shared) or an array of per-replica unit rows.
+    The letters are ``skip, ..., skip + n - 1`` of each replica's stream.
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
-    column per checkpoint (the last one need not be ``n``).
+    column per checkpoint (the last one need not be ``n``).  Blocks run in
+    order on the calling thread: a vector step is too short a numpy call
+    for worker threads to gain on it.
     """
     table = _LetterTable(atoms)
     start = np.asarray(start, dtype=float)
@@ -187,13 +193,13 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None)
     marks = _marks(cps, n)
 
     def run_block(first, count):
-        words = rng.replica_words(seed, tag, count, n, weights, first_replica=first)
+        words = rng.replica_words(seed, tag, count, n, weights, first_replica=first, skip=skip)
         v = np.tile(start, (count, 1)) if shared_start else start[first:first + count].copy()
         logs, v = table.walk(words, v, marks)
         values = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return values, v / _norms(v)[:, None]
 
-    parts = _run_blocks(run_block, _blocks(replicas))
+    parts = [run_block(*b) for b in _blocks(replicas)]
     values = np.concatenate([p[0] for p in parts])
     finals = np.concatenate([p[1] for p in parts])
     return values, finals
@@ -224,9 +230,10 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
     return {lab: np.concatenate([p[lab] for p in parts]) for lab in tables}
 
 
-def cloud_walk(atoms, weights, starts, n, seed, tag):
-    """Push every start row through its own sampled word; returns unit rows."""
-    _, finals = vector_walk(atoms, weights, starts, n, len(starts), seed, tag)
+def cloud_walk(atoms, weights, starts, n, seed, tag, skip=0):
+    """Push every start row through letters ``skip, ..., skip + n - 1`` of its
+    own stream; returns unit rows."""
+    _, finals = vector_walk(atoms, weights, starts, n, len(starts), seed, tag, skip=skip)
     return finals
 
 
@@ -287,8 +294,8 @@ def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
     """Running cocycle values ``S_1, ..., S_{n_max}`` along a single walk."""
     atoms = np.asarray(atoms, dtype=float)
     if atoms.shape[1] == 1:
-        u = rng.stream(seed, tag, stream_index).random(n_max)
-        word = rng.indices_from_uniforms(u, weights)
+        # in dimension one the cocycle is a plain sum of log |a|: no state to rescale
+        word = rng.replica_words(seed, tag, 1, n_max, weights, first_replica=stream_index)[0]
         increments = np.log(np.abs(atoms[:, 0, 0]))[word]
         return np.cumsum(increments)
     v = np.asarray(start, dtype=float)

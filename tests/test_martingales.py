@@ -156,6 +156,15 @@ def test_brown_single_spike_flags_violation():
     assert report.ks_vs_limit > 0.25  # +-1 sums are nothing like a Gaussian
 
 
+@pytest.mark.parametrize("kind", ["iid_gaussian", "single_spike"])
+def test_brown_replicas_do_not_depend_on_batch_size(kind):
+    # replica r reads stream r
+    small, large = (mw.brown_triangular_check(
+        mw.TriangularArraySpec(kind=kind, row_sizes=(10, 40), replicas=r, seed=3))
+        for r in (5, 9))
+    assert small.samples.tobytes() == large.samples[:5].tobytes()
+
+
 def test_brown_rejects_uncentered_rows():
     with pytest.raises(ValueError):
         mw.TriangularArraySpec(kind="iid_gaussian", row_sizes=(100,), shift=0.5)

@@ -4,6 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
+from matwalk import rng
+
+from conftest import random_invertible
 
 
 def rotation(theta):
@@ -78,6 +81,7 @@ def test_check_mu_symmetric_measure_is_permutation_equal():
 def test_sample_word_zero_length_gives_identity(free_pair):
     out = mw.sample_word(mw.WalkSampler(free_pair, 5, 0), 0)
     assert out.matrix == pytest.approx(np.eye(2))
+    assert out.log_scale == 0.0
     assert out.indices.size == 0
 
 
@@ -115,11 +119,40 @@ def test_distinct_streams_differ(free_pair):
 
 def test_long_words_require_scaled_form(free_pair):
     s = mw.WalkSampler(free_pair, 1, 0)
-    with pytest.raises(ValueError):
-        mw.sample_word(s, 100, renormalized=False)
     out = mw.sample_word(s, 300)
     assert out.log_scale > 0.0
     assert np.all(np.isfinite(out.matrix))
+    long = mw.sample_word(mw.WalkSampler(free_pair, 2, 0), 2000)
+    assert np.linalg.norm(long.matrix, 2) == pytest.approx(1.0, abs=1e-14)
+    assert long.log_scale > 700.0
+    with pytest.raises(OverflowError):
+        long.product
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_sampler_word_reads_its_own_stream(free_pair, n):
+    s = mw.WalkSampler(free_pair, 17, 6)
+    u = rng.stream(17, rng.TAG_SAMPLER, 6).random(n)
+    assert s.word(n).tobytes() == rng.indices_from_uniforms(u, free_pair.weights).tobytes()
+
+
+def _word_measure(n_atoms):
+    rng_ = np.random.default_rng(70 + n_atoms)
+    return mw.GeneratorMeasure.from_atoms([random_invertible(rng_, 2) for _ in range(n_atoms)])
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 4, 20])
+@pytest.mark.parametrize("n", [1, 8, 9, 64])
+def test_sample_word_product_matches_letter_product(n_atoms, n):
+    # 8 and 64 are whole table steps for two and one atoms, 9 is not
+    mu = _word_measure(n_atoms)
+    out = mw.sample_word(mw.WalkSampler(mu, 3, 1), n)
+    want = np.eye(2)
+    for k in out.indices:
+        want = mu.atoms[int(k)] @ want
+    assert np.abs(out.product - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.linalg.norm(out.matrix, 2) == pytest.approx(1.0, abs=1e-14)
+    assert out.log_scale == pytest.approx(np.log(np.linalg.norm(want, 2)), rel=1e-12, abs=1e-12)
 
 
 # --- proximality certificate ---

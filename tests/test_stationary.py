@@ -197,7 +197,19 @@ def test_advance_cloud_continues_each_stream(free_pair):
     for k in range(2):
         v = np.einsum("nij,nj->ni", dual_atoms[words[:, k]], v)
         v /= np.linalg.norm(v, axis=1)[:, None]
-    assert one.reps.tobytes() == canonicalize_rows(v).tobytes()
+    # the letter-table engine groups the products, so the last bit may move
+    assert np.allclose(one.reps, canonicalize_rows(v), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 64, 65])
+@pytest.mark.parametrize("estimate", [mw.estimate_stationary, mw.estimate_dual_stationary])
+def test_advance_cloud_equals_a_longer_burn_in(free_pair, estimate, steps):
+    # an off-by-one in the stream skip would redraw every continued particle
+    burn_in = 20
+    advanced = mw.advance_cloud(free_pair, estimate(free_pair, burn_in, 300, seed=4), steps)
+    direct = estimate(free_pair, burn_in + steps, 300, seed=4)
+    assert advanced.provenance == direct.provenance
+    assert np.allclose(advanced.reps, direct.reps, rtol=0.0, atol=1e-12)
 
 
 def test_psi_is_nonpositive(free_pair):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,51 @@ def test_replica_uniforms_rows_are_their_own_streams():
     block = rng.replica_uniforms(8, rng.TAG_WALK, 5, 33, first_replica=3)
     for i in range(5):
         assert block[i].tobytes() == rng.stream(8, rng.TAG_WALK, 3 + i).random(33).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_trajectory_cocycle_dim1_reads_its_own_stream(scalar_pair, n):
+    sums = walks.trajectory_cocycle(scalar_pair.atoms, scalar_pair.weights, np.array([1.0]),
+                                    n, 17, rng.TAG_WALK, stream_index=4)
+    word = rng.indices_from_uniforms(rng.stream(17, rng.TAG_WALK, 4).random(n),
+                                     scalar_pair.weights)
+    want = np.cumsum(np.log(np.abs(scalar_pair.atoms[:, 0, 0]))[word])
+    assert sums.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("skip", [0, 3, 4, 5, 500])
+def test_vector_walk_skip_walks_the_stream_tail(free_pair, skip):
+    n, replicas, seed = 70, 5, 41
+    starts = np.random.default_rng(8).normal(size=(replicas, 2))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    vals, finals = walks.vector_walk(free_pair.atoms, free_pair.weights, starts, n, replicas,
+                                     seed, rng.TAG_CLOUD, skip=skip)
+    words = rng.replica_words(seed, rng.TAG_CLOUD, replicas, skip + n, free_pair.weights)
+    logs, state = walks._LetterTable(free_pair.atoms).walk(words[:, skip:], starts.copy(), [n])
+    assert vals.tobytes() == logs[:, 0].tobytes()
+    assert finals.tobytes() == (state / np.linalg.norm(state, axis=1)[:, None]).tobytes()
+
+
+# "replica r reads stream r": only rng.py builds generators, apart from two
+# documented draws that have no per-replica form
+_STREAM_USERS = {("martingales.py", "checkpoint_sums"), ("runner.py", "_test_rows")}
+
+
+def test_only_rng_builds_random_streams():
+    src = Path(walks.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        text = path.read_text()
+        spans = [(node.name, node.lineno, node.end_lineno)
+                 for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "np.random" in line or "rng.stream(" in line:
+                owner = next((name for name, lo, hi in spans if lo <= lineno <= hi), None)
+                if (path.name, owner) not in _STREAM_USERS:
+                    found.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not found, "random draws outside rng.py:\n" + "\n".join(found)
 
 
 # --- the letter-table engine against a plain per-letter loop ---------------
