@@ -8,6 +8,16 @@ from .runner import resolve_seed, run_scenario
 from .scenarios import bundled_scenarios, load_config
 
 
+def _thread_count(text):
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return threads
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="matwalk",
@@ -26,7 +36,7 @@ def _build_parser():
     for p in (run, builtin):
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_thread_count, default=1,
                        help="worker threads (wall time only, never output bytes)")
     return parser
 

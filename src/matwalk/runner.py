@@ -4,7 +4,9 @@ Each run writes ``report.csv`` (schema fixed per experiment kind) and
 ``summary.txt`` (point estimates, intervals, verdicts, seeds, and the claim
 being exercised); fluctuation kinds add an SVG overlay and the measure-cloud
 kinds export the particle cloud.  Artifacts are byte-deterministic functions
-of ``(config, master seed)``; the thread count never reaches them.
+of ``(config, master seed)``; the thread count never reaches them.  The
+schedule arrives validated and typed, with every default filled in
+(``scenarios.SCHEDULES``), so the runners only read it.
 """
 
 import functools
@@ -25,6 +27,7 @@ from .limits import (
 )
 from .linalg import DualProjectivePoint, ProjectivePoint
 from .reports import fmt, svg_histogram, write_csv, write_summary
+from .scenarios import check_seed
 from .stationary import (
     PsiFunction,
     canonicalize_rows,
@@ -55,12 +58,6 @@ _CLAIMS = {
 }
 
 
-def _required(schedule, keys, kind):
-    missing = [k for k in keys if k not in schedule]
-    if missing:
-        raise ConfigError([f"kind {kind!r} requires schedule key {k!r}" for k in missing])
-
-
 def _test_rows(seed, count, dim):
     draws = rng.stream(seed, rng.TAG_TEST_POINTS).normal(size=(count, dim))
     return canonicalize_rows(draws)
@@ -81,9 +78,7 @@ def _header_lines(config, seed):
 
 
 def _run_lyapunov(config, mu, seed, out):
-    sched = config.schedule
-    n = int(sched.get("n", 1000))
-    replicas = int(sched.get("replicas", 200))
+    n, replicas = config.schedule["n"], config.schedule["replicas"]
     header = ["quantity", "value", "ci_halfwidth", "n", "replicas", "seed"]
     if mu.dim >= 2:
         est = lyapunov_pair(mu, n=n, replicas=replicas, seed=seed)
@@ -106,28 +101,22 @@ def _run_lyapunov(config, mu, seed, out):
 
 
 def _reference_cdf(sched):
-    ref = sched.get("reference")
+    ref, var = sched["reference"], sched["reference_var"]
     if ref is None:
         return None, None
-    var = float(sched.get("reference_var", 1.0))
     if ref == "folded_normal":
         return functools.partial(folded_gaussian_cdf, var=var), f"folded normal(var={fmt(var)})"
-    if ref == "gaussian":
-        return (lambda t: gaussian_cdf(t, 0.0, var)), f"gaussian(var={fmt(var)})"
-    raise ConfigError([f"unknown reference {ref!r} (use 'folded_normal' or 'gaussian')"])
+    return (lambda t: gaussian_cdf(t, 0.0, var)), f"gaussian(var={fmt(var)})"
 
 
 def _run_clt(config, mu, seed, out):
     sched = config.schedule
-    n = int(sched.get("n", 1000))
-    samples = int(sched.get("samples", 10_000))
-    start = sched.get("start")
-    x = ProjectivePoint(np.asarray(start, dtype=float)) if start is not None else None
+    start = sched["start"]
+    x = ProjectivePoint(np.asarray(start)) if start is not None else None
     reference, ref_label = _reference_cdf(sched)
-    lambda1 = sched.get("lambda1")
     report = clt_experiment(
-        mu, x=x, n=n, samples=samples, seed=seed,
-        reference=reference, lambda1=lambda1,
+        mu, x=x, n=sched["n"], samples=sched["samples"], seed=seed,
+        reference=reference, lambda1=sched["lambda1"],
     )
     write_csv(out / "report.csv", ["sample_index", "normalized_value"],
               list(enumerate(report.samples)))
@@ -151,9 +140,7 @@ def _run_clt(config, mu, seed, out):
 
 def _run_clt_cartan(config, mu, seed, out):
     sched = config.schedule
-    n = int(sched.get("n", 1000))
-    samples = int(sched.get("samples", 10_000))
-    report = multidim_clt_cartan(mu, n=n, samples=samples, seed=seed)
+    report = multidim_clt_cartan(mu, n=sched["n"], samples=sched["samples"], seed=seed)
     d = mu.dim
     header = ["sample_index"] + [f"coord_{j + 1}" for j in range(d)]
     rows = [(i, *row) for i, row in enumerate(report.samples)]
@@ -175,13 +162,10 @@ def _run_clt_cartan(config, mu, seed, out):
 
 def _run_stationary(config, mu, seed, out):
     sched = config.schedule
-    burn_in = int(sched.get("burn_in", 500))
-    particles = int(sched.get("particles", 100_000))
-    p = float(sched.get("p", 2.0))
-    test_points = int(sched.get("test_points", 20))
+    burn_in, particles, p = sched["burn_in"], sched["particles"], sched["p"]
     cloud = estimate_stationary(mu, burn_in=burn_in, particles=particles, seed=seed)
     cloud.to_csv(out / "cloud.csv")
-    ys = _test_rows(seed, test_points, mu.dim)
+    ys = _test_rows(seed, sched["test_points"], mu.dim)
     rows = []
     for i, row in enumerate(ys):
         val = log_regularity_integral(cloud, DualProjectivePoint(row), p)
@@ -204,15 +188,12 @@ def _run_stationary(config, mu, seed, out):
 
 def _run_cohomological(config, mu, seed, out):
     sched = config.schedule
-    burn_in = int(sched.get("burn_in", 500))
-    particles = int(sched.get("particles", 100_000))
-    test_points = int(sched.get("test_points", 100))
-    cal_n = int(sched.get("calibration_n", 1000))
-    cal_replicas = int(sched.get("calibration_replicas", 256))
-    est = lyapunov_top(mu, n=cal_n, replicas=cal_replicas, seed=seed)
+    burn_in, particles = sched["burn_in"], sched["particles"]
+    est = lyapunov_top(mu, n=sched["calibration_n"], replicas=sched["calibration_replicas"],
+                       seed=seed)
     dual = estimate_dual_stationary(mu, burn_in=burn_in, particles=particles, seed=seed)
     psi = PsiFunction(dual)
-    xs = [ProjectivePoint(row) for row in _test_rows(seed, test_points, mu.dim)]
+    xs = [ProjectivePoint(row) for row in _test_rows(seed, sched["test_points"], mu.dim)]
     res = cohomological_residual(mu, psi, est.lambda1, xs)
     header = ["point_index", "residual"] + [f"x_{j + 1}" for j in range(mu.dim)]
     rows = [(i, r, *x.rep) for i, (r, x) in enumerate(zip(res.residuals, xs))]
@@ -228,11 +209,8 @@ def _run_cohomological(config, mu, seed, out):
 
 def _run_large_deviation(config, mu, seed, out):
     sched = config.schedule
-    _required(sched, ["eps", "n_values"], "large_deviation")
-    curve = large_deviation_curve(
-        mu, float(sched["eps"]), [int(v) for v in sched["n_values"]],
-        replicas=int(sched.get("replicas", 10_000)), seed=seed,
-    )
+    curve = large_deviation_curve(mu, sched["eps"], sched["n_values"],
+                                  replicas=sched["replicas"], seed=seed)
     write_csv(out / "report.csv", ["n", "frequency"],
               list(zip(curve.schedule, curve.frequencies)))
     lines = _header_lines(config, seed) + [
@@ -245,12 +223,9 @@ def _run_large_deviation(config, mu, seed, out):
 
 def _run_lil(config, mu, seed, out):
     sched = config.schedule
-    _required(sched, ["n_max", "phi", "lambda1"], "lil")
     x = ProjectivePoint(np.eye(mu.dim)[0])
-    report = lil_diagnostic(
-        mu, x, int(sched["n_max"]), seed,
-        lambda1=float(sched["lambda1"]), phi=float(sched["phi"]),
-    )
+    report = lil_diagnostic(mu, x, sched["n_max"], seed,
+                            lambda1=sched["lambda1"], phi=sched["phi"])
     write_csv(out / "report.csv", ["n", "normalized_value"],
               list(zip(report.checkpoints, report.normalized_at_checkpoints)))
     lines = _header_lines(config, seed) + [
@@ -263,29 +238,17 @@ def _run_lil(config, mu, seed, out):
     write_summary(out / "summary.txt", lines)
 
 
-def _martingale_stream(sched, seed):
-    name = sched.get("stream", "coin")
-    if name == "coin":
-        return martingales.DifferenceStream(kind="iid_bounded", seed=seed)
-    if name == "gaussian":
-        return martingales.DifferenceStream(kind="iid_square_integrable", seed=seed)
-    if name == "counterexample_3i":
-        return martingales.DifferenceStream(
-            kind="counterexample_3i", seed=seed, p=float(sched.get("p", 2.0))
-        )
-    raise ConfigError([f"unknown stream {name!r}"])
+_STREAMS = {"coin": "iid_bounded", "gaussian": "iid_square_integrable",
+            "counterexample_3i": "counterexample_3i"}
 
 
 def _run_martingale(config, mu, seed, out):
     sched = config.schedule
-    check = sched.get("check")
+    check = sched["check"]
     if check == "azuma":
-        _required(sched, ["eps", "n_values"], "martingale_lab/azuma")
-        report = martingales.azuma_check(
-            _martingale_stream(sched, seed), float(sched["eps"]),
-            [int(v) for v in sched["n_values"]],
-            trials=int(sched.get("trials", 100_000)),
-        )
+        stream = martingales.DifferenceStream(kind=_STREAMS[sched["stream"]], seed=seed)
+        report = martingales.azuma_check(stream, sched["eps"], sched["n_values"],
+                                         trials=sched["trials"])
         write_csv(out / "report.csv", ["n", "frequency", "bound", "partial_sum"],
                   [(n, f, b, None) for n, f, b in
                    zip(report.schedule, report.frequencies, report.bounds)])
@@ -296,12 +259,11 @@ def _run_martingale(config, mu, seed, out):
             f"min_margin_with_3_halfwidths: {fmt(float(margins.min()))}",
         ]
     elif check == "baum_katz":
-        _required(sched, ["eps", "n_values"], "martingale_lab/baum_katz")
-        report = martingales.baum_katz_sums(
-            _martingale_stream(sched, seed), float(sched.get("p", 2.0)),
-            float(sched["eps"]), [int(v) for v in sched["n_values"]],
-            replicas=int(sched.get("replicas", 10_000)),
-        )
+        # the tail power p weights the sums, and shapes the counterexample stream
+        stream = martingales.DifferenceStream(kind=_STREAMS[sched["stream"]], seed=seed,
+                                              p=sched["p"])
+        report = martingales.baum_katz_sums(stream, sched["p"], sched["eps"],
+                                            sched["n_values"], replicas=sched["replicas"])
         write_csv(out / "report.csv", ["n", "frequency", "bound", "partial_sum"],
                   [(n, f, None, s) for n, f, s in
                    zip(report.schedule, report.empirical_probs,
@@ -310,14 +272,10 @@ def _run_martingale(config, mu, seed, out):
             f"p: {fmt(report.p)}, eps: {fmt(report.epsilon)}, replicas: {report.replicas}",
             f"verdict: {report.verdict}",
         ]
-    elif check == "brown":
-        _required(sched, ["array_kind", "row_sizes"], "martingale_lab/brown")
+    else:  # brown
         spec = martingales.TriangularArraySpec(
-            kind=sched["array_kind"],
-            row_sizes=tuple(int(v) for v in sched["row_sizes"]),
-            eps=float(sched.get("eps", 0.25)),
-            replicas=int(sched.get("replicas", 10_000)),
-            seed=seed,
+            kind=sched["array_kind"], row_sizes=sched["row_sizes"], eps=sched["eps"],
+            replicas=sched["replicas"], seed=seed,
         )
         report = martingales.brown_triangular_check(spec)
         write_csv(out / "report.csv", ["n", "w_n", "lindeberg_term"],
@@ -327,9 +285,6 @@ def _run_martingale(config, mu, seed, out):
             f"ks_vs_limit: {fmt(report.ks_vs_limit) if report.ks_vs_limit is not None else 'degenerate'}",
             f"lindeberg_violated: {fmt(report.lindeberg_violated)}",
         ]
-    else:
-        raise ConfigError([f"martingale_lab needs schedule key 'check' in "
-                           f"('azuma', 'baum_katz', 'brown'), got {check!r}"])
     write_summary(out / "summary.txt", lines)
 
 
@@ -346,17 +301,19 @@ _RUNNERS = {
 
 
 def resolve_seed(config, override=None):
-    """Seed priority: explicit override, then config, then MATWALK_SEED, then 0."""
-    if override is not None:
-        return int(override)
-    if config.master_seed is not None:
-        return int(config.master_seed)
+    """Seed priority: explicit override, then config, then MATWALK_SEED, then 0.
+
+    Whatever its source, the seed must be an integer in [0, 2**64).
+    """
     env = os.environ.get("MATWALK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError([f"MATWALK_SEED is not an integer: {env!r}"]) from exc
+    try:
+        env = int(env)
+    except (TypeError, ValueError):
+        pass  # None, or text that check_seed reports
+    for source, seed in (("--seed", override), ("master_seed", config.master_seed),
+                         ("MATWALK_SEED", env)):
+        if seed is not None:
+            return check_seed(seed, source)
     return 0
 
 

@@ -13,15 +13,21 @@ rejected and every offence is reported at once.
         - [1, 1, 0, 1]
         - [1, 0, 1, 1]
       weights: [0.5, 0.5]             # optional, default equal
-    schedule:                         # per-kind parameters, see _SCHEDULE_KEYS
+    schedule:                         # per-kind parameters, see SCHEDULES
       n: 400
       samples: 2000
     assertions:                       # user-asserted standing hypotheses
       strong_irreducible: true
       proximal: true
       unimodular: true
+
+``SCHEDULES`` is the one schedule schema: for each kind, and for each
+``check`` of ``martingale_lab``, every key with its checker and its default
+(or ``REQUIRED``).  ``validate_config`` checks every value and fills in every
+default, so the runner reads a schedule of typed values only.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,35 +40,139 @@ from .measures import (
     scalar_exponential_pair,
     shear_pair_sl3,
 )
+from .stationary import MAX_START_DIMENSION
 
-KINDS = (
-    "lyapunov",
-    "clt",
-    "clt_cartan",
-    "stationary",
-    "cohomological",
-    "large_deviation",
-    "lil",
-    "martingale_lab",
+REQUIRED = "required"  # in place of a default: the key must be given
+
+
+def _checker(text, ok, cast=lambda v: v):
+    """Checker returning ``cast(v)`` when ``ok(v)``; else ValueError quoting ``text``."""
+    def check(v):
+        try:
+            if ok(v):
+                return cast(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"must be {text}, got {v!r}")
+    check.text = text
+    return check
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    try:
+        return (_is_int(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _integer(lo, hi=None):
+    text = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return _checker(text, lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi), int)
+
+
+def _real(above=None):
+    text = "a finite real" if above is None else f"a finite real > {above}"
+    return _checker(text, lambda v: _is_real(v) and (above is None or v > above), float)
+
+
+def _one_of(*choices):
+    return _checker("one of " + ", ".join(choices), lambda v: v in choices)
+
+
+_increasing = _checker(
+    "a strictly increasing list of integers >= 1",
+    lambda v: isinstance(v, list) and v and all(map(_is_int, v)) and v[0] >= 1
+    and all(a < b for a, b in zip(v, v[1:])),
+    lambda v: tuple(int(x) for x in v),
 )
+_vector = _checker("a list of `dimension` finite reals",
+                   lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                   lambda v: tuple(float(x) for x in v))
+_string = _checker("a nonempty string", lambda v: isinstance(v, str) and v != "")
+_boolean = _checker("a boolean", lambda v: isinstance(v, bool))
+_mapping = _checker("a mapping", lambda v: isinstance(v, dict))
+_SEED = _integer(0, 2**64 - 1)  # the streams key on 64 bits of the seed
 
-_TOP_KEYS = {"name", "kind", "dimension", "master_seed", "output_dir",
-             "measure", "schedule", "assertions"}
-_MEASURE_KEYS = {"atoms", "weights"}
-_ASSERTION_KEYS = {"strong_irreducible", "proximal", "unimodular"}
-
-_SCHEDULE_KEYS = {
-    "lyapunov": {"n", "replicas"},
-    "clt": {"n", "samples", "start", "reference", "reference_var", "lambda1"},
-    "clt_cartan": {"n", "samples"},
-    "stationary": {"burn_in", "particles", "p", "test_points"},
-    "cohomological": {"burn_in", "particles", "test_points", "calibration_n",
-                      "calibration_replicas"},
-    "large_deviation": {"eps", "n_values", "replicas"},
-    "lil": {"n_max", "phi", "lambda1"},
-    "martingale_lab": {"check", "stream", "eps", "p", "n_values", "trials",
-                       "replicas", "row_sizes", "array_kind"},
+# kind, or martingale_lab/<check>  ->  schedule key  ->  (checker, default)
+SCHEDULES = {
+    "lyapunov": {"n": (_integer(1), 1000), "replicas": (_integer(1), 200)},
+    "clt": {
+        "n": (_integer(1), 1000),
+        "samples": (_integer(2), 10_000),
+        "start": (_vector, None),
+        "reference": (_one_of("folded_normal", "gaussian"), None),
+        "reference_var": (_real(0), 1.0),
+        "lambda1": (_real(), None),
+    },
+    "clt_cartan": {"n": (_integer(1), 1000), "samples": (_integer(2), 10_000)},
+    "stationary": {
+        "burn_in": (_integer(1), 500),
+        "particles": (_integer(1), 100_000),
+        "p": (_real(1), 2.0),
+        "test_points": (_integer(1), 20),
+    },
+    "cohomological": {
+        "burn_in": (_integer(1), 500),
+        "particles": (_integer(1), 100_000),
+        "test_points": (_integer(1), 100),
+        "calibration_n": (_integer(1), 1000),
+        "calibration_replicas": (_integer(1), 256),
+    },
+    "large_deviation": {
+        "eps": (_real(0), REQUIRED),
+        "n_values": (_increasing, REQUIRED),
+        "replicas": (_integer(1), 10_000),
+    },
+    "lil": {
+        "n_max": (_integer(1000), REQUIRED),
+        "phi": (_real(0), REQUIRED),
+        "lambda1": (_real(), REQUIRED),
+    },
+    "martingale_lab/azuma": {
+        "stream": (_one_of("coin"), "coin"),  # the bound needs bounded differences
+        "eps": (_real(0), REQUIRED),
+        "n_values": (_increasing, REQUIRED),
+        "trials": (_integer(1), 100_000),
+    },
+    "martingale_lab/baum_katz": {
+        "stream": (_one_of("coin", "gaussian", "counterexample_3i"), "coin"),
+        "p": (_real(1), 2.0),
+        "eps": (_real(0), REQUIRED),
+        "n_values": (_increasing, REQUIRED),
+        "replicas": (_integer(1), 10_000),
+    },
+    "martingale_lab/brown": {
+        "array_kind": (_one_of("iid_gaussian", "zero", "single_spike"), REQUIRED),
+        "row_sizes": (_increasing, REQUIRED),
+        "eps": (_real(0), 0.25),
+        "replicas": (_integer(1), 10_000),
+    },
 }
+KINDS = tuple(dict.fromkeys(key.split("/")[0] for key in SCHEDULES))
+_CHECK = _one_of(*(key.split("/")[1] for key in SCHEDULES if "/" in key))
+
+_TOP = {
+    "name": (_string, REQUIRED),
+    "kind": (_one_of(*KINDS), REQUIRED),
+    "dimension": (_integer(1), REQUIRED),
+    "master_seed": (_SEED, None),
+    "output_dir": (_string, None),
+    "measure": (_mapping, REQUIRED),
+    "schedule": (_mapping, {}),
+    "assertions": (_mapping, {}),
+}
+# kinds whose library routines bound the dimension
+_DIMENSIONS = {
+    "clt_cartan": _integer(2),
+    "stationary": _integer(1, MAX_START_DIMENSION),
+    "cohomological": _integer(1, MAX_START_DIMENSION),
+}
+_MEASURE_KEYS = {"atoms", "weights"}
+_ASSERTIONS = {key: (_boolean, None) for key in ("strong_irreducible", "proximal", "unimodular")}
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -91,100 +201,135 @@ def _check_unknown(mapping, allowed, where, problems):
             problems.append(f"unknown key {key!r} in {where}")
 
 
+def _check_value(value, check, label, problems):
+    """``check(value)``; on failure None, with the reason appended to ``problems``."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        problems.append(f"{label} {exc}")
+        return None
+
+
+def _check_mapping(mapping, rules, where, problems):
+    """Typed values for every key of ``rules``, defaults filled in.
+
+    A null value stands for an absent key whose default is None.  A value
+    that fails its check maps to None; the failure, like every unknown or
+    missing key, is appended to ``problems``.
+    """
+    _check_unknown(mapping, rules, where, problems)
+    typed = {}
+    for key, (check, default) in rules.items():
+        if key in mapping and not (mapping[key] is None and default is None):
+            typed[key] = _check_value(mapping[key], check, f"{key!r} in {where}", problems)
+        elif default is REQUIRED:
+            problems.append(f"missing required key {key!r} in {where}")
+            typed[key] = None
+        else:
+            typed[key] = default
+    return typed
+
+
+def check_seed(value, source):
+    """``value`` if it is a master seed, an integer in [0, 2**64); else ConfigError."""
+    problems = []
+    seed = _check_value(value, _SEED, f"seed from {source}", problems)
+    if problems:
+        raise ConfigError(problems)
+    return seed
+
+
+def _check_schedule(kind, schedule, dim, problems):
+    where = f"schedule for kind {kind!r}"
+    if kind == "martingale_lab":
+        check = schedule.get("check")
+        key = f"{kind}/{check}"
+        if key not in SCHEDULES:
+            problems.append(f"'check' in {where} must be {_CHECK.text}, got {check!r}")
+            return {}
+        rest = {k: v for k, v in schedule.items() if k != "check"}
+        return {"check": check, **_check_mapping(rest, SCHEDULES[key], f"schedule for {key}",
+                                                 problems)}
+    typed = _check_mapping(schedule, SCHEDULES[kind], where, problems)
+    start = typed.get("start")
+    if start is not None and dim is not None and len(start) != dim:
+        problems.append(f"'start' in {where} must have `dimension` = {dim} entries, "
+                        f"got {len(start)}")
+    return typed
+
+
+def _check_measure(measure, dim, problems):
+    """Atoms and normalised weights as tuples of floats (empty on failure)."""
+    _check_unknown(measure, _MEASURE_KEYS, "measure", problems)
+    atoms, weights = (), ()
+    raw_atoms = measure.get("atoms")
+    if not isinstance(raw_atoms, list) or not raw_atoms:
+        problems.append("'measure.atoms' must be a nonempty list")
+    elif dim is not None:
+        atoms_ok = True
+        for i, a in enumerate(raw_atoms):
+            if not isinstance(a, list) or len(a) != dim * dim or not all(map(_is_real, a)):
+                problems.append(
+                    f"atom {i} must be a flat row-major list of {dim * dim} finite reals"
+                )
+                atoms_ok = False
+        if atoms_ok:
+            atoms = tuple(tuple(float(v) for v in a) for a in raw_atoms)
+    raw_weights = measure.get("weights")
+    if raw_weights is None:
+        if atoms:
+            weights = tuple(1.0 / len(atoms) for _ in atoms)
+    elif not isinstance(raw_weights, list) or not all(
+        _is_real(w) and w > 0 for w in raw_weights
+    ):
+        problems.append("'measure.weights' must be a list of positive numbers")
+    elif atoms and len(raw_weights) != len(atoms):
+        problems.append("'measure.weights' length must match the atom count")
+    else:
+        total = float(sum(raw_weights))
+        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+            problems.append(f"weights sum to {total!r}, expected 1")
+        else:
+            weights = tuple(float(w) / total for w in raw_weights)
+    return atoms, weights
+
+
 def validate_config(data):
     """Validate a parsed mapping and produce a ScenarioConfig.
 
     Raises ``ConfigError`` listing every offending key or value.
     """
-    problems = []
     if not isinstance(data, dict):
         raise ConfigError(["scenario file must hold a mapping"])
-    _check_unknown(data, _TOP_KEYS, "scenario", problems)
-
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        problems.append("missing or empty 'name'")
-    kind = data.get("kind")
-    if kind not in KINDS:
-        problems.append(f"'kind' must be one of {KINDS}, got {kind!r}")
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
-        problems.append("'dimension' must be a positive integer")
-
+    problems = []
+    top = _check_mapping(data, _TOP, "scenario", problems)
+    kind, dim = top["kind"], top["dimension"]
+    if kind in _DIMENSIONS and dim is not None:
+        dim = _check_value(dim, _DIMENSIONS[kind],
+                           f"'dimension' of a {kind!r} scenario", problems)
     atoms, weights = (), ()
-    measure = data.get("measure")
-    if not isinstance(measure, dict):
-        problems.append("missing 'measure' mapping")
-    else:
-        _check_unknown(measure, _MEASURE_KEYS, "measure", problems)
-        raw_atoms = measure.get("atoms")
-        if not isinstance(raw_atoms, list) or not raw_atoms:
-            problems.append("'measure.atoms' must be a nonempty list")
-        elif isinstance(dim, int) and dim >= 1:
-            atoms_ok = True
-            for i, a in enumerate(raw_atoms):
-                if not isinstance(a, list) or len(a) != dim * dim or not all(
-                    isinstance(v, (int, float)) for v in a
-                ):
-                    problems.append(
-                        f"atom {i} must be a flat row-major list of {dim * dim} numbers"
-                    )
-                    atoms_ok = False
-            if atoms_ok:
-                atoms = tuple(tuple(float(v) for v in a) for a in raw_atoms)
-        raw_weights = measure.get("weights") if isinstance(measure, dict) else None
-        if raw_weights is None:
-            if atoms:
-                weights = tuple(1.0 / len(atoms) for _ in atoms)
-        elif not isinstance(raw_weights, list) or not all(
-            isinstance(w, (int, float)) and w > 0 for w in raw_weights
-        ):
-            problems.append("'measure.weights' must be a list of positive numbers")
-        elif atoms and len(raw_weights) != len(atoms):
-            problems.append("'measure.weights' length must match the atom count")
-        else:
-            total = float(sum(raw_weights))
-            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                problems.append(f"weights sum to {total!r}, expected 1")
-            else:
-                weights = tuple(float(w) / total for w in raw_weights)
-
-    schedule = data.get("schedule", {})
-    if not isinstance(schedule, dict):
-        problems.append("'schedule' must be a mapping")
-        schedule = {}
-    elif kind in _SCHEDULE_KEYS:
-        _check_unknown(schedule, _SCHEDULE_KEYS[kind], f"schedule for kind {kind!r}", problems)
-
-    assertions = data.get("assertions", {})
-    if not isinstance(assertions, dict):
-        problems.append("'assertions' must be a mapping")
-        assertions = {}
-    else:
-        _check_unknown(assertions, _ASSERTION_KEYS, "assertions", problems)
-        for key, val in assertions.items():
-            if not isinstance(val, bool):
-                problems.append(f"assertion {key!r} must be a boolean")
-
-    master_seed = data.get("master_seed")
-    if master_seed is not None and (not isinstance(master_seed, int) or master_seed < 0):
-        problems.append("'master_seed' must be a nonnegative integer")
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        problems.append("'output_dir' must be a string")
+    if top["measure"] is not None:
+        atoms, weights = _check_measure(top["measure"], dim, problems)
+    schedule = {}
+    if kind is not None and top["schedule"] is not None:
+        schedule = _check_schedule(kind, top["schedule"], dim, problems)
+    assertions = {}
+    if top["assertions"] is not None:
+        typed = _check_mapping(top["assertions"], _ASSERTIONS, "assertions", problems)
+        assertions = {key: v for key, v in typed.items() if v is not None}
 
     if problems:
         raise ConfigError(problems)
     return ScenarioConfig(
-        name=name,
+        name=top["name"],
         kind=kind,
         dimension=dim,
         atoms=atoms,
         weights=weights,
-        schedule=dict(schedule),
-        assertions=dict(assertions),
-        master_seed=master_seed,
-        output_dir=output_dir,
+        schedule=schedule,
+        assertions=assertions,
+        master_seed=top["master_seed"],
+        output_dir=top["output_dir"],
     )
 
 

@@ -32,6 +32,9 @@ from .stats import ndtri
 DELTA_FLOOR = 1e-300
 DEFAULT_BURN_IN = 500
 DEFAULT_PARTICLES = 100_000
+# one irrational lattice step sqrt(prime) per coordinate of the start cloud
+_START_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_START_DIMENSION = len(_START_PRIMES)
 _EVAL_CHUNK = 2048
 
 
@@ -60,10 +63,9 @@ def start_cloud(dim, count):
     if dim == 2:
         angles = np.pi * np.arange(count) / count
         return canonicalize_rows(np.column_stack([np.cos(angles), np.sin(angles)]))
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    if dim > len(primes):
-        raise ValueError(f"start cloud supports dimension <= {len(primes)}")
-    steps = np.sqrt(np.array(primes[:dim], dtype=float))
+    if dim > MAX_START_DIMENSION:
+        raise ValueError(f"start cloud supports dimension <= {MAX_START_DIMENSION}")
+    steps = np.sqrt(np.array(_START_PRIMES[:dim], dtype=float))
     lattice = np.outer(np.arange(1, count + 1), steps) % 1.0
     gauss = ndtri(np.clip(lattice, 1e-12, 1.0 - 1e-12))
     return canonicalize_rows(gauss)

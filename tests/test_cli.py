@@ -1,4 +1,5 @@
 import filecmp
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import matwalk as mw
+from matwalk import scenarios
 from matwalk.cli import main
 
 REQUIRED_BUILTINS = {
@@ -299,3 +303,195 @@ def test_python_dash_m_matwalk_lists_the_bundle():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "lil_scalar" in proc.stdout
+
+
+# a bundled scenario per schedule table, at a size that runs in milliseconds
+SMALL = {
+    "lyapunov": ("lyapunov_free_semigroup", {"n": 20, "replicas": 4}),
+    "clt": ("free_semigroup_sl2_clt", {"n": 20, "samples": 16}),
+    "clt_cartan": ("cartan_sl3_clt", {"n": 20, "samples": 16}),
+    "stationary": ("log_regularity_sl2", {"burn_in": 5, "particles": 50, "test_points": 3}),
+    "cohomological": ("cohomological_residual_sl2",
+                      {"burn_in": 5, "particles": 50, "test_points": 3,
+                       "calibration_n": 20, "calibration_replicas": 4}),
+    "large_deviation": ("large_deviation_sl2",
+                        {"eps": 0.2, "n_values": [8, 16], "replicas": 16}),
+    "lil": ("lil_scalar", {"n_max": 2000, "phi": 1.0, "lambda1": 0.0}),
+    "martingale_lab/azuma": ("azuma_coinflip",
+                             {"check": "azuma", "stream": "coin", "eps": 0.3,
+                              "n_values": [8, 16], "trials": 16}),
+    "martingale_lab/baum_katz": ("baum_katz_counterexample",
+                                 {"check": "baum_katz", "stream": "counterexample_3i",
+                                  "p": 2.0, "eps": 0.5, "n_values": [8, 16],
+                                  "replicas": 16}),
+    "martingale_lab/brown": ("brown_triangular_gaussian",
+                             {"check": "brown", "array_kind": "iid_gaussian",
+                              "row_sizes": [20, 50], "replicas": 16}),
+}
+
+
+def small_config(table, schedule=(), **top):
+    """Scenario data for the bundled scenario of ``table``, shrunk, with changes."""
+    name, small = SMALL[table]
+    cfg = mw.bundled_scenarios()[name]
+    data = {"name": cfg.name, "kind": cfg.kind, "dimension": cfg.dimension,
+            "master_seed": 1,
+            "measure": {"atoms": [list(a) for a in cfg.atoms],
+                        "weights": list(cfg.weights)},
+            "schedule": {**small, **dict(schedule)}}
+    data.update(top)
+    return data
+
+
+def identity_measure(d):
+    return {"atoms": [np.eye(d).ravel().tolist()]}
+
+
+# (table, schedule changes, top-level changes, CLI arguments, MATWALK_SEED, named key)
+BAD_INPUTS = {
+    "n_zero": ("clt", {"n": 0}, {}, [], None, "'n'"),
+    "samples_one": ("clt", {"samples": 1}, {}, [], None, "'samples'"),
+    "n_text": ("clt", {"n": "abc"}, {}, [], None, "'n'"),
+    "n_text_1e400": ("lyapunov", {"n": "1e400"}, {}, [], None, "'n'"),
+    "n_inf": ("lyapunov", {"n": float("inf")}, {}, [], None, "'n'"),
+    "n_fraction": ("clt", {"n": 20.7}, {}, [], None, "'n'"),
+    "n_bool": ("clt", {"n": True}, {}, [], None, "'n'"),
+    "lambda1_text": ("clt", {"lambda1": "x"}, {}, [], None, "'lambda1'"),
+    "lil_lambda1_nan": ("lil", {"lambda1": float("nan")}, {}, [], None, "'lambda1'"),
+    "lil_short_window": ("lil", {"n_max": 999}, {}, [], None, "'n_max'"),
+    "replicas_negative": ("lyapunov", {"replicas": -3}, {}, [], None, "'replicas'"),
+    "n_values_decreasing": ("large_deviation", {"n_values": [64, 32]}, {}, [], None,
+                            "'n_values'"),
+    "n_values_repeated": ("martingale_lab/azuma", {"n_values": [16, 16]}, {}, [], None,
+                          "'n_values'"),
+    "eps_zero": ("large_deviation", {"eps": 0}, {}, [], None, "'eps'"),
+    "p_not_above_one": ("stationary", {"p": 1.0}, {}, [], None, "'p'"),
+    "reference_unknown": ("clt", {"reference": "cauchy"}, {}, [], None, "'reference'"),
+    "array_kind_unknown": ("martingale_lab/brown", {"array_kind": "nope"}, {}, [], None,
+                           "'array_kind'"),
+    "trials_on_brown": ("martingale_lab/brown", {"trials": 10}, {}, [], None, "'trials'"),
+    "check_missing": ("martingale_lab/brown", {"check": None}, {}, [], None, "'check'"),
+    "azuma_gaussian_stream": ("martingale_lab/azuma", {"stream": "gaussian"}, {}, [], None,
+                              "'stream'"),
+    "azuma_counterexample_stream": ("martingale_lab/azuma", {"stream": "counterexample_3i"},
+                                    {}, [], None, "'stream'"),
+    "lil_missing_phi": ("lil", {"phi": None}, {}, [], None, "'phi'"),
+    "start_wrong_length": ("clt", {"start": [1.0, 0.0, 0.0]}, {}, [], None, "'start'"),
+    "dimension_bool": ("lyapunov", {}, {"dimension": True, "measure": identity_measure(1)},
+                       [], None, "'dimension'"),
+    "stationary_dimension_13": ("stationary", {}, {"dimension": 13,
+                                                   "measure": identity_measure(13)},
+                                [], None, "'dimension'"),
+    "cohomological_dimension_13": ("cohomological", {}, {"dimension": 13,
+                                                         "measure": identity_measure(13)},
+                                   [], None, "'dimension'"),
+    "cartan_dimension_1": ("clt_cartan", {}, {"dimension": 1,
+                                              "measure": identity_measure(1)},
+                           [], None, "'dimension'"),
+    "atom_nan": ("lyapunov", {}, {"measure": {"atoms": [[float("nan"), 0.0, 0.0, 1.0]]}},
+                 [], None, "atom 0"),
+    "name_number": ("lyapunov", {}, {"name": 5}, [], None, "'name'"),
+    "output_dir_number": ("lyapunov", {}, {"output_dir": 3}, [], None, "'output_dir'"),
+    "assertion_text": ("lyapunov", {}, {"assertions": {"proximal": "yes"}}, [], None,
+                       "'proximal'"),
+    "master_seed_bool": ("lyapunov", {}, {"master_seed": True}, [], None, "'master_seed'"),
+    "master_seed_2_64": ("lyapunov", {}, {"master_seed": 2**64}, [], None, "'master_seed'"),
+    "seed_flag_2_64_plus_7": ("clt", {}, {}, ["--seed", str(2**64 + 7)], None, "--seed"),
+    "seed_flag_negative": ("clt", {}, {}, ["--seed", "-1"], None, "--seed"),
+    "seed_env_negative": ("clt", {}, {"master_seed": None}, [], "-5", "MATWALK_SEED"),
+    "seed_env_text": ("clt", {}, {"master_seed": None}, [], "abc", "MATWALK_SEED"),
+    "threads_zero": ("lyapunov", {}, {}, ["--threads", "0"], None, "--threads"),
+    "threads_negative": ("lyapunov", {}, {}, ["--threads", "-2"], None, "--threads"),
+}
+
+
+def run_cli(argv):
+    # an unexpected exception propagates and fails the test, as a traceback would
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        return exc.code
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_config_error(tmp_path, capsys, monkeypatch, case):
+    table, schedule, top, args, env, key = BAD_INPUTS[case]
+    data = small_config(table, schedule, **top)
+    data["schedule"] = {k: v for k, v in data["schedule"].items() if v is not None}
+    monkeypatch.delenv("MATWALK_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MATWALK_SEED", env)
+    out = tmp_path / "out"
+    assert run_cli(["run", write_config(tmp_path, data), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err
+    assert not out.exists()
+
+
+def test_three_bad_keys_listed_in_one_run(tmp_path, capsys):
+    data = small_config("lyapunov", {"n": 0, "replicas": "many"}, master_seed=-1)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, data), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 3
+    for key in ("'n'", "'replicas'", "'master_seed'"):
+        assert sum(key in line for line in lines) == 1, key
+    assert not out.exists()
+
+
+def test_schedule_is_typed_with_every_default():
+    clt = mw.validate_config(small_config("clt"))
+    assert clt.schedule == {"n": 20, "samples": 16, "start": None, "reference": None,
+                            "reference_var": 1.0, "lambda1": None}
+    brown = mw.validate_config(small_config("martingale_lab/brown", {"eps": 1}))
+    assert brown.schedule == {"check": "brown", "array_kind": "iid_gaussian",
+                              "row_sizes": (20, 50), "eps": 1.0, "replicas": 16}
+    assert type(brown.schedule["eps"]) is float
+    for cfg in mw.bundled_scenarios().values():
+        table = (cfg.kind if cfg.kind != "martingale_lab"
+                 else f"martingale_lab/{cfg.schedule['check']}")
+        extra = {"check"} if cfg.kind == "martingale_lab" else set()
+        assert set(cfg.schedule) == set(scenarios.SCHEDULES[table]) | extra, cfg.name
+
+
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+TARGETS = [(table, key) for table, rules in scenarios.SCHEDULES.items() for key in rules]
+TARGETS += [("clt", "check"), ("martingale_lab/brown", "check")]
+TARGETS += [("scenario", key) for key in ("name", "kind", "dimension", "master_seed",
+                                          "output_dir", "measure", "schedule", "assertions")]
+TARGETS += [("measure", "atoms"), ("measure", "weights"), ("assertions", "proximal")]
+
+
+@given(target=st.sampled_from(TARGETS), value=ANY_VALUE)
+def test_any_value_is_accepted_or_a_config_error(target, value):
+    # validation only: an accepted value is never run, however large
+    where, key = target
+    table = where if where in scenarios.SCHEDULES else "clt"
+    data = small_config(table, assertions={})
+    parent = {"scenario": data, "measure": data["measure"],
+              "assertions": data["assertions"]}.get(where, data["schedule"])
+    parent[key] = value
+    try:
+        cfg = mw.validate_config(data)
+    except mw.ConfigError as exc:
+        assert exc.problems
+        return
+    if where in scenarios.SCHEDULES:
+        assert cfg.schedule[key] == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_readme_schedule_table_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z_/]+)` \| `(\w+)` \| ([^|]+) \|", readme, re.MULTILINE)
+    table = {(kind, key): text.strip() for kind, key, text in rows}
+    schema = {(kind, key): check.text
+              for kind, rules in scenarios.SCHEDULES.items()
+              for key, (check, _) in rules.items()}
+    schema[("martingale_lab", "check")] = scenarios._CHECK.text
+    assert table == schema
