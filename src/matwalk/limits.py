@@ -251,7 +251,7 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
                                                groups=2), 2)
         centered = sigma + psi_wx - psi_x - word_len * lambda1
         per_particle = centered**2 / word_len
-    value = float(per_particle @ nu.weights)
+    value = float(np.einsum("i,i->", per_particle, nu.weights))
     return VarianceEstimate(
         value=value,
         ci_halfwidth=mean_ci_halfwidth(per_particle),

@@ -143,15 +143,17 @@ def _walk_checkpoint_sums(stream, schedule, replicas):
     drift_sum = np.zeros(replicas)
     for lo, values, units in walks.chunked_walk(mu.atoms, mu.weights, x, schedule[-1],
                                                 stream.seed, rng.TAG_MARTINGALE):
-        before = np.concatenate([x[:, None], units[:, :-1]], axis=1)
-        drift = sum(w * np.log(np.linalg.norm(before @ a.T, axis=2))
-                    for a, w in zip(mu.atoms, mu.weights))
+        # entry-major positions x_lo, ..., x_(lo+length-1), one column each
+        before = np.concatenate([x.T[..., None], units[..., :-1]], axis=2).reshape(mu.dim, -1)
+        moved = np.empty_like(before)
+        drift = sum(w * np.log(walks._norms(walks._product(a[..., None], before, moved)))
+                    for a, w in zip(mu.atoms, mu.weights)).reshape(replicas, -1)
         drifts = drift_sum[:, None] + np.cumsum(drift, axis=1)
         inside = (cps > lo) & (cps <= lo + values.shape[1])
         at = cps[inside] - lo - 1
         out[:, inside] = values[:, at] - drifts[:, at]
         drift_sum = drifts[:, -1]
-        x = units[:, -1]
+        x = units[..., -1].T
     return out
 
 

@@ -89,8 +89,8 @@ _increasing = _checker(
     and all(a < b for a, b in zip(v, v[1:])),
     lambda v: tuple(int(x) for x in v),
 )
-_vector = _checker("a list of `dimension` finite reals",
-                   lambda v: isinstance(v, list) and all(map(_is_real, v)),
+_vector = _checker("a list of `dimension` finite reals, not all zero",
+                   lambda v: isinstance(v, list) and all(map(_is_real, v)) and any(v),
                    lambda v: tuple(float(x) for x in v))
 _string = _checker("a nonempty string", lambda v: isinstance(v, str) and v != "")
 _boolean = _checker("a boolean", lambda v: isinstance(v, bool))

@@ -252,7 +252,8 @@ def psi_eval_many(psi, x_rows, groups=1):
             # zero-weight atoms may pair to zero; keep them out of the log
             vals[vals <= DELTA_FLOOR] = 1.0
         np.log(vals, out=vals)
-        return vals @ cloud.weights[clo:clo + _EVAL_CHUNK]
+        # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
+        return np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK])
 
     cloud_blocks = range(0, cloud.size, _EVAL_CHUNK)
     sums = iter(walks._run_blocks(
@@ -332,4 +333,5 @@ def log_regularity_integral(nu, y, p):
     positive = nu.weights > 0.0
     if np.any(vals[positive] <= DELTA_FLOOR):
         return inf
-    return float(np.abs(np.log(vals[positive])) ** (p - 1.0) @ nu.weights[positive])
+    return float(np.einsum("i,i->", np.abs(np.log(vals[positive])) ** (p - 1.0),
+                           nu.weights[positive]))

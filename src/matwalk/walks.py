@@ -19,6 +19,11 @@ carries the unit vector from chunk head to chunk head, and one batched
 product gives the cocycle value after every letter (a blocked prefix scan,
 Blelloch, "Prefix sums and their applications", 1990).
 
+States and letter tables are *entry-major*, replicas last: vectors ``(d, N)``,
+matrices ``(d, d, N)``.  Every batched product is then ``d`` entry-wise
+multiply-adds over contiguous length-``N`` arrays (``_product``), never a
+BLAS call, which would run one tiny gemm per replica.
+
 ``measures.sample_word`` reads its scaled product off the same letter
 table.  Every word comes from ``rng.replica_words``: replica ``r`` reads stream
 ``r``, from letter ``skip`` on, so results are a pure function of
@@ -101,9 +106,27 @@ def _marks(cps, n):
     return [int(c) for c in cps] + ([n] if cps[-1] < n else [])
 
 
+def _entry_major(stack):
+    """``(N, ...)`` stack -> contiguous ``(..., N)`` copy."""
+    return np.moveaxis(stack, 0, -1).copy()
+
+
 def _norms(state):
-    flat = state.reshape(len(state), -1)
-    return np.sqrt(np.einsum("ni,ni->n", flat, flat))
+    """Euclidean (Frobenius) norm of every replica of an entry-major state."""
+    flat = state.reshape(-1, state.shape[-1])
+    return np.sqrt(np.einsum("in,in->n", flat, flat))
+
+
+def _product(left, right, out):
+    """The step kernel: ``left @ right`` for every replica, written to ``out``.
+
+    ``left`` is ``(..., d, d, N)``; ``right`` holds vectors ``(..., d, N)``
+    when it has one axis fewer, else matrices ``(..., d, d, N)``.  numpy's own
+    einsum loop adds up ``left[i, j] * right[j]`` in ``j`` order; it calls no BLAS.
+    """
+    if right.ndim == left.ndim - 1:
+        return np.einsum("...ijn,...jn->...in", left, right, out=out)
+    return np.einsum("...ijn,...jkn->...ikn", left, right, out=out)
 
 
 class _LetterTable:
@@ -112,19 +135,24 @@ class _LetterTable:
     Row ``sum_j l_j A^j`` of ``rows`` holds ``a_{l_(L-1)} ... a_{l_0}`` (letter
     ``l_0`` acts first).  When ``L > 1``, row ``A^L + l`` holds the single atom
     ``a_l``; single letters finish the stretch up to each read-out, so a
-    checkpoint reads exactly the product of its own letters.
+    checkpoint reads exactly the product of its own letters.  ``rows`` is
+    entry-major, ``(d, d, table rows)``.
     """
 
     def __init__(self, atoms):
         atoms = np.asarray(atoms, dtype=float)
         self.n_atoms = len(atoms)
+        self.dim = atoms.shape[1]
         self.interval = rescale_interval(atoms)
         self.letters = letters_per_step(self.n_atoms, self.interval)
-        rows = atoms
+        singles = _entry_major(atoms)
+        rows = singles
         for _ in range(1, self.letters):
-            rows = np.matmul(atoms[:, None], rows[None]).reshape(-1, *atoms.shape[1:])
-        self.single = len(rows) if self.letters > 1 else 0
-        self.rows = np.concatenate([rows, atoms]) if self.letters > 1 else rows
+            # row l R + r is a_l times row r
+            left = np.repeat(singles, rows.shape[-1], axis=2)
+            rows = _product(left, np.tile(rows, self.n_atoms), np.empty_like(left))
+        self.single = rows.shape[-1] if self.letters > 1 else 0
+        self.rows = np.concatenate([rows, singles], axis=2) if self.letters > 1 else rows
 
     def _steps(self, words, marks):
         """Table rows of every step (steps x replicas), and per step whether to
@@ -152,28 +180,29 @@ class _LetterTable:
     def walk(self, words, state, marks):
         """Push ``state`` (rows ``(count, d)`` or matrices ``(count, m, m)``)
         through the rows of ``words``; log norms at each mark, and the final
-        scaled state.  Vectors read their Euclidean norm, matrices their
-        operator norm.
+        scaled state in the same layout.  Vectors read their Euclidean norm,
+        matrices their operator norm.  The steps run on an entry-major copy.
         """
         codes, rescale, read = self._steps(words, marks)
         vector = state.ndim == 2
-        gathered = np.empty((len(state),) + self.rows.shape[1:])
-        acc = np.zeros(len(state))
+        state = _entry_major(state)
+        spare = np.empty_like(state)
+        gathered = np.empty((self.dim, self.dim, state.shape[-1]))
+        acc = np.zeros(state.shape[-1])
         logs = []
         for step, code in enumerate(codes):
             if rescale[step]:
                 scale = _norms(state)
                 acc += np.log(scale)
-                state = state / scale.reshape(-1, *[1] * (state.ndim - 1))
-            np.take(self.rows, code, axis=0, out=gathered)
-            if vector:
-                state = np.einsum("nij,nj->ni", gathered, state)
-            else:
-                state = np.matmul(gathered, state)
+                state /= scale
+            # codes are in range; "wrap" takes numpy's faster gather loop
+            np.take(self.rows, code, axis=2, out=gathered, mode="wrap")
+            state, spare = _product(gathered, state, spare), state
             if read[step]:
-                top = _norms(state) if vector else np.linalg.svd(state, compute_uv=False)[:, 0]
+                top = (_norms(state) if vector else
+                       np.linalg.svd(np.moveaxis(state, -1, 0), compute_uv=False)[:, 0])
                 logs.append(acc + np.log(top))
-        return np.column_stack(logs), state
+        return np.column_stack(logs), np.ascontiguousarray(np.moveaxis(state, -1, 0))
 
 
 def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None, skip=0):
@@ -197,7 +226,7 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
         v = np.tile(start, (count, 1)) if shared_start else start[first:first + count].copy()
         logs, v = table.walk(words, v, marks)
         values = logs[:, 0] if cps is None else logs[:, :len(cps)]
-        return values, v / _norms(v)[:, None]
+        return values, v / np.linalg.norm(v, axis=1)[:, None]
 
     parts = [run_block(*b) for b in _blocks(replicas)]
     values = np.concatenate([p[0] for p in parts])
@@ -221,7 +250,7 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
         words = rng.replica_words(seed, tag, count, n, weights, first_replica=first)
         out = {}
         for lab, table in tables.items():
-            eye = np.tile(np.eye(table.rows.shape[1]), (count, 1, 1))
+            eye = np.tile(np.eye(table.dim), (count, 1, 1))
             logs, _ = table.walk(words, eye, marks)
             out[lab] = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return out
@@ -243,15 +272,17 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
     Row ``r`` walks stream ``first_replica + r`` from the unit row
     ``starts[r]``.  The time axis is taken in segments of whole chunks that
     hold about ``2^18`` letter-replica products (at least one chunk per row);
-    each segment yields ``(lo, values, units)``, where ``values[r, k]`` is ``log |b_(lo+k+1) ... b_1 x_r|`` and
-    ``units[r, k]`` the unit row of that vector.
+    each segment yields ``(lo, values, units)``, where ``values[r, k]`` is
+    ``log |b_(lo+k+1) ... b_1 x_r|`` and the entry-major ``units[:, r, k]`` the
+    unit vector of that vector.
     """
     atoms = np.asarray(atoms, dtype=float)
     d = atoms.shape[1]
     chunk = rescale_interval(atoms)
-    padded = np.concatenate([atoms, np.eye(d)[None]])   # code A pads the last chunk
-    u = np.array(starts, dtype=float)
-    rows = len(u)
+    # code A pads the last chunk
+    padded = _entry_major(np.concatenate([atoms, np.eye(d)[None]]))
+    u = np.array(starts, dtype=float).T
+    rows = u.shape[1]
     base = np.zeros(rows)
     segment = max(chunk, _SCAN_PRODUCTS // rows // chunk * chunk)
     for lo in range(0, n, segment):
@@ -261,32 +292,33 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
         codes = np.full((rows, heads_per_row * chunk), len(atoms), dtype=np.uint16)
         codes[:, :length] = rng.replica_words(seed, tag, rows, length, weights,
                                               first_replica=first_replica, skip=lo)
-        codes = np.ascontiguousarray(codes.reshape(count, chunk).T)
+        # product p = k rows + r holds chunk k of row r
+        codes = np.ascontiguousarray(codes.reshape(rows, heads_per_row, chunk).T)
+        codes = codes.reshape(chunk, count)
         # prefix products inside every chunk, all chunks at once
-        prods = np.empty((chunk, count, d, d))
-        gathered = np.empty((count, d, d))
-        np.take(padded, codes[0], axis=0, out=prods[0])
+        prods = np.empty((chunk, d, d, count))
+        gathered = np.empty((d, d, count))
+        np.take(padded, codes[0], axis=2, out=prods[0], mode="wrap")
         for j in range(1, chunk):
-            np.matmul(np.take(padded, codes[j], axis=0, out=gathered), prods[j - 1], out=prods[j])
+            np.take(padded, codes[j], axis=2, out=gathered, mode="wrap")
+            _product(gathered, prods[j - 1], prods[j])
         # the unit vector at every chunk head, one chunk at a time
-        ends = prods[-1].reshape(rows, heads_per_row, d, d)
-        heads = np.empty((rows, heads_per_row, d, 1))
-        head = u[:, :, None]
-        for k in range(heads_per_row):
-            heads[:, k] = head
-            head = ends[:, k] @ head
-            head /= np.sqrt(np.einsum("rij,rij->r", head, head))[:, None, None]
-        vecs = np.matmul(prods, heads.reshape(count, d, 1))[..., 0]
-        norms = np.sqrt(np.einsum("cni,cni->cn", vecs, vecs))
-        logs = np.log(norms).reshape(chunk, rows, heads_per_row)
-        at_heads = np.zeros((rows, heads_per_row))
-        np.cumsum(logs[-1, :, :-1], axis=1, out=at_heads[:, 1:])
-        values = (logs + (base[:, None] + at_heads)[None]).transpose(1, 2, 0)
-        values = values.reshape(rows, -1)[:, :length]
-        units = (vecs / norms[..., None]).reshape(chunk, rows, heads_per_row, d)
-        units = units.transpose(1, 2, 0, 3).reshape(rows, -1, d)[:, :length]
+        heads = np.empty((d, heads_per_row, rows))
+        heads[:, 0] = u
+        for k in range(1, heads_per_row):
+            head = _product(prods[-1, ..., (k - 1) * rows:k * rows], heads[:, k - 1], heads[:, k])
+            head /= _norms(head)
+        vecs = _product(prods, heads.reshape(1, d, count), np.empty((chunk, d, count)))
+        norms = np.sqrt(np.einsum("cin,cin->cn", vecs, vecs))
+        logs = np.log(norms).reshape(chunk, heads_per_row, rows)
+        at_heads = np.zeros((heads_per_row, rows))
+        np.cumsum(logs[-1, :-1], axis=0, out=at_heads[1:])
+        values = (logs + (base + at_heads)[None]).T.reshape(rows, -1)[:, :length]
+        vecs /= norms[:, None]
+        units = vecs.reshape(chunk, d, heads_per_row, rows).transpose(1, 3, 2, 0)
+        units = units.reshape(d, rows, -1)[..., :length]
         base = values[:, -1]
-        u = units[:, -1]
+        u = units[..., -1]
         yield lo, values, units
 
 

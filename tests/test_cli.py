@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
-from matwalk import scenarios
+from matwalk import scenarios, walks
 from matwalk.cli import main
 
 REQUIRED_BUILTINS = {
@@ -144,21 +144,24 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "bad_determinant" in err and "seed 3" in err
 
 
-def test_library_value_error_is_runtime_error(tmp_path):
-    # a zero start vector passes the config check and fails inside the library
+def test_library_value_error_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # a ValueError raised inside the library while a valid scenario runs
+    def refuse(*args, **kwargs):
+        raise ValueError("walk refused")
+
+    monkeypatch.setattr(walks, "vector_walk", refuse)
     cfg = write_config(tmp_path, {
-        "name": "zero_start",
+        "name": "refused_walk",
         "kind": "clt",
         "dimension": 2,
         "master_seed": 4,
         "measure": {"atoms": [[2.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0]]},
-        "schedule": {"n": 20, "samples": 16, "start": [0, 0]},
+        "schedule": {"n": 20, "samples": 16, "start": [1, 0]},
     })
-    proc = subprocess.run([sys.executable, "-m", "matwalk.cli", "run", cfg,
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert "zero_start" in proc.stderr and "seed 4" in proc.stderr
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "refused_walk" in err and "seed 4" in err and "walk refused" in err
 
 
 def test_seed_priority_flag_config_env(tmp_path, monkeypatch):
@@ -377,6 +380,7 @@ BAD_INPUTS = {
                                     {}, [], None, "'stream'"),
     "lil_missing_phi": ("lil", {"phi": None}, {}, [], None, "'phi'"),
     "start_wrong_length": ("clt", {"start": [1.0, 0.0, 0.0]}, {}, [], None, "'start'"),
+    "start_zero": ("clt", {"start": [0.0, 0.0]}, {}, [], None, "'start'"),
     "dimension_bool": ("lyapunov", {}, {"dimension": True, "measure": identity_measure(1)},
                        [], None, "'dimension'"),
     "stationary_dimension_13": ("stationary", {}, {"dimension": 13,

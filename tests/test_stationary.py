@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,6 +166,48 @@ def test_psi_eval_many_stacked_sets_match_separate_calls(free_pair):
     stacked = psi_eval_many(psi, sets.reshape(-1, 2), groups=3)
     separate = np.concatenate([psi_eval_many(psi, s) for s in sets])
     assert stacked.tobytes() == separate.tobytes()
+
+
+_BLAS_BYTES_SCRIPT = """
+import hashlib
+import numpy as np
+import matwalk as mw
+from matwalk import rng, stationary, walks
+sl3 = mw.shear_pair_sl3()
+sets = {1: sl3.atoms, 2: np.array([mw.exterior_square(a) for a in sl3.atoms])}
+logs = walks.matrix_walk_log_norms(sets, sl3.weights, 300, 500, 4, rng.TAG_WALK,
+                                   checkpoints=[7, 150])
+out = {"matrix": b"".join(logs[k].tobytes() for k in sets)}
+pair = mw.free_semigroup_pair()
+out["trajectory"] = walks.trajectory_cocycle(pair.atoms, pair.weights, np.array([1.0, 2.0]),
+                                             5000, 6, rng.TAG_WALK).tobytes()
+psi = mw.PsiFunction(mw.estimate_dual_stationary(pair, burn_in=20, particles=2500, seed=5))
+for m in (513, 515):
+    out[m] = stationary.psi_eval_many(psi, stationary.start_cloud(2, m)).tobytes()
+cloud = mw.EmpiricalMeasure(reps=stationary.start_cloud(2, 20000), weights=np.full(20000, 5e-5))
+ys = [mw.DualProjectivePoint(np.array([np.cos(t), np.sin(t)])) for t in (0.1, 1.0, 2.0)]
+out["log_regularity"] = np.array([mw.log_regularity_integral(cloud, y, 2.5) for y in ys]).tobytes()
+for key, value in out.items():
+    print(key, hashlib.sha256(value).hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a gemv or a long dot product over its threads: psi at 513
+    # and 515 rows and the log-regularity integral over 20000 particles once
+    # summed in another order at its default thread count
+    runs = []
+    for one_thread in (True, False):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if one_thread:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        done = subprocess.run([sys.executable, "-c", _BLAS_BYTES_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(dict(line.split() for line in done.stdout.splitlines()))
+    assert sorted(runs[0]) == ["513", "515", "log_regularity", "matrix", "trajectory"]
+    assert runs[0] == runs[1]
 
 
 def test_psi_singular_pairing_reported_in_scan_order():

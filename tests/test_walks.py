@@ -183,6 +183,47 @@ def test_only_rng_builds_random_streams():
     assert not found, "random draws outside rng.py:\n" + "\n".join(found)
 
 
+# the step kernel is walks._product: entry-wise, never a BLAS product
+_BLAS_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "multi_dot"}
+
+
+def _blas_uses(path, functions=None):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.FunctionDef) or functions and node.name not in functions:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+                found.append(f"{path.name}:{sub.lineno}: @")
+            elif isinstance(sub, ast.Attribute) and sub.attr in _BLAS_CALLS:
+                found.append(f"{path.name}:{sub.lineno}: {sub.attr}")
+            elif isinstance(sub, ast.keyword) and sub.arg == "optimize":
+                found.append(f"{path.name}:{sub.lineno}: einsum optimize")
+    return found
+
+
+def test_walk_steps_call_no_blas():
+    src = Path(walks.__file__).parent
+    found = _blas_uses(src / "walks.py")
+    found += _blas_uses(src / "martingales.py", {"_walk_checkpoint_sums"})
+    assert not found, "BLAS products in walk steps:\n" + "\n".join(sorted(set(found)))
+
+
+def test_product_is_the_entrywise_sum():
+    rng_ = np.random.default_rng(12)
+    for d in (2, 3):
+        left = rng_.normal(size=(d, d, 50))
+        vectors, matrices = rng_.normal(size=(d, 50)), rng_.normal(size=(d, d, 50))
+        got_v = walks._product(left, vectors, np.empty((d, 50)))
+        got_m = walks._product(left, matrices, np.empty((d, d, 50)))
+        want_v, want_m = left[:, 0] * vectors[0], left[:, 0, None] * matrices[None, 0]
+        for j in range(1, d):
+            want_v = want_v + left[:, j] * vectors[j]
+            want_m = want_m + left[:, j, None] * matrices[None, j]
+        assert np.allclose(got_v, want_v, rtol=1e-14, atol=1e-14)
+        assert np.allclose(got_m, want_m, rtol=1e-14, atol=1e-14)
+
+
 # --- the letter-table engine against a plain per-letter loop ---------------
 
 def _atom_set(n_atoms):
