@@ -20,6 +20,19 @@ starts the counter at ``k // 4`` (as ``Philox.advance(k // 4)`` would from
 zero) and discards ``k % 4`` draws; the result equals the columns ``k:`` of
 a draw from the start of each stream (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11).
+
+How a block is drawn does not change its bytes.  ``replica_uniforms`` re-keys
+one Philox per replica through the public ``state`` setter, given a state
+dict of plain Python ints in which only the second key word changes (numpy
+array fields cost the setter more than the draw of a short row).
+``replica_words`` fills its word array one sub-block of rows at a time, about
+``2**16`` uniforms each (one row when a row is longer); each sub-block is
+drawn by one ``replica_uniforms`` call, so every stream and uniform drawn is
+still counted there, and mapped by ``indices_from_uniforms``.  The float64
+uniforms of a whole block never exist at once, and the words equal those
+mapped from one ``replica_uniforms`` call for the block.  Stream indices run
+over ``[0, 2**44)``; a block reaching past either end raises ``ValueError``,
+since a larger index would carry into the tag bits and read another family.
 """
 
 import numpy as np
@@ -37,6 +50,8 @@ TAG_EXTERIOR = 7      # exterior-square walk inside pair estimates
 TAG_TEST_POINTS = 8   # deterministic auxiliary point draws
 
 _MAX_INDEX = 1 << 44
+_MASK64 = (1 << 64) - 1
+_SUB_BLOCK_UNIFORMS = 1 << 16   # uniforms per sub-block of ``replica_words``
 
 
 def stream(master_seed, tag, index=0):
@@ -44,7 +59,7 @@ def stream(master_seed, tag, index=0):
     if not 0 <= index < _MAX_INDEX:
         raise ValueError(f"stream index out of range: {index}")
     key = np.empty(2, dtype=np.uint64)
-    key[0] = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    key[0] = np.uint64(master_seed & _MASK64)
     key[1] = np.uint64((tag << 44) | index)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -59,21 +74,27 @@ def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0)
     """
     if skip < 0:
         raise ValueError(f"cannot skip a negative number of draws: {skip}")
+    if not (0 <= first_replica and first_replica + replicas <= _MAX_INDEX):
+        raise ValueError(f"replica streams {first_replica} to {first_replica + replicas - 1} "
+                         f"are outside the stream index range [0, 2**44)")
     out = np.empty((replicas, count))
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-    key[0] = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
-    # the 256-bit counter as it stands after skip // 4 blocks of four draws
-    state["state"]["counter"][:] = [(skip // 4 >> (64 * k)) & 0xFFFFFFFFFFFFFFFF
-                                    for k in range(4)]
-    for i in range(replicas):
-        key[1] = np.uint64((tag << 44) | (first_replica + i))
+    block, discard = divmod(int(skip), 4)
+    key = [int(master_seed) & _MASK64, 0]
+    # the 256-bit counter as it stands after ``block`` blocks of four draws,
+    # with the output buffer empty
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [(block >> (64 * k)) & _MASK64 for k in range(4)],
+                       "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    first = (tag << 44) | int(first_replica)
+    for index, row in zip(range(first, first + replicas), out):
+        key[1] = index
         bits.state = state
-        if skip % 4:
-            gen.random(skip % 4)
-        gen.random(out=out[i])
+        if discard:
+            gen.random(discard)
+        gen.random(out=row)
     return out
 
 
@@ -92,6 +113,16 @@ def indices_from_uniforms(u, weights):
 
 
 def replica_words(master_seed, tag, replicas, n_steps, weights, first_replica=0, skip=0):
-    """Atom-index words for a block of replicas (one word per row), from letter ``skip`` on."""
-    u = replica_uniforms(master_seed, tag, replicas, n_steps, first_replica, skip)
-    return indices_from_uniforms(u, weights)
+    """Atom-index words for a block of replicas (one word per row), from letter ``skip`` on.
+
+    Equal, dtype included, to ``indices_from_uniforms(replica_uniforms(...),
+    weights)`` on the whole block, drawn one sub-block of rows at a time.
+    """
+    # the dtype ``indices_from_uniforms`` gives
+    words = np.empty((replicas, n_steps), dtype=np.uint8 if len(weights) <= 8 else np.uint16)
+    rows = max(1, _SUB_BLOCK_UNIFORMS // max(n_steps, 1))
+    for lo in range(0, replicas, rows):
+        count = min(rows, replicas - lo)
+        u = replica_uniforms(master_seed, tag, count, n_steps, first_replica + lo, skip)
+        words[lo:lo + count] = indices_from_uniforms(u, weights)
+    return words
