@@ -232,25 +232,21 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
     over the atoms; longer words are sampled, one per particle, from streams
     derived from ``seed``.  Requires the corrector from the dual cloud.
     """
-    from .stationary import psi_eval_many, psi_one_step  # local import to avoid a cycle
+    from .stationary import psi_at_images  # local import to avoid a cycle
 
+    if word_len < 1:
+        raise ValueError("word length must be >= 1")
     x_rows = nu.reps
-    if word_len == 1:
-        psi_x, steps = psi_one_step(mu, psi, x_rows)
-        per_particle = np.zeros(nu.size)
-        for w, (log_norm, psi_gx) in zip(mu.weights, steps):
-            centered = log_norm + psi_gx - psi_x - lambda1
-            per_particle += w * centered**2
-    else:
-        if word_len < 1:
-            raise ValueError("word length must be >= 1")
-        sigma, finals = walks.vector_walk(
-            mu.atoms, mu.weights, x_rows, word_len, nu.size, seed, rng.TAG_WALK
-        )
-        psi_x, psi_wx = np.split(psi_eval_many(psi, np.concatenate([x_rows, finals]),
-                                               groups=2), 2)
-        centered = sigma + psi_wx - psi_x - word_len * lambda1
-        per_particle = centered**2 / word_len
+    if word_len == 1:  # every atom, with its weight
+        sigma, images = walks.atom_images(mu.atoms, x_rows.T)
+        weights = mu.weights
+    else:  # one sampled word per particle, with weight 1
+        sigma, finals = walks.vector_walk(mu.atoms, mu.weights, x_rows, word_len, nu.size,
+                                          seed, rng.TAG_WALK)
+        sigma, images, weights = sigma[None], finals.T[None], [1.0]
+    psi_x, psi_wx = psi_at_images(psi, x_rows, images)
+    centered = sigma + psi_wx - psi_x - word_len * lambda1
+    per_particle = walks.atom_average(weights, centered**2) / word_len
     value = float(np.einsum("i,i->", per_particle, nu.weights))
     return VarianceEstimate(
         value=value,

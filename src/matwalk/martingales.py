@@ -145,10 +145,8 @@ def _walk_checkpoint_sums(stream, schedule, replicas):
                                                 stream.seed, rng.TAG_MARTINGALE):
         # entry-major positions x_lo, ..., x_(lo+length-1), one column each
         before = np.concatenate([x.T[..., None], units[..., :-1]], axis=2).reshape(mu.dim, -1)
-        moved = np.empty_like(before)
-        drift = sum(w * np.log(walks._norms(walks._product(a[..., None], before, moved)))
-                    for a, w in zip(mu.atoms, mu.weights)).reshape(replicas, -1)
-        drifts = drift_sum[:, None] + np.cumsum(drift, axis=1)
+        drift = walks.atom_average(mu.weights, walks.atom_images(mu.atoms, before)[0])
+        drifts = drift_sum[:, None] + np.cumsum(drift.reshape(replicas, -1), axis=1)
         inside = (cps > lo) & (cps <= lo + values.shape[1])
         at = cps[inside] - lo - 1
         out[:, inside] = values[:, at] - drifts[:, at]

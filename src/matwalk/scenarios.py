@@ -41,6 +41,7 @@ from .measures import (
     shear_pair_sl3,
 )
 from .stationary import MAX_START_DIMENSION
+from .walks import BLOCK
 
 REQUIRED = "required"  # in place of a default: the key must be given
 
@@ -83,12 +84,15 @@ def _one_of(*choices):
     return _checker("one of " + ", ".join(choices), lambda v: v in choices)
 
 
-_increasing = _checker(
-    "a strictly increasing list of integers >= 1",
-    lambda v: isinstance(v, list) and v and all(map(_is_int, v)) and v[0] >= 1
-    and all(a < b for a, b in zip(v, v[1:])),
-    lambda v: tuple(int(x) for x in v),
-)
+def _increasing(hi):
+    return _checker(
+        f"a strictly increasing list of integers in [1, {hi}]",
+        lambda v: isinstance(v, list) and v and all(map(_is_int, v)) and v[0] >= 1
+        and v[-1] <= hi and all(a < b for a, b in zip(v, v[1:])),
+        lambda v: tuple(int(x) for x in v),
+    )
+
+
 _vector = _checker("a list of `dimension` finite reals, not all zero",
                    lambda v: isinstance(v, list) and all(map(_is_real, v)) and any(v),
                    lambda v: tuple(float(x) for x in v))
@@ -96,60 +100,80 @@ _string = _checker("a nonempty string", lambda v: isinstance(v, str) and v != ""
 _boolean = _checker("a boolean", lambda v: isinstance(v, bool))
 _mapping = _checker("a mapping", lambda v: isinstance(v, dict))
 _SEED = _integer(0, 2**64 - 1)  # the streams key on 64 bits of the seed
+# Upper bounds make a mistyped count a ConfigError, not a MemoryError: each
+# replica, sample, particle or test point holds a few floats, and each step of
+# a walk a few bytes of bookkeeping.
+_MAX_ROWS = 10**6
+_MAX_STEPS = 10**7
+_ROWS = _integer(1, _MAX_ROWS)
+_STEPS = _integer(1, _MAX_STEPS)
+_STEP_LIST = _increasing(_MAX_STEPS)
+# A walk block holds min(replicas, walks.BLOCK) words of n one-byte letters,
+# plus table codes of at most 4 bytes a letter: 2e8 letters is about 1 GB.
+_MAX_BLOCK_LETTERS = 2 * 10**8
+# kind -> (replica key, step key) of every walk it runs
+_WALKS = {
+    "lyapunov": [("replicas", "n")],
+    "clt": [("samples", "n")],
+    "clt_cartan": [("samples", "n")],
+    "stationary": [("particles", "burn_in")],
+    "cohomological": [("particles", "burn_in"), ("calibration_replicas", "calibration_n")],
+    "large_deviation": [("replicas", "n_values")],
+}
 
 # kind, or martingale_lab/<check>  ->  schedule key  ->  (checker, default)
 SCHEDULES = {
-    "lyapunov": {"n": (_integer(1), 1000), "replicas": (_integer(1), 200)},
+    "lyapunov": {"n": (_STEPS, 1000), "replicas": (_ROWS, 200)},
     "clt": {
-        "n": (_integer(1), 1000),
-        "samples": (_integer(2), 10_000),
+        "n": (_STEPS, 1000),
+        "samples": (_integer(2, _MAX_ROWS), 10_000),
         "start": (_vector, None),
         "reference": (_one_of("folded_normal", "gaussian"), None),
         "reference_var": (_real(0), 1.0),
         "lambda1": (_real(), None),
     },
-    "clt_cartan": {"n": (_integer(1), 1000), "samples": (_integer(2), 10_000)},
+    "clt_cartan": {"n": (_STEPS, 1000), "samples": (_integer(2, _MAX_ROWS), 10_000)},
     "stationary": {
-        "burn_in": (_integer(1), 500),
-        "particles": (_integer(1), 100_000),
+        "burn_in": (_STEPS, 500),
+        "particles": (_ROWS, 100_000),
         "p": (_real(1), 2.0),
-        "test_points": (_integer(1), 20),
+        "test_points": (_ROWS, 20),
     },
     "cohomological": {
-        "burn_in": (_integer(1), 500),
-        "particles": (_integer(1), 100_000),
-        "test_points": (_integer(1), 100),
-        "calibration_n": (_integer(1), 1000),
-        "calibration_replicas": (_integer(1), 256),
+        "burn_in": (_STEPS, 500),
+        "particles": (_ROWS, 100_000),
+        "test_points": (_ROWS, 100),
+        "calibration_n": (_STEPS, 1000),
+        "calibration_replicas": (_ROWS, 256),
     },
     "large_deviation": {
         "eps": (_real(0), REQUIRED),
-        "n_values": (_increasing, REQUIRED),
-        "replicas": (_integer(1), 10_000),
+        "n_values": (_STEP_LIST, REQUIRED),
+        "replicas": (_ROWS, 10_000),
     },
     "lil": {
-        "n_max": (_integer(1000), REQUIRED),
+        "n_max": (_integer(1000, _MAX_STEPS), REQUIRED),
         "phi": (_real(0), REQUIRED),
         "lambda1": (_real(), REQUIRED),
     },
     "martingale_lab/azuma": {
         "stream": (_one_of("coin"), "coin"),  # the bound needs bounded differences
         "eps": (_real(0), REQUIRED),
-        "n_values": (_increasing, REQUIRED),
-        "trials": (_integer(1), 100_000),
+        "n_values": (_STEP_LIST, REQUIRED),
+        "trials": (_ROWS, 100_000),
     },
     "martingale_lab/baum_katz": {
         "stream": (_one_of("coin", "gaussian", "counterexample_3i"), "coin"),
         "p": (_real(1), 2.0),
         "eps": (_real(0), REQUIRED),
-        "n_values": (_increasing, REQUIRED),
-        "replicas": (_integer(1), 10_000),
+        "n_values": (_STEP_LIST, REQUIRED),
+        "replicas": (_ROWS, 10_000),
     },
     "martingale_lab/brown": {
         "array_kind": (_one_of("iid_gaussian", "zero", "single_spike"), REQUIRED),
-        "row_sizes": (_increasing, REQUIRED),
+        "row_sizes": (_STEP_LIST, REQUIRED),
         "eps": (_real(0), 0.25),
-        "replicas": (_integer(1), 10_000),
+        "replicas": (_ROWS, 10_000),
     },
 }
 KINDS = tuple(dict.fromkeys(key.split("/")[0] for key in SCHEDULES))
@@ -255,6 +279,15 @@ def _check_schedule(kind, schedule, dim, problems):
     if start is not None and dim is not None and len(start) != dim:
         problems.append(f"'start' in {where} must have `dimension` = {dim} entries, "
                         f"got {len(start)}")
+    for rows, steps in _WALKS.get(kind, ()):
+        if typed[rows] is None or typed[steps] is None:
+            continue
+        n = typed[steps][-1] if steps == "n_values" else typed[steps]
+        letters = min(typed[rows], BLOCK) * n
+        if letters > _MAX_BLOCK_LETTERS:
+            problems.append(f"{rows!r} and {steps!r} in {where} ask for {letters} letters "
+                            f"per walk block, min({rows}, {BLOCK}) x {n}; "
+                            f"at most {_MAX_BLOCK_LETTERS} are allowed")
     return typed
 
 

@@ -275,18 +275,12 @@ def markov_apply(mu, f, x):
     return float(sum(w * f(act(a, x)) for a, w in zip(mu.atoms, mu.weights)))
 
 
-def psi_one_step(mu, psi, x_rows):
-    """``psi(x)`` and, per atom ``g``, ``(log |g x|, psi(g x))`` at unit rows.
-
-    One stacked evaluation serves the points and all their images; each set
-    of rows keeps the values of a call of its own.
-    """
-    moved = [x_rows @ a.T for a in mu.atoms]
-    norms = [np.linalg.norm(m, axis=1) for m in moved]
-    stacked = np.concatenate([x_rows] + [m / n[:, None] for m, n in zip(moved, norms)])
-    psi_x, *psi_gx = np.split(psi_eval_many(psi, stacked, groups=len(moved) + 1),
-                              len(moved) + 1)
-    return psi_x, [(np.log(n), p) for n, p in zip(norms, psi_gx)]
+def psi_at_images(psi, x_rows, images):
+    """``psi`` at the unit rows ``x_rows`` ``(N, d)`` and at ``k`` sets of entry-major
+    images ``(k, d, N)``, in one stacked call where each set keeps its own values."""
+    stacked = np.concatenate([x_rows[None], np.moveaxis(images, 1, 2)])
+    values = psi_eval_many(psi, stacked.reshape(-1, x_rows.shape[1]), groups=len(images) + 1)
+    return values[:len(x_rows)], values[len(x_rows):].reshape(len(images), -1)
 
 
 @dataclass(frozen=True)
@@ -303,15 +297,11 @@ def cohomological_residual(mu, psi, lambda1, xs):
     With the exact stationary dual measure this vanishes identically; with an
     empirical cloud it shrinks as the cloud grows.
     """
-    xs = list(xs)
     x_rows = np.stack([x.rep for x in xs])
-    psi_x, steps = psi_one_step(mu, psi, x_rows)
-    avg_psi_gx = np.zeros(len(xs))
-    drift_vals = np.zeros(len(xs))
-    for w, (log_norm, psi_gx) in zip(mu.weights, steps):
-        drift_vals += w * log_norm
-        avg_psi_gx += w * psi_gx
-    res = drift_vals - psi_x + avg_psi_gx - lambda1
+    log_norms, images = walks.atom_images(mu.atoms, x_rows.T)
+    psi_x, psi_gx = psi_at_images(psi, x_rows, images)
+    res = (walks.atom_average(mu.weights, log_norms) - psi_x
+           + walks.atom_average(mu.weights, psi_gx) - lambda1)
     return ResidualReport(
         residuals=res,
         mean_abs=float(np.abs(res).mean()),

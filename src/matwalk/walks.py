@@ -24,6 +24,10 @@ matrices ``(d, d, N)``.  Every batched product is then ``d`` entry-wise
 multiply-adds over contiguous length-``N`` arrays (``_product``), never a
 BLAS call, which would run one tiny gemm per replica.
 
+The average over atoms ``sum_a w_a f(a x)`` behind the drift, the corrector
+equation and the corrected variance takes its images from ``atom_images``
+and adds them up in atom order in ``atom_average``.
+
 ``measures.sample_word`` reads its scaled product off the same letter
 table.  Every word comes from ``rng.replica_words``: replica ``r`` reads stream
 ``r``, from letter ``skip`` on, so results are a pure function of
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import rng
 
-_BLOCK = 4096   # replicas per scheduling block (fixed: part of no contract,
+BLOCK = 4096    # replicas per scheduling block (fixed: part of no contract,
                 # results do not depend on it, only wall time does)
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
@@ -52,12 +56,8 @@ def set_thread_count(k):
     _THREADS = max(1, int(k))
 
 
-def thread_count():
-    return _THREADS
-
-
 def _blocks(total):
-    return [(start, min(_BLOCK, total - start)) for start in range(0, total, _BLOCK)]
+    return [(start, min(BLOCK, total - start)) for start in range(0, total, BLOCK)]
 
 
 def _run_blocks(fn, blocks):
@@ -127,6 +127,22 @@ def _product(left, right, out):
     if right.ndim == left.ndim - 1:
         return np.einsum("...ijn,...jn->...in", left, right, out=out)
     return np.einsum("...ijn,...jkn->...ikn", left, right, out=out)
+
+
+def atom_images(atoms, units):
+    """``log |a x|`` ``(A, N)`` and ``a x / |a x|`` ``(A, d, N)`` for every atom ``a``
+    and entry-major unit column ``x`` of ``units`` ``(d, N)``, in one product;
+    read contiguous, as einsum may round a strided operand differently."""
+    units = np.ascontiguousarray(units, dtype=float)
+    moved = _product(np.asarray(atoms, dtype=float)[..., None], units[None],
+                     np.empty((len(atoms),) + units.shape))
+    norms = np.sqrt(np.einsum("ain,ain->an", moved, moved))
+    return np.log(norms), moved / norms[:, None]
+
+
+def atom_average(weights, values):
+    """``sum_a weights[a] * values[a]``, added atom by atom in atom order."""
+    return sum((w * v for w, v in zip(weights, values)), np.zeros(values.shape[1:]))
 
 
 class _LetterTable:

@@ -52,3 +52,10 @@ def random_invertible(rng, d):
         s = np.linalg.svd(g, compute_uv=False)
         if s[-1] > 1e-6 * s[0]:
             return g
+
+
+def gaussian_measure(d, n_atoms, seed):
+    """Well-conditioned Gaussian atoms with unequal weights."""
+    rng = np.random.default_rng(seed)
+    atoms = [random_invertible(rng, d) for _ in range(n_atoms)]
+    return mw.GeneratorMeasure.from_atoms(atoms, np.arange(1.0, n_atoms + 1.0))

@@ -433,6 +433,48 @@ def test_bad_input_is_config_error(tmp_path, capsys, monkeypatch, case):
     assert not out.exists()
 
 
+# (table, schedule changes, named keys): each asks for more than the schema allows
+TOO_LARGE = {
+    "replicas": ("lyapunov", {"replicas": 10**6 + 1}, "'replicas'"),
+    "samples": ("clt_cartan", {"samples": 10**6 + 1}, "'samples'"),
+    "particles": ("stationary", {"particles": 10**6 + 1}, "'particles'"),
+    "test_points": ("cohomological", {"test_points": 10**6 + 1}, "'test_points'"),
+    "trials": ("martingale_lab/azuma", {"trials": 10**6 + 1}, "'trials'"),
+    "n": ("clt", {"n": 10**7 + 1}, "'n'"),
+    "n_max": ("lil", {"n_max": 10**7 + 1}, "'n_max'"),
+    "n_values": ("martingale_lab/baum_katz", {"n_values": [8, 10**7 + 1]}, "'n_values'"),
+    "row_sizes_2_70": ("martingale_lab/brown", {"row_sizes": [20, 2**70]}, "'row_sizes'"),
+    "lyapunov_block": ("lyapunov", {"replicas": 10**6, "n": 48_829}, "'replicas' and 'n'"),
+    "clt_block": ("clt", {"samples": 4096, "n": 10**5}, "'samples' and 'n'"),
+    "stationary_block": ("stationary", {"particles": 5000, "burn_in": 10**5},
+                         "'particles' and 'burn_in'"),
+    "calibration_block": ("cohomological", {"calibration_replicas": 4096,
+                                            "calibration_n": 10**5},
+                          "'calibration_replicas' and 'calibration_n'"),
+    "deviation_block": ("large_deviation", {"replicas": 8192, "n_values": [8, 10**5]},
+                        "'replicas' and 'n_values'"),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_LARGE))
+def test_schedule_upper_bounds_are_config_errors(case):
+    # validation only: none of these is ever run
+    table, schedule, key = TOO_LARGE[case]
+    with pytest.raises(mw.ConfigError) as exc:
+        mw.validate_config(small_config(table, schedule))
+    assert len(exc.value.problems) == 1
+    assert key in exc.value.problems[0]
+
+
+def test_walk_block_bound_counts_one_block_of_replicas():
+    # min(replicas, 4096) x n up to 2e8 letters passes: 4096 x 48828 < 2e8 < 4096 x 48829
+    for replicas in (4096, 10**6):
+        cfg = mw.validate_config(small_config("lyapunov", {"replicas": replicas, "n": 48_828}))
+        assert cfg.schedule == {"n": 48_828, "replicas": replicas}
+    mw.validate_config(small_config("clt", {"samples": 10**6, "n": 1000}))
+    mw.validate_config(small_config("lil", {"n_max": 10**7}))
+
+
 def test_three_bad_keys_listed_in_one_run(tmp_path, capsys):
     data = small_config("lyapunov", {"n": 0, "replicas": "many"}, master_seed=-1)
     out = tmp_path / "out"

@@ -3,6 +3,9 @@ import pytest
 
 import matwalk as mw
 from matwalk import rng, walks
+from matwalk.stats import mean_ci_halfwidth
+
+from conftest import gaussian_measure
 
 
 def rotation(theta):
@@ -90,6 +93,35 @@ def test_variance_routes_on_scalar_walk(scalar_pair):
     via = mw.variance_via_corrector(scalar_pair, mw.PsiFunction(dual), 0.0, nu)
     assert via.value == pytest.approx(1.0, abs=1e-10)
     assert abs(direct.value - via.value) <= 3 * (direct.ci_halfwidth + via.ci_halfwidth)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_variance_via_corrector_on_words_matches_a_per_particle_loop(d):
+    mu = gaussian_measure(d, 3, 50 + d)
+    nu = mw.estimate_stationary(mu, burn_in=20, particles=50, seed=5)
+    psi = mw.PsiFunction(mw.estimate_dual_stationary(mu, burn_in=20, particles=300, seed=6))
+    k, seed, lam = 3, 9, 0.2
+    via = mw.variance_via_corrector(mu, psi, lam, nu, word_len=k, seed=seed)
+    words = rng.replica_words(seed, rng.TAG_WALK, nu.size, k, mu.weights)
+    per_particle = []
+    for x, word in zip(nu.reps, words):
+        v = x
+        for letter in word:   # the first letter acts first
+            v = mu.atoms[letter] @ v
+        centered = (np.log(np.linalg.norm(v)) + mw.psi_eval(psi, mw.ProjectivePoint(v))
+                    - mw.psi_eval(psi, mw.ProjectivePoint(x)) - k * lam)
+        per_particle.append(centered**2 / k)
+    per_particle = np.array(per_particle)
+    assert via.value == pytest.approx(per_particle @ nu.weights, rel=1e-12)
+    assert via.ci_halfwidth == pytest.approx(mean_ci_halfwidth(per_particle), rel=1e-9)
+
+
+@pytest.mark.parametrize("word_len", [0, -1])
+def test_variance_via_corrector_rejects_short_words(free_pair, word_len):
+    nu = mw.estimate_stationary(free_pair, burn_in=5, particles=20, seed=1)
+    psi = mw.PsiFunction(mw.estimate_dual_stationary(free_pair, burn_in=5, particles=20, seed=2))
+    with pytest.raises(ValueError, match="word length"):
+        mw.variance_via_corrector(free_pair, psi, 0.0, nu, word_len=word_len)
 
 
 def test_variance_deterministic_walk_is_zero():

@@ -10,6 +10,8 @@ from matwalk import rng, walks
 from matwalk.stationary import canonicalize_rows, psi_eval_many
 from matwalk.stats import mean_ci_halfwidth
 
+from conftest import gaussian_measure
+
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -286,6 +288,18 @@ def test_residual_vanishes_for_identity_measure():
     xs = [mw.ProjectivePoint(v) for v in np.random.default_rng(2).normal(size=(20, 2))]
     res = mw.cohomological_residual(mu, psi, 0.0, xs)
     assert res.max_abs <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 4])
+def test_residual_matches_its_pointwise_definition(d, n_atoms):
+    mu = gaussian_measure(d, n_atoms, 10 * d + n_atoms)
+    psi = mw.PsiFunction(mw.estimate_dual_stationary(mu, burn_in=20, particles=300, seed=d))
+    xs = [mw.ProjectivePoint(v) for v in np.random.default_rng(d).normal(size=(60, d))]
+    res = mw.cohomological_residual(mu, psi, 0.3, xs).residuals
+    want = [mw.drift(mu, x) - mw.psi_eval(psi, x) + mw.markov_apply(mu, psi, x) - 0.3
+            for x in xs]
+    assert np.abs(res - want).max() <= 1e-12
 
 
 def test_residual_is_affine_in_the_rate(free_pair):

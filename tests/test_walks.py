@@ -7,7 +7,7 @@ import pytest
 import matwalk as mw
 from matwalk import rng, walks
 
-from conftest import random_invertible
+from conftest import gaussian_measure, random_invertible
 
 
 def test_vector_walk_matches_direct_product(free_pair):
@@ -47,7 +47,7 @@ def test_long_walks_stay_finite(free_pair):
 
 def test_results_independent_of_thread_count(free_pair):
     args = (free_pair.atoms, free_pair.weights, np.array([1.0, 0.0]),
-            200, 3 * walks._BLOCK // 2, 5, rng.TAG_WALK)
+            200, 3 * walks.BLOCK // 2, 5, rng.TAG_WALK)
     walks.set_thread_count(1)
     v1, f1 = walks.vector_walk(*args)
     walks.set_thread_count(4)
@@ -206,6 +206,9 @@ def test_walk_steps_call_no_blas():
     src = Path(walks.__file__).parent
     found = _blas_uses(src / "walks.py")
     found += _blas_uses(src / "martingales.py", {"_walk_checkpoint_sums"})
+    # the average over atoms moves its points through walks.atom_images
+    found += _blas_uses(src / "stationary.py", {"psi_at_images", "cohomological_residual"})
+    found += _blas_uses(src / "limits.py", {"variance_via_corrector"})
     assert not found, "BLAS products in walk steps:\n" + "\n".join(sorted(set(found)))
 
 
@@ -222,6 +225,29 @@ def test_product_is_the_entrywise_sum():
             want_m = want_m + left[:, j, None] * matrices[None, j]
         assert np.allclose(got_v, want_v, rtol=1e-14, atol=1e-14)
         assert np.allclose(got_m, want_m, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 4])
+def test_atom_images_match_the_pointwise_definitions(d, n_atoms):
+    mu = gaussian_measure(d, n_atoms, 10 * d + n_atoms)
+    points = [mw.ProjectivePoint(v) for v in np.random.default_rng(d).normal(size=(100, d))]
+    units = np.stack([x.rep for x in points], axis=1)
+    log_norms, images = walks.atom_images(mu.atoms, units)
+    drift = walks.atom_average(mu.weights, log_norms)
+    assert log_norms.shape == (n_atoms, 100) and images.shape == (n_atoms, d, 100)
+    for i, x in enumerate(points):
+        assert abs(drift[i] - mw.drift(mu, x)) <= 1e-14
+        for a, image in zip(mu.atoms, images[..., i]):
+            want = mw.act(a, x).rep
+            assert min(np.abs(image - want).max(), np.abs(image + want).max()) <= 1e-14
+
+
+def test_atom_average_adds_in_atom_order():
+    values = np.array([[1e16, 1.0], [1.0, 1e16], [-1e16, -1e16]])
+    # left to right: (1e16 + 1) - 1e16 = 0 and (1 + 1e16) - 1e16 = 0
+    assert walks.atom_average([1.0, 1.0, 1.0], values).tolist() == [0.0, 0.0]
+    assert walks.atom_average([0.5, 0.25], np.array([[2.0], [4.0]])).tolist() == [2.0]
 
 
 # --- the letter-table engine against a plain per-letter loop ---------------
@@ -319,7 +345,7 @@ def test_extreme_atoms_stay_finite_over_long_walks():
 def test_matrix_walk_independent_of_thread_count(free_pair):
     sets = {1: free_pair.atoms,
             2: np.array([mw.exterior_square(a) for a in free_pair.atoms])}
-    args = (sets, free_pair.weights, 200, 3 * walks._BLOCK // 2, 5, rng.TAG_WALK)
+    args = (sets, free_pair.weights, 200, 3 * walks.BLOCK // 2, 5, rng.TAG_WALK)
     cps = [3, 77, 150, 199]
     walks.set_thread_count(1)
     one = walks.matrix_walk_log_norms(*args, checkpoints=cps)
