@@ -22,6 +22,7 @@ from .cocycles import ensure_unimodular
 from .errors import DimensionError
 from .linalg import ProjectivePoint, exterior_power
 from .measures import GeneratorMeasure
+from .stationary import psi_at_images
 from .stats import (
     covariance_fit,
     gaussian_cdf,
@@ -232,18 +233,16 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
     over the atoms; longer words are sampled, one per particle, from streams
     derived from ``seed``.  Requires the corrector from the dual cloud.
     """
-    from .stationary import psi_at_images  # local import to avoid a cycle
-
     if word_len < 1:
         raise ValueError("word length must be >= 1")
     x_rows = nu.reps
     if word_len == 1:  # every atom, with its weight
-        sigma, images = walks.atom_images(mu.atoms, x_rows.T)
+        sigma, images = walks.atom_images(mu.atoms, x_rows)
         weights = mu.weights
     else:  # one sampled word per particle, with weight 1
         sigma, finals = walks.vector_walk(mu.atoms, mu.weights, x_rows, word_len, nu.size,
                                           seed, rng.TAG_WALK)
-        sigma, images, weights = sigma[None], finals.T[None], [1.0]
+        sigma, images, weights = sigma[None], finals[None], [1.0]
     psi_x, psi_wx = psi_at_images(psi, x_rows, images)
     centered = sigma + psi_wx - psi_x - word_len * lambda1
     per_particle = walks.atom_average(weights, centered**2) / word_len
@@ -329,6 +328,8 @@ def large_deviation_curve(mu, eps, schedule, replicas=10_000, seed=0, lambda1=No
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     schedule = list(schedule)
+    if not schedule:
+        raise ValueError("schedule must be non-empty")
     if lambda1 is None:
         lambda1 = lyapunov_top(mu, n=schedule[-1], replicas=256, seed=seed).lambda1
     vals = walks.matrix_walk_log_norms(

@@ -4,7 +4,9 @@ Group elements are plain float64 arrays validated by :func:`check_group_element`
 Points of projective space and of its dual are stored as canonical unit
 representatives: Euclidean norm one, first coordinate above the zero threshold
 made positive.  With that convention equality and hashing of points are exact
-byte comparisons.
+byte comparisons.  This module owns that sign rule: points, rows of point
+clouds (``canonicalize_rows``) and the columns of ``k`` in a Cartan triple all
+apply it through one helper.
 
 The field is the reals with Euclidean norms throughout; configurations asking
 for anything else are rejected at load time.
@@ -44,6 +46,21 @@ def check_group_element(g):
     return g
 
 
+def _canonical_signs(rows):
+    """The canonical sign rule: per row of ``rows`` ``(N, d)``, -1 when its first
+    entry above ``CANONICAL_ZERO`` in absolute value is negative, else +1."""
+    above = np.abs(rows) > CANONICAL_ZERO
+    lead = rows[np.arange(len(rows)), np.argmax(above, axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)
+
+
+def canonicalize_rows(v):
+    """Unit-normalize rows and apply the canonical sign rule to each."""
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+    return v * _canonical_signs(v)[:, None] + 0.0  # clear any -0.0
+
+
 def _canonical_unit(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -52,12 +69,7 @@ def _canonical_unit(v):
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("representative must be a nonzero finite vector")
     v = v / norm
-    for coord in v:
-        if abs(coord) > CANONICAL_ZERO:
-            if coord < 0.0:
-                v = -v
-            break
-    v = v + 0.0  # normalize any -0.0 so equal rays hash equally
+    v = v * _canonical_signs(v[None])[0] + 0.0  # no -0.0: equal rays hash equally
     v.setflags(write=False)
     return v
 
@@ -196,16 +208,8 @@ def cartan(g):
     """Singular value decomposition as a deterministic Cartan triple."""
     g = check_group_element(g)
     u, s, vh = np.linalg.svd(g)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        sign = 1.0
-        for coord in col:
-            if abs(coord) > CANONICAL_ZERO:
-                sign = 1.0 if coord > 0.0 else -1.0
-                break
-        if sign < 0.0:
-            u[:, j] = -u[:, j]
-            vh[j, :] = -vh[j, :]
+    signs = _canonical_signs(u.T)
+    u, vh = u * signs, vh * signs[:, None]
     for arr in (u, s, vh):
         arr.setflags(write=False)
     return CartanTriple(k=u, a=s, l=vh)

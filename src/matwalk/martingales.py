@@ -99,8 +99,8 @@ def _scale_segments(lo, hi):
 def checkpoint_sums(stream, schedule, replicas):
     """Partial sums ``S_n`` at the scheduled n, one row per replica."""
     schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 1:
-        raise ValueError("schedule must be strictly increasing and >= 1")
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] < 1:
+        raise ValueError("schedule must be non-empty, strictly increasing and >= 1")
     if stream.kind == "walk_induced":
         return _walk_checkpoint_sums(stream, schedule, replicas)
 
@@ -143,15 +143,15 @@ def _walk_checkpoint_sums(stream, schedule, replicas):
     drift_sum = np.zeros(replicas)
     for lo, values, units in walks.chunked_walk(mu.atoms, mu.weights, x, schedule[-1],
                                                 stream.seed, rng.TAG_MARTINGALE):
-        # entry-major positions x_lo, ..., x_(lo+length-1), one column each
-        before = np.concatenate([x.T[..., None], units[..., :-1]], axis=2).reshape(mu.dim, -1)
+        # positions x_lo, ..., x_(lo+length-1) of every replica, one row each
+        before = np.concatenate([x[:, None], units[:, :-1]], axis=1).reshape(-1, mu.dim)
         drift = walks.atom_average(mu.weights, walks.atom_images(mu.atoms, before)[0])
         drifts = drift_sum[:, None] + np.cumsum(drift.reshape(replicas, -1), axis=1)
         inside = (cps > lo) & (cps <= lo + values.shape[1])
         at = cps[inside] - lo - 1
         out[:, inside] = values[:, at] - drifts[:, at]
         drift_sum = drifts[:, -1]
-        x = units[..., -1].T
+        x = units[:, -1]
     return out
 
 

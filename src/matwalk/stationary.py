@@ -21,12 +21,7 @@ import numpy as np
 
 from . import rng, walks
 from .errors import SingularEvaluationError
-from .linalg import (
-    CANONICAL_ZERO,
-    DualProjectivePoint,
-    ProjectivePoint,
-    act,
-)
+from .linalg import DualProjectivePoint, ProjectivePoint, act, canonicalize_rows
 from .stats import ndtri
 
 DELTA_FLOOR = 1e-300
@@ -36,18 +31,6 @@ DEFAULT_PARTICLES = 100_000
 _START_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_START_DIMENSION = len(_START_PRIMES)
 _EVAL_CHUNK = 2048
-
-
-def canonicalize_rows(v):
-    """Unit-normalize rows and apply the canonical sign rule to each."""
-    v = np.asarray(v, dtype=float)
-    norms = np.linalg.norm(v, axis=1)
-    v = v / norms[:, None]
-    above = np.abs(v) > CANONICAL_ZERO
-    first = np.argmax(above, axis=1)
-    lead = v[np.arange(len(v)), first]
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    return v * signs[:, None] + 0.0  # clear any -0.0
 
 
 def start_cloud(dim, count):
@@ -245,7 +228,7 @@ def psi_eval_many(psi, x_rows, groups=1):
             bad = (vals <= DELTA_FLOOR) & positive[None, clo:clo + _EVAL_CHUNK]
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
-                return SingularEvaluationError(
+                raise SingularEvaluationError(
                     f"evaluation point {(lo + i) % size} is orthogonal to cloud atom {clo + j}",
                     atom_index=int(clo + j),
                 )
@@ -255,18 +238,14 @@ def psi_eval_many(psi, x_rows, groups=1):
         # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
         return np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK])
 
+    # serial or threaded, _run_blocks raises the first failure in task order
     cloud_blocks = range(0, cloud.size, _EVAL_CHUNK)
-    sums = iter(walks._run_blocks(
-        block_sum, [(lo, count, clo) for lo, count in chunks for clo in cloud_blocks]))
+    parts = walks._run_blocks(
+        block_sum, [(lo, count, clo) for lo, count in chunks for clo in cloud_blocks])
+    per_chunk = len(cloud_blocks)
     out = np.zeros(len(x_rows))
-    for lo, count in chunks:
-        acc = np.zeros(count)
-        for _ in cloud_blocks:
-            part = next(sums)
-            if isinstance(part, SingularEvaluationError):
-                raise part
-            acc += part
-        out[lo:lo + count] = acc
+    for i, (lo, count) in enumerate(chunks):
+        out[lo:lo + count] = sum(parts[i * per_chunk:(i + 1) * per_chunk], np.zeros(count))
     return out
 
 
@@ -276,9 +255,9 @@ def markov_apply(mu, f, x):
 
 
 def psi_at_images(psi, x_rows, images):
-    """``psi`` at the unit rows ``x_rows`` ``(N, d)`` and at ``k`` sets of entry-major
-    images ``(k, d, N)``, in one stacked call where each set keeps its own values."""
-    stacked = np.concatenate([x_rows[None], np.moveaxis(images, 1, 2)])
+    """``psi`` at the unit rows ``x_rows`` ``(N, d)`` and at ``k`` sets of image
+    rows ``(k, N, d)``, in one stacked call where each set keeps its own values."""
+    stacked = np.concatenate([x_rows[None], images])
     values = psi_eval_many(psi, stacked.reshape(-1, x_rows.shape[1]), groups=len(images) + 1)
     return values[:len(x_rows)], values[len(x_rows):].reshape(len(images), -1)
 
@@ -298,7 +277,7 @@ def cohomological_residual(mu, psi, lambda1, xs):
     empirical cloud it shrinks as the cloud grows.
     """
     x_rows = np.stack([x.rep for x in xs])
-    log_norms, images = walks.atom_images(mu.atoms, x_rows.T)
+    log_norms, images = walks.atom_images(mu.atoms, x_rows)
     psi_x, psi_gx = psi_at_images(psi, x_rows, images)
     res = (walks.atom_average(mu.weights, log_norms) - psi_x
            + walks.atom_average(mu.weights, psi_gx) - lambda1)

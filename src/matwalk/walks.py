@@ -22,7 +22,9 @@ Blelloch, "Prefix sums and their applications", 1990).
 States and letter tables are *entry-major*, replicas last: vectors ``(d, N)``,
 matrices ``(d, d, N)``.  Every batched product is then ``d`` entry-wise
 multiply-adds over contiguous length-``N`` arrays (``_product``), never a
-BLAS call, which would run one tiny gemm per replica.
+BLAS call, which would run one tiny gemm per replica.  The layout stays
+inside this module: every function other modules call takes and returns
+points as replica rows ``(N, d)``.
 
 The average over atoms ``sum_a w_a f(a x)`` behind the drift, the corrector
 equation and the corrected variance takes its images from ``atom_images``
@@ -129,15 +131,15 @@ def _product(left, right, out):
     return np.einsum("...ijn,...jkn->...ikn", left, right, out=out)
 
 
-def atom_images(atoms, units):
-    """``log |a x|`` ``(A, N)`` and ``a x / |a x|`` ``(A, d, N)`` for every atom ``a``
-    and entry-major unit column ``x`` of ``units`` ``(d, N)``, in one product;
-    read contiguous, as einsum may round a strided operand differently."""
-    units = np.ascontiguousarray(units, dtype=float)
+def atom_images(atoms, x_rows):
+    """``log |a x|`` ``(A, N)`` and unit image rows ``a x / |a x|`` ``(A, N, d)`` for
+    every atom ``a`` and unit row ``x`` of ``x_rows`` ``(N, d)``, in one product on
+    a contiguous entry-major copy, as einsum may round a strided operand differently."""
+    units = _entry_major(np.asarray(x_rows, dtype=float))
     moved = _product(np.asarray(atoms, dtype=float)[..., None], units[None],
                      np.empty((len(atoms),) + units.shape))
     norms = np.sqrt(np.einsum("ain,ain->an", moved, moved))
-    return np.log(norms), moved / norms[:, None]
+    return np.log(norms), np.moveaxis(moved / norms[:, None], 1, 2)
 
 
 def atom_average(weights, values):
@@ -289,16 +291,16 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
     ``starts[r]``.  The time axis is taken in segments of whole chunks that
     hold about ``2^18`` letter-replica products (at least one chunk per row);
     each segment yields ``(lo, values, units)``, where ``values[r, k]`` is
-    ``log |b_(lo+k+1) ... b_1 x_r|`` and the entry-major ``units[:, r, k]`` the
-    unit vector of that vector.
+    ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit row of that
+    vector.
     """
     atoms = np.asarray(atoms, dtype=float)
     d = atoms.shape[1]
     chunk = rescale_interval(atoms)
     # code A pads the last chunk
     padded = _entry_major(np.concatenate([atoms, np.eye(d)[None]]))
-    u = np.array(starts, dtype=float).T
-    rows = u.shape[1]
+    u = np.array(starts, dtype=float)
+    rows = len(u)
     base = np.zeros(rows)
     segment = max(chunk, _SCAN_PRODUCTS // rows // chunk * chunk)
     for lo in range(0, n, segment):
@@ -320,7 +322,7 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
             _product(gathered, prods[j - 1], prods[j])
         # the unit vector at every chunk head, one chunk at a time
         heads = np.empty((d, heads_per_row, rows))
-        heads[:, 0] = u
+        heads[:, 0] = u.T
         for k in range(1, heads_per_row):
             head = _product(prods[-1, ..., (k - 1) * rows:k * rows], heads[:, k - 1], heads[:, k])
             head /= _norms(head)
@@ -331,10 +333,10 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
         np.cumsum(logs[-1, :-1], axis=0, out=at_heads[1:])
         values = (logs + (base + at_heads)[None]).T.reshape(rows, -1)[:, :length]
         vecs /= norms[:, None]
-        units = vecs.reshape(chunk, d, heads_per_row, rows).transpose(1, 3, 2, 0)
-        units = units.reshape(d, rows, -1)[..., :length]
+        units = vecs.reshape(chunk, d, heads_per_row, rows).transpose(3, 2, 0, 1)
+        units = units.reshape(rows, -1, d)[:, :length]
         base = values[:, -1]
-        u = units[..., -1]
+        u = units[:, -1]
         yield lo, values, units
 
 

@@ -1,0 +1,24 @@
+"""Source check that needs no linter: every module uses each name it imports."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import matwalk
+
+# __init__.py imports names to export them
+_MODULES = sorted(p for p in Path(matwalk.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds "a"
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -188,6 +188,12 @@ def test_large_deviation_deterministic_past_transient():
     assert np.all(curve.frequencies == 0.0)
 
 
+@pytest.mark.parametrize("lambda1", [None, 0.1])
+def test_large_deviation_rejects_an_empty_schedule(free_pair, lambda1):
+    with pytest.raises(ValueError, match="schedule"):
+        mw.large_deviation_curve(free_pair, 0.2, [], replicas=10, seed=18, lambda1=lambda1)
+
+
 def test_large_deviation_decay_on_free_pair(free_pair):
     sched = [2**k for k in range(4, 10)]
     curve = mw.large_deviation_curve(free_pair, 0.2, sched, replicas=2000, seed=18)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
-from matwalk.linalg import check_group_element
+from matwalk.linalg import CANONICAL_ZERO, canonicalize_rows, check_group_element
 
 from conftest import random_invertible
 
@@ -104,6 +104,31 @@ def test_projective_point_canonical_sign_and_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a.rep[0] == 1.0
+
+
+# first entries at, just below and just above the threshold, and -0.0 entries
+_SIGN_CASES = [[-1e-12, 1.0], [-1e-13, 1.0], [1e-13, -1.0], [-1e-11, 1.0], [-0.0, -1.0],
+               [0.0, -0.6, 0.8], [-0.0, 1e-13, -1.0], [1e-13, -0.0, -0.6, 0.8]]
+
+
+@pytest.mark.parametrize("v", _SIGN_CASES)
+def test_points_rows_and_cartan_share_the_sign_rule(v):
+    v = np.array(v)
+    unit = v / np.linalg.norm(v)
+    lead = next(c for c in unit if abs(c) > CANONICAL_ZERO)
+    want = (unit if lead > 0.0 else -unit) + 0.0
+    for rep in (mw.ProjectivePoint(v).rep, mw.DualProjectivePoint(v).rep,
+                canonicalize_rows(v[None])[0]):
+        assert rep.tobytes() == want.tobytes()
+    # a Householder reflection takes e_1 to the line of v, the top left singular
+    # direction of g; the SVD rounds it, so each column of k is checked as it is
+    w = unit - np.eye(len(v))[0]
+    g = (np.eye(len(v)) - 2.0 * np.outer(w, w) / (w @ w)) @ np.diag(np.arange(len(v), 0.0, -1.0))
+    triple = mw.cartan(g)
+    assert abs(triple.k[:, 0] @ unit) == pytest.approx(1.0, abs=1e-14)
+    assert triple.matrix() == pytest.approx(g, abs=1e-14)
+    for col in triple.k.T:
+        assert mw.ProjectivePoint(col).rep == pytest.approx(col, abs=1e-15)
 
 
 def test_primal_and_dual_points_never_compare_equal():

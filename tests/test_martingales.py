@@ -101,6 +101,23 @@ def test_walk_induced_sums_match_step_loop(measure, request):
     assert np.allclose(sums, np.column_stack(want), rtol=1e-12, atol=1e-12)
 
 
+_SCHEDULE_USERS = {
+    "checkpoint_sums": lambda stream, sched: mw.checkpoint_sums(stream, sched, 10),
+    "azuma_check": lambda stream, sched: mw.azuma_check(stream, 0.3, sched, trials=10),
+    "baum_katz_sums": lambda stream, sched: mw.baum_katz_sums(stream, 2.0, 0.1, sched, 10),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_SCHEDULE_USERS))
+@pytest.mark.parametrize("schedule", [[], [4, 4], [0, 3]])
+@pytest.mark.parametrize("kind", ["iid_bounded", "walk_induced"])
+def test_schedules_must_be_nonempty_increasing_and_positive(user, schedule, kind, free_pair):
+    stream = mw.DifferenceStream(kind=kind, seed=1, measure=free_pair,
+                                 start=mw.ProjectivePoint([1.0, 0.0]))
+    with pytest.raises(ValueError, match="schedule"):
+        _SCHEDULE_USERS[user](stream, schedule)
+
+
 def test_azuma_check_on_coin_flips():
     stream = mw.DifferenceStream(kind="iid_bounded", seed=4)
     report = mw.azuma_check(stream, 0.3, [16, 64, 256, 1024], trials=20_000)

@@ -232,13 +232,13 @@ def test_product_is_the_entrywise_sum():
 def test_atom_images_match_the_pointwise_definitions(d, n_atoms):
     mu = gaussian_measure(d, n_atoms, 10 * d + n_atoms)
     points = [mw.ProjectivePoint(v) for v in np.random.default_rng(d).normal(size=(100, d))]
-    units = np.stack([x.rep for x in points], axis=1)
-    log_norms, images = walks.atom_images(mu.atoms, units)
+    x_rows = np.stack([x.rep for x in points])
+    log_norms, images = walks.atom_images(mu.atoms, x_rows)
     drift = walks.atom_average(mu.weights, log_norms)
-    assert log_norms.shape == (n_atoms, 100) and images.shape == (n_atoms, d, 100)
+    assert log_norms.shape == (n_atoms, 100) and images.shape == (n_atoms, 100, d)
     for i, x in enumerate(points):
         assert abs(drift[i] - mw.drift(mu, x)) <= 1e-14
-        for a, image in zip(mu.atoms, images[..., i]):
+        for a, image in zip(mu.atoms, images[:, i]):
             want = mw.act(a, x).rep
             assert min(np.abs(image - want).max(), np.abs(image + want).max()) <= 1e-14
 
@@ -378,3 +378,31 @@ def test_trajectory_cocycle_matches_step_loop(measure, scan_products, request, m
         v /= np.linalg.norm(v)
         want[k] = acc
     assert np.allclose(traj, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+def test_chunked_walk_rows_match_letter_loop(measure, request, monkeypatch):
+    # a small scan bound cuts the 301 steps into several segments; the walk
+    # continues from the last unit row of each
+    mu = request.getfixturevalue(measure)
+    monkeypatch.setattr(walks, "_SCAN_PRODUCTS", 200)
+    rows, n, seed, first = 3, 301, 31, 2
+    starts = np.random.default_rng(5).normal(size=(rows, mu.dim))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    segments = list(walks.chunked_walk(mu.atoms, mu.weights, starts, n, seed, rng.TAG_WALK,
+                                       first_replica=first))
+    lengths = [values.shape[1] for _, values, _ in segments]
+    assert len(segments) > 2
+    assert [lo for lo, _, _ in segments] == np.cumsum([0] + lengths[:-1]).tolist()
+    assert all(units.shape == values.shape + (mu.dim,) for _, values, units in segments)
+    words = rng.replica_words(seed, rng.TAG_WALK, rows, n, mu.weights, first_replica=first)
+    values = np.concatenate([v for _, v, _ in segments], axis=1)
+    units = np.concatenate([u for _, _, u in segments], axis=1)
+    for r in range(rows):
+        v, acc = starts[r], 0.0
+        for k in range(n):
+            v = mu.atoms[words[r, k]] @ v
+            acc += np.log(np.linalg.norm(v))
+            v /= np.linalg.norm(v)
+            assert abs(values[r, k] - acc) <= 1e-12 * max(1.0, abs(acc))
+            assert np.abs(units[r, k] - v).max() <= 1e-12
