@@ -31,6 +31,8 @@ DEFAULT_PARTICLES = 100_000
 _START_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_START_DIMENSION = len(_START_PRIMES)
 _EVAL_CHUNK = 2048
+# rows per pairing tile inside a block: a tile against 2048 particles is 1 MB
+_EVAL_ROWS = 64
 
 
 def start_cloud(dim, count):
@@ -68,7 +70,9 @@ class EmpiricalMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if reps.ndim != 2 or reps.shape[0] < 1:
             raise ValueError("cloud needs at least one particle")
-        if weights.shape != (reps.shape[0],) or np.any(weights < 0.0):
+        if not np.all(np.isfinite(reps)):
+            raise ValueError("particle coordinates must be finite")
+        if weights.shape != (reps.shape[0],) or not np.all(weights >= 0.0):
             raise ValueError("one nonnegative weight per particle required")
         if abs(float(weights.sum()) - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
@@ -197,16 +201,23 @@ def psi_eval(psi, x):
 def psi_eval_many(psi, x_rows, groups=1):
     """Vectorized corrector evaluation at many unit rows.
 
-    Blocked over both the evaluation points and the cloud, 2048 of each: a
-    worker thread holds one 32 MB pairing matrix, worked in place, whatever
-    the cloud size.  Blocks are spread over the walk threads and every row
-    adds up its cloud blocks in cloud order, so the values do not depend on
-    the thread count.  ``x_rows`` may stack ``groups`` sets of equally many
-    rows; each set is blocked from its own first row, so its values are those
-    of a call on that set alone (BLAS rounds a product by its block shape).
+    Blocked over both the evaluation points and the cloud, 2048 of each.
+    Blocks are spread over the walk threads and every row adds up its cloud
+    blocks in cloud order, so the values do not depend on the thread count.
+    A block is worked in near-equal tiles of at most 64 rows, in row order,
+    so a worker thread holds one 1 MB pairing buffer whatever the cloud size;
+    a tile has one row only when its block does, since BLAS rounds a
+    one-row product differently.  ``x_rows`` may stack ``groups`` sets of
+    equally many rows; each set is blocked from its own first row, so its
+    values are those of a call on that set alone.
     """
     cloud = psi.dual_cloud
     x_rows = np.asarray(x_rows, dtype=float)
+    if x_rows.ndim != 2 or x_rows.shape[1] != cloud.dim:
+        raise ValueError(f"evaluation rows must have shape (N, {cloud.dim}), "
+                         f"got {x_rows.shape}")
+    if not np.all(np.isfinite(x_rows)):
+        raise ValueError("evaluation rows must be finite")
     if groups < 1 or len(x_rows) % groups:
         raise ValueError(f"cannot split {len(x_rows)} rows into {groups} equal sets")
     size = len(x_rows) // groups
@@ -219,24 +230,30 @@ def psi_eval_many(psi, x_rows, groups=1):
     def block_sum(lo, count, clo):
         reps = cloud.reps[clo:clo + _EVAL_CHUNK]
         if not hasattr(per_thread, "buf"):
-            per_thread.buf = np.empty(min(size, _EVAL_CHUNK) * min(cloud.size, _EVAL_CHUNK))
-        vals = per_thread.buf[:count * len(reps)].reshape(count, len(reps))
-        np.matmul(x_rows[lo:lo + count], reps.T, out=vals)
-        np.abs(vals, out=vals)
-        np.minimum(vals, 1.0, out=vals)
-        if vals.min() <= DELTA_FLOOR:
-            bad = (vals <= DELTA_FLOOR) & positive[None, clo:clo + _EVAL_CHUNK]
-            if np.any(bad):
-                i, j = np.argwhere(bad)[0]
-                raise SingularEvaluationError(
-                    f"evaluation point {(lo + i) % size} is orthogonal to cloud atom {clo + j}",
-                    atom_index=int(clo + j),
-                )
-            # zero-weight atoms may pair to zero; keep them out of the log
-            vals[vals <= DELTA_FLOOR] = 1.0
-        np.log(vals, out=vals)
-        # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
-        return np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK])
+            per_thread.buf = np.empty(min(size, _EVAL_ROWS) * min(cloud.size, _EVAL_CHUNK))
+        out = np.empty(count)
+        n_tiles = -(-count // _EVAL_ROWS)
+        edges = [lo + count * k // n_tiles for k in range(n_tiles + 1)]
+        for a, b in zip(edges[:-1], edges[1:]):
+            vals = per_thread.buf[:(b - a) * len(reps)].reshape(b - a, len(reps))
+            np.matmul(x_rows[a:b], reps.T, out=vals)
+            np.abs(vals, out=vals)
+            np.minimum(vals, 1.0, out=vals)
+            if vals.min() <= DELTA_FLOOR:
+                bad = (vals <= DELTA_FLOOR) & positive[None, clo:clo + _EVAL_CHUNK]
+                if np.any(bad):
+                    i, j = np.argwhere(bad)[0]
+                    raise SingularEvaluationError(
+                        f"evaluation point {(a + i) % size} is orthogonal to cloud atom {clo + j}",
+                        atom_index=int(clo + j),
+                    )
+                # zero-weight atoms may pair to zero; keep them out of the log
+                vals[vals <= DELTA_FLOOR] = 1.0
+            np.log(vals, out=vals)
+            # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
+            np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK],
+                      out=out[a - lo:b - lo])
+        return out
 
     # serial or threaded, _run_blocks raises the first failure in task order
     cloud_blocks = range(0, cloud.size, _EVAL_CHUNK)

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import matwalk as mw
 from matwalk import rng, walks
-from matwalk.stationary import canonicalize_rows, psi_eval_many
+from matwalk.stationary import _EVAL_ROWS, canonicalize_rows, psi_eval_many
 from matwalk.stats import mean_ci_halfwidth
 
 from conftest import gaussian_measure
@@ -160,7 +161,11 @@ def test_psi_eval_many_same_bytes_at_any_thread_count(free_pair):
 
 
 def test_psi_eval_many_stacked_sets_match_separate_calls(free_pair):
-    # 1001 rows: BLAS rounds the last rows of a block by their place in it
+    # 1001 rows per set: each set is blocked and tiled from its own first row.
+    # With numpy's bundled OpenBLAS on an x86-64 Xeon, row blocks of 1 to 256
+    # rows (d = 1 to 5, several offsets) matched the same rows of a 2048-row
+    # product except one-row blocks (a gemv); other BLAS kernels may round a
+    # row by its place in its block
     dual = mw.estimate_dual_stationary(free_pair, burn_in=40, particles=2100, seed=2)
     psi = mw.PsiFunction(dual)
     sets = np.random.default_rng(4).normal(size=(3, 1001, 2))
@@ -168,6 +173,82 @@ def test_psi_eval_many_stacked_sets_match_separate_calls(free_pair):
     stacked = psi_eval_many(psi, sets.reshape(-1, 2), groups=3)
     separate = np.concatenate([psi_eval_many(psi, s) for s in sets])
     assert stacked.tobytes() == separate.tobytes()
+
+
+def _unit_rows(gen, rows, dim):
+    return canonicalize_rows(gen.normal(size=(rows, dim)))
+
+
+def _per_block_psi(cloud, x, groups):
+    """psi as one 2048 x 2048 product per block, each set blocked from its
+    own first row and each row adding up its cloud blocks in cloud order."""
+    out = []
+    for rows in np.split(x, groups):
+        for lo in range(0, len(rows), 2048):
+            total = np.zeros(len(rows[lo:lo + 2048]))
+            for clo in range(0, cloud.size, 2048):
+                vals = np.abs(rows[lo:lo + 2048] @ cloud.reps[clo:clo + 2048].T)
+                vals = np.log(np.minimum(vals, 1.0))
+                total = total + np.einsum("ij,j->i", vals, cloud.weights[clo:clo + 2048])
+            out.append(total)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("particles", [1, 2049])
+@pytest.mark.parametrize("groups", [1, 3])
+def test_psi_eval_many_tiles_are_byte_invisible(dim, particles, groups):
+    gen = np.random.default_rng(100 * dim + particles + groups)
+    cloud = mw.EmpiricalMeasure(reps=_unit_rows(gen, particles, dim),
+                                weights=np.full(particles, 1.0 / particles), dual=True)
+    psi = mw.PsiFunction(cloud)
+    for rows in (1, 2, _EVAL_ROWS - 1, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 1,
+                 2047, 2048, 2049, 4097):
+        x = _unit_rows(gen, groups * rows, dim)
+        want = _per_block_psi(cloud, x, groups).tobytes()
+        one, two = _thread_runs(lambda: psi_eval_many(psi, x, groups=groups))
+        assert one.tobytes() == two.tobytes() == want, rows
+
+
+@pytest.mark.parametrize("x_rows, message", [
+    (np.array([0.6, 0.8]), "shape"),
+    (np.array([[0.6, 0.8, 0.0]]), "shape"),
+    (np.array([[0.6, 0.8], [np.nan, 1.0]]), "finite"),
+    (np.array([[np.inf, 0.0]]), "finite"),
+])
+def test_psi_eval_many_rejects_malformed_rows(x_rows, message):
+    psi = mw.PsiFunction(uniform_circle_cloud(5, dual=True))
+    with pytest.raises(ValueError, match=message):
+        psi_eval_many(psi, x_rows)
+
+
+@pytest.mark.parametrize("reps, weights", [
+    ([[1.0, 0.0], [np.nan, 1.0]], [0.5, 0.5]),
+    ([[1.0, 0.0], [0.0, np.inf]], [0.5, 0.5]),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.nan]),
+])
+def test_empirical_measure_rejects_non_finite_entries(reps, weights):
+    with pytest.raises(ValueError):
+        mw.EmpiricalMeasure(reps=np.array(reps), weights=np.array(weights), dual=True)
+
+
+def test_psi_eval_many_working_memory_is_bounded():
+    # 3000 rows against 20k particles: one pairing tile per worker thread, never
+    # a whole 2048 x 2048 block (numpy reports its buffers to tracemalloc)
+    cloud = mw.EmpiricalMeasure(reps=mw.start_cloud(2, 20000), weights=np.full(20000, 5e-5),
+                                dual=True)
+    x = _unit_rows(np.random.default_rng(8), 3000, 2)
+    walks.set_thread_count(2)
+    tracemalloc.start()
+    try:
+        values = psi_eval_many(mw.PsiFunction(cloud), x, groups=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        walks.set_thread_count(1)
+    assert np.all(values <= 0.0)
+    assert peak <= 2 * _EVAL_ROWS * 2048 * 8 + 2_000_000
+    assert _EVAL_ROWS * 2048 * 8 <= 2**21   # a tile fits a 2 MB per-core L2
 
 
 _BLAS_BYTES_SCRIPT = """
@@ -212,24 +293,37 @@ def test_bytes_do_not_depend_on_blas_threads():
     assert runs[0] == runs[1]
 
 
-def test_psi_singular_pairing_reported_in_scan_order():
-    # row 700 meets cloud atom 4500 and row 2500 meets atom 10: the first
-    # 2048-row block is scanned over the whole cloud before the second
+def _first_singular(row_on_atom_4500, row_on_atom_10):
+    """The error of psi at 3000 rows, where the two given rows are orthogonal
+    to cloud atoms 4500 and 10 of 5000, at one and at two walk threads."""
     rng_ = np.random.default_rng(5)
     reps = rng_.normal(size=(5000, 2))
     reps[4500], reps[10] = [0.0, 1.0], [1.0, 0.0]
     cloud = mw.EmpiricalMeasure(reps=canonicalize_rows(reps),
                                 weights=np.full(5000, 1 / 5000), dual=True)
     x = canonicalize_rows(rng_.normal(size=(3000, 2)))
-    x[700], x[2500] = [1.0, 0.0], [0.0, 1.0]
+    x[row_on_atom_4500], x[row_on_atom_10] = [1.0, 0.0], [0.0, 1.0]
 
     def first_singular():
         with pytest.raises(mw.SingularEvaluationError) as err:
             psi_eval_many(mw.PsiFunction(cloud), x)
         return err.value.atom_index, str(err.value)
 
-    one, two = _thread_runs(first_singular)
+    return _thread_runs(first_singular)
+
+
+def test_psi_singular_pairing_reported_in_scan_order():
+    # row 700 meets cloud atom 4500 and row 2500 meets atom 10: the first
+    # 2048-row block is scanned over the whole cloud before the second
+    one, two = _first_singular(700, 2500)
     assert one == two == (4500, "evaluation point 700 is orthogonal to cloud atom 4500")
+
+
+def test_psi_singular_pairing_scan_order_inside_one_block():
+    # rows 100 and 700 share a 2048-row block: its first cloud block (atom 10)
+    # is scanned over all its rows before its third (atom 4500), tiles or not
+    one, two = _first_singular(100, 700)
+    assert one == two == (10, "evaluation point 700 is orthogonal to cloud atom 10")
 
 
 def test_advance_cloud_continues_each_stream(free_pair):
