@@ -58,20 +58,14 @@ def main(argv=None):
                     [f"unknown builtin scenario {args.name!r}; try 'matwalk list'"]
                 )
             config = bundle[args.name]
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         out = run_scenario(config, out_dir=args.out, seed=args.seed,
                            threads=args.threads)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the config file cannot be read
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MatwalkError, ValueError) as exc:
         # a library ValueError is a bad value met at run time, not a crash

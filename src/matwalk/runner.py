@@ -7,6 +7,10 @@ kinds export the particle cloud.  Artifacts are byte-deterministic functions
 of ``(config, master seed)``; the thread count never reaches them.  The
 schedule arrives validated and typed, with every default filled in
 (``scenarios.SCHEDULES``), so the runners only read it.
+
+There is one runner per key of ``scenarios.SCHEDULES``; each returns the report
+table and the summary lines after the common header, ``(header, rows, lines)``,
+and ``run_scenario`` alone writes both files.
 """
 
 import functools
@@ -93,11 +97,7 @@ def _run_lyapunov(config, mu, seed, out):
     else:
         est = lyapunov_top(mu, n=n, replicas=replicas, seed=seed)
         rows = [("lambda1", est.lambda1, est.ci_halfwidth, n, replicas, seed)]
-    write_csv(out / "report.csv", header, rows)
-    lines = _header_lines(config, seed) + [
-        f"{q}: {fmt(v)} +- {fmt(ci)}" for q, v, ci, *_ in rows
-    ]
-    write_summary(out / "summary.txt", lines)
+    return header, rows, [f"{q}: {fmt(v)} +- {fmt(ci)}" for q, v, ci, *_ in rows]
 
 
 def _reference_cdf(sched):
@@ -118,9 +118,7 @@ def _run_clt(config, mu, seed, out):
         mu, x=x, n=sched["n"], samples=sched["samples"], seed=seed,
         reference=reference, lambda1=sched["lambda1"],
     )
-    write_csv(out / "report.csv", ["sample_index", "normalized_value"],
-              list(enumerate(report.samples)))
-    lines = _header_lines(config, seed) + [
+    lines = [
         f"statistic: {'cocycle at start point' if x is not None else 'log operator norm'}",
         f"exponent_used: {fmt(report.lambda_used)} +- {fmt(report.lambda_ci_halfwidth)}",
         f"fitted_mean: {fmt(report.fitted_mean)}",
@@ -130,12 +128,12 @@ def _run_clt(config, mu, seed, out):
     if report.ks_vs_reference is not None:
         lines.append(f"ks_vs_reference[{ref_label}]: {fmt(report.ks_vs_reference)}")
     lines.append(f"degenerate_limit: {fmt(report.degenerate)}")
-    write_summary(out / "summary.txt", lines)
     fit_cdf = reference if reference is not None else (
         lambda t: gaussian_cdf(t, float(report.fitted_mean), float(report.fitted_covariance))
     )
     svg_histogram(out / "histogram.svg", report.samples, cdf=fit_cdf,
                   title=f"{config.name}: normalized samples")
+    return ["sample_index", "normalized_value"], list(enumerate(report.samples)), lines
 
 
 def _run_clt_cartan(config, mu, seed, out):
@@ -144,10 +142,9 @@ def _run_clt_cartan(config, mu, seed, out):
     d = mu.dim
     header = ["sample_index"] + [f"coord_{j + 1}" for j in range(d)]
     rows = [(i, *row) for i, row in enumerate(report.samples)]
-    write_csv(out / "report.csv", header, rows)
     lam = ", ".join(fmt(v) for v in report.lambda_used)
     lam_ci = ", ".join(fmt(v) for v in report.lambda_ci_halfwidth)
-    lines = _header_lines(config, seed) + [
+    lines = [
         f"rate_vector: [{lam}]",
         f"rate_ci_halfwidths: [{lam_ci}]",
         f"max_coordinate_sum: {fmt(report.max_coordinate_sum)}",
@@ -155,9 +152,9 @@ def _run_clt_cartan(config, mu, seed, out):
         f"restricted_min_eigenvalue: {fmt(report.restricted_min_eigenvalue)}"
         f" +- {fmt(report.restricted_min_eigenvalue_ci)}",
     ]
-    write_summary(out / "summary.txt", lines)
     svg_histogram(out / "histogram.svg", report.samples[:, 0],
                   title=f"{config.name}: first coordinate")
+    return header, rows, lines
 
 
 def _run_stationary(config, mu, seed, out):
@@ -173,9 +170,8 @@ def _run_stationary(config, mu, seed, out):
     header = ["point_index", "p", "integral_value"] + [
         f"y_{j + 1}" for j in range(mu.dim)
     ]
-    write_csv(out / "report.csv", header, rows)
     finite = [r[2] for r in rows if np.isfinite(r[2])]
-    lines = _header_lines(config, seed) + [
+    return header, rows, [
         f"particles: {particles}, burn_in: {burn_in}",
         f"finite_integrals: {len(finite)}/{len(rows)}",
         f"integral_min: {fmt(min(finite)) if finite else ''}",
@@ -183,7 +179,6 @@ def _run_stationary(config, mu, seed, out):
         "note: continuity in the test direction is reported as stability"
         " across independent clouds, not pointwise.",
     ]
-    write_summary(out / "summary.txt", lines)
 
 
 def _run_cohomological(config, mu, seed, out):
@@ -197,28 +192,23 @@ def _run_cohomological(config, mu, seed, out):
     res = cohomological_residual(mu, psi, est.lambda1, xs)
     header = ["point_index", "residual"] + [f"x_{j + 1}" for j in range(mu.dim)]
     rows = [(i, r, *x.rep) for i, (r, x) in enumerate(zip(res.residuals, xs))]
-    write_csv(out / "report.csv", header, rows)
-    lines = _header_lines(config, seed) + [
+    return header, rows, [
         f"exponent_used: {fmt(est.lambda1)} +- {fmt(est.ci_halfwidth)}",
         f"dual_particles: {particles}, burn_in: {burn_in}",
         f"mean_abs_residual: {fmt(res.mean_abs)}",
         f"max_abs_residual: {fmt(res.max_abs)}",
     ]
-    write_summary(out / "summary.txt", lines)
 
 
 def _run_large_deviation(config, mu, seed, out):
     sched = config.schedule
     curve = large_deviation_curve(mu, sched["eps"], sched["n_values"],
                                   replicas=sched["replicas"], seed=seed)
-    write_csv(out / "report.csv", ["n", "frequency"],
-              list(zip(curve.schedule, curve.frequencies)))
-    lines = _header_lines(config, seed) + [
+    return ["n", "frequency"], list(zip(curve.schedule, curve.frequencies)), [
         f"eps: {fmt(curve.epsilon)}",
         f"exponent_used: {fmt(curve.lambda_used)}",
         f"decay_rate: {fmt(curve.decay_rate) if curve.decay_rate is not None else 'indeterminate'}",
     ]
-    write_summary(out / "summary.txt", lines)
 
 
 def _run_lil(config, mu, seed, out):
@@ -226,66 +216,63 @@ def _run_lil(config, mu, seed, out):
     x = ProjectivePoint(np.eye(mu.dim)[0])
     report = lil_diagnostic(mu, x, sched["n_max"], seed,
                             lambda1=sched["lambda1"], phi=sched["phi"])
-    write_csv(out / "report.csv", ["n", "normalized_value"],
-              list(zip(report.checkpoints, report.normalized_at_checkpoints)))
-    lines = _header_lines(config, seed) + [
+    rows = list(zip(report.checkpoints, report.normalized_at_checkpoints))
+    return ["n", "normalized_value"], rows, [
         f"window: [{report.window[0]}, {report.window[1]}]",
         f"max_normalized: {fmt(report.max_normalized)}",
         f"min_normalized: {fmt(report.min_normalized)}",
         f"within_band: {fmt(report.within_band)}",
         f"reaches_band: {fmt(report.reaches_band)}",
     ]
-    write_summary(out / "summary.txt", lines)
 
 
 _STREAMS = {"coin": "iid_bounded", "gaussian": "iid_square_integrable",
             "counterexample_3i": "counterexample_3i"}
 
 
-def _run_martingale(config, mu, seed, out):
+def _run_azuma(config, mu, seed, out):
     sched = config.schedule
-    check = sched["check"]
-    if check == "azuma":
-        stream = martingales.DifferenceStream(kind=_STREAMS[sched["stream"]], seed=seed)
-        report = martingales.azuma_check(stream, sched["eps"], sched["n_values"],
-                                         trials=sched["trials"])
-        write_csv(out / "report.csv", ["n", "frequency", "bound", "partial_sum"],
-                  [(n, f, b, None) for n, f, b in
-                   zip(report.schedule, report.frequencies, report.bounds)])
-        margins = report.bounds + 3.0 * report.ci_halfwidths - report.frequencies
-        lines = _header_lines(config, seed) + [
-            f"eps: {fmt(report.eps)}, trials: {report.trials}",
-            f"bound_respected: {fmt(report.satisfied)}",
-            f"min_margin_with_3_halfwidths: {fmt(float(margins.min()))}",
-        ]
-    elif check == "baum_katz":
-        # the tail power p weights the sums, and shapes the counterexample stream
-        stream = martingales.DifferenceStream(kind=_STREAMS[sched["stream"]], seed=seed,
-                                              p=sched["p"])
-        report = martingales.baum_katz_sums(stream, sched["p"], sched["eps"],
-                                            sched["n_values"], replicas=sched["replicas"])
-        write_csv(out / "report.csv", ["n", "frequency", "bound", "partial_sum"],
-                  [(n, f, None, s) for n, f, s in
-                   zip(report.schedule, report.empirical_probs,
-                       report.weighted_partial_sums)])
-        lines = _header_lines(config, seed) + [
-            f"p: {fmt(report.p)}, eps: {fmt(report.epsilon)}, replicas: {report.replicas}",
-            f"verdict: {report.verdict}",
-        ]
-    else:  # brown
-        spec = martingales.TriangularArraySpec(
-            kind=sched["array_kind"], row_sizes=sched["row_sizes"], eps=sched["eps"],
-            replicas=sched["replicas"], seed=seed,
-        )
-        report = martingales.brown_triangular_check(spec)
-        write_csv(out / "report.csv", ["n", "w_n", "lindeberg_term"],
-                  list(zip(report.row_sizes, report.w_values, report.lindeberg_values)))
-        lines = _header_lines(config, seed) + [
-            f"phi: {fmt(report.phi)}",
-            f"ks_vs_limit: {fmt(report.ks_vs_limit) if report.ks_vs_limit is not None else 'degenerate'}",
-            f"lindeberg_violated: {fmt(report.lindeberg_violated)}",
-        ]
-    write_summary(out / "summary.txt", lines)
+    stream = martingales.DifferenceStream(kind=_STREAMS[sched["stream"]], seed=seed)
+    report = martingales.azuma_check(stream, sched["eps"], sched["n_values"],
+                                     trials=sched["trials"])
+    rows = [(n, f, b, None) for n, f, b in
+            zip(report.schedule, report.frequencies, report.bounds)]
+    margins = report.bounds + 3.0 * report.ci_halfwidths - report.frequencies
+    return ["n", "frequency", "bound", "partial_sum"], rows, [
+        f"eps: {fmt(report.eps)}, trials: {report.trials}",
+        f"bound_respected: {fmt(report.satisfied)}",
+        f"min_margin_with_3_halfwidths: {fmt(float(margins.min()))}",
+    ]
+
+
+def _run_baum_katz(config, mu, seed, out):
+    sched = config.schedule
+    # the tail power p weights the sums, and shapes the counterexample stream
+    stream = martingales.DifferenceStream(kind=_STREAMS[sched["stream"]], seed=seed,
+                                          p=sched["p"])
+    report = martingales.baum_katz_sums(stream, sched["p"], sched["eps"],
+                                        sched["n_values"], replicas=sched["replicas"])
+    rows = [(n, f, None, s) for n, f, s in
+            zip(report.schedule, report.empirical_probs, report.weighted_partial_sums)]
+    return ["n", "frequency", "bound", "partial_sum"], rows, [
+        f"p: {fmt(report.p)}, eps: {fmt(report.epsilon)}, replicas: {report.replicas}",
+        f"verdict: {report.verdict}",
+    ]
+
+
+def _run_brown(config, mu, seed, out):
+    sched = config.schedule
+    spec = martingales.TriangularArraySpec(
+        kind=sched["array_kind"], row_sizes=sched["row_sizes"], eps=sched["eps"],
+        replicas=sched["replicas"], seed=seed,
+    )
+    report = martingales.brown_triangular_check(spec)
+    rows = list(zip(report.row_sizes, report.w_values, report.lindeberg_values))
+    return ["n", "w_n", "lindeberg_term"], rows, [
+        f"phi: {fmt(report.phi)}",
+        f"ks_vs_limit: {fmt(report.ks_vs_limit) if report.ks_vs_limit is not None else 'degenerate'}",
+        f"lindeberg_violated: {fmt(report.lindeberg_violated)}",
+    ]
 
 
 _RUNNERS = {
@@ -296,7 +283,9 @@ _RUNNERS = {
     "cohomological": _run_cohomological,
     "large_deviation": _run_large_deviation,
     "lil": _run_lil,
-    "martingale_lab": _run_martingale,
+    "martingale_lab/azuma": _run_azuma,
+    "martingale_lab/baum_katz": _run_baum_katz,
+    "martingale_lab/brown": _run_brown,
 }
 
 
@@ -329,5 +318,13 @@ def run_scenario(config, out_dir=None, seed=None, threads=1):
             [f"cannot create output directory {str(out)!r}: {exc.strerror or exc}"]
         ) from exc
     mu = config.to_measure()
-    _RUNNERS[config.kind](config, mu, seed, out)
+    key = config.kind
+    if key == "martingale_lab":
+        key += "/" + config.schedule["check"]
+    try:
+        header, rows, lines = _RUNNERS[key](config, mu, seed, out)
+        write_csv(out / "report.csv", header, rows)
+        write_summary(out / "summary.txt", _header_lines(config, seed) + lines)
+    except OSError as exc:  # an artifact path is taken, say by a directory
+        raise ConfigError([f"cannot write artifacts in {str(out)!r}: {exc}"]) from exc
     return out

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularMatrixError
+from .linalg import check_group_element
 from .measures import (
     GeneratorMeasure,
     free_semigroup_pair,
@@ -306,6 +307,12 @@ def _check_measure(measure, dim, problems):
                     f"atom {i} must be a flat row-major list of {dim * dim} finite reals"
                 )
                 atoms_ok = False
+                continue
+            try:
+                check_group_element(np.reshape(a, (dim, dim)))
+            except SingularMatrixError as exc:
+                problems.append(f"atom {i}: {exc}")
+                atoms_ok = False
         if atoms_ok:
             atoms = tuple(tuple(float(v) for v in a) for a in raw_atoms)
     raw_weights = measure.get("weights")
@@ -370,10 +377,10 @@ def load_config(path):
     """Parse and validate a scenario file."""
     import yaml  # only scenario files need it; the built-ins are Python
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # or not UTF-8, or a bad date
             raise ConfigError([f"not valid YAML: {exc}"]) from exc
     return validate_config(data)
 

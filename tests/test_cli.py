@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import re
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
-from matwalk import scenarios, walks
+from matwalk import runner, scenarios, walks
 from matwalk.cli import main
 
 REQUIRED_BUILTINS = {
@@ -40,6 +41,28 @@ GOLDEN_HEADERS = {
     "martingale_brown": "n,w_n,lindeberg_term",
     "cloud_d2": "coord_1,coord_2,weight",
 }
+
+# summary.txt keys (the text before the first ':' of each line) are a contract too;
+# every summary opens with the common header, then the keys of its kind
+COMMON_SUMMARY_KEYS = ["scenario", "kind", "master_seed", "dimension", "claim"]
+GOLDEN_SUMMARY_KEYS = {
+    "lyapunov": ["lambda1", "lambda2", "pair_sum", "simplicity_gap"],
+    "clt_cartan_d3": ["rate_vector", "rate_ci_halfwidths", "max_coordinate_sum",
+                      "ks_vs_fitted_gaussian_max_coord", "restricted_min_eigenvalue"],
+    "stationary_d2": ["particles", "finite_integrals", "integral_min", "integral_max",
+                      "note"],
+    "cohomological_d2": ["exponent_used", "dual_particles", "mean_abs_residual",
+                         "max_abs_residual"],
+    "large_deviation": ["eps", "exponent_used", "decay_rate"],
+    "lil": ["window", "max_normalized", "min_normalized", "within_band", "reaches_band"],
+    "martingale_azuma": ["eps", "bound_respected", "min_margin_with_3_halfwidths"],
+    "martingale_baum_katz": ["p", "verdict"],
+    "martingale_brown": ["phi", "ks_vs_limit", "lindeberg_violated"],
+}
+
+
+def summary_keys(out):
+    return [line.split(":")[0] for line in (out / "summary.txt").read_text().splitlines()]
 
 
 def write_config(tmp_path, data, name="scenario.yaml"):
@@ -83,6 +106,8 @@ def test_minimal_lyapunov_scenario(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines[0] == GOLDEN_HEADERS["lyapunov"]
+    assert summary_keys(tmp_path / "out") == (COMMON_SUMMARY_KEYS
+                                              + GOLDEN_SUMMARY_KEYS["lyapunov"])
     first = lines[1].split(",")
     assert first[0] == "lambda1"
     assert float(first[1]) == pytest.approx(np.log(2.0), abs=1e-9)
@@ -239,6 +264,8 @@ def test_golden_headers_across_kinds(tmp_path):
         assert main(["run", small, "--out", str(out)]) == 0, name
         header = (out / "report.csv").read_text().splitlines()[0]
         assert header == GOLDEN_HEADERS[header_key], name
+        keys = COMMON_SUMMARY_KEYS + GOLDEN_SUMMARY_KEYS[header_key]
+        assert summary_keys(out) == keys, name
     cloud_header = (tmp_path / "out_log_regularity_sl2" / "cloud.csv").read_text().splitlines()[0]
     assert cloud_header == GOLDEN_HEADERS["cloud_d2"]
 
@@ -279,9 +306,15 @@ def test_runs_without_scipy_or_yaml_loaded(tmp_path):
         assert (tmp_path / name / "report.csv").is_file()
 
 
-def test_invalid_yaml_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    b"name: [unclosed\n",
+    b"name: \xff\xfe\n",            # not UTF-8
+    b"\x80\x81\x82 binary\n",        # not UTF-8, from the first byte
+    b"master_seed: 2001-13-45\n",    # a date that does not exist
+])
+def test_invalid_yaml_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "broken.yaml"
-    path.write_text("name: [unclosed\n")
+    path.write_bytes(text)
     assert main(["run", str(path)]) == 2
     assert "not valid YAML" in capsys.readouterr().err
 
@@ -299,6 +332,41 @@ def test_out_naming_a_file_is_config_error(tmp_path, sub):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert str(out) in lines[0]
     assert target.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("table, artifact", [
+    ("lyapunov", "report.csv"),
+    ("lyapunov", "summary.txt"),
+    ("stationary", "cloud.csv"),
+    ("clt", "histogram.svg"),
+])
+def test_unwritable_artifact_is_config_error(tmp_path, table, artifact):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-m", "matwalk", "run",
+                           write_config(tmp_path, small_config(table)), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert str(out / artifact) in lines[0]
+
+
+def test_one_runner_per_schedule_table():
+    assert set(runner._RUNNERS) == set(scenarios.SCHEDULES)
+
+
+def test_only_run_scenario_writes_report_and_summary():
+    tree = ast.parse(Path(runner.__file__).read_text())
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in ("write_csv", "write_summary"):
+                    callers.add((getattr(top, "name", None), called))
+    assert callers == {("run_scenario", "write_csv"), ("run_scenario", "write_summary")}
 
 
 def test_python_dash_m_matwalk_lists_the_bundle():
@@ -392,6 +460,8 @@ BAD_INPUTS = {
     "cartan_dimension_1": ("clt_cartan", {}, {"dimension": 1,
                                               "measure": identity_measure(1)},
                            [], None, "'dimension'"),
+    "atom_singular": ("lyapunov", {}, {"measure": {"atoms": [[1, 0, 0, 0], [1, 1, 0, 1]]}},
+                      [], None, "atom 0"),
     "atom_nan": ("lyapunov", {}, {"measure": {"atoms": [[float("nan"), 0.0, 0.0, 1.0]]}},
                  [], None, "atom 0"),
     "name_number": ("lyapunov", {}, {"name": 5}, [], None, "'name'"),
