@@ -21,10 +21,24 @@ zero) and discards ``k % 4`` draws; the result equals the columns ``k:`` of
 a draw from the start of each stream (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11).
 
-How a block is drawn does not change its bytes.  ``replica_uniforms`` re-keys
-one Philox per replica through the public ``state`` setter, given a state
-dict of plain Python ints in which only the second key word changes (numpy
-array fields cost the setter more than the draw of a short row).
+How a block is drawn does not change its bytes.  ``replica_uniforms`` has
+two paths to numpy's own Philox4x64-10 output.  Rows of more than
+``_SHORT_ROW`` (24) uniforms re-key one Philox per replica through the public
+``state`` setter, given a state dict of plain Python ints in which only the
+second key word changes (numpy array fields cost the setter more than the
+draw of a short row).  Re-keying costs about 1.5 us per replica, so shorter
+rows (one uniform per particle in ``advance_cloud``, one per replica in
+``brown_triangular_check``) are evaluated in numpy for all keys at once,
+``2**14`` counters at a time: ten rounds of the two 64-bit mul-hi products
+(multipliers ``0xD2E7470EE14C6C93`` and ``0xCA5A826395121157``, taken on
+32-bit halves) with the key bumped by ``0x9E3779B97F4A7C15`` and
+``0xBB67AE8584CAA73B`` between rounds.  numpy steps the 256-bit counter
+before each block of four outputs, so draw ``k`` of a stream is word
+``k % 4`` of counter ``k // 4 + 1``, and its uniform is ``(word >> 11) *
+2**-53``.  Both paths give the same bytes.  The vectorised form pays about
+50 ns per uniform against numpy's 5-7, so the two cost the same at rows of
+about 30 uniforms (2-vCPU Xeon, numpy 2.4), and the threshold sits below.
+
 ``replica_words`` fills its word array one sub-block of rows at a time, about
 ``2**16`` uniforms each (one row when a row is longer); each sub-block is
 drawn by one ``replica_uniforms`` call, so every stream and uniform drawn is
@@ -33,7 +47,12 @@ uniforms of a whole block never exist at once, and the words equal those
 mapped from one ``replica_uniforms`` call for the block.  Stream indices run
 over ``[0, 2**44)``; a block reaching past either end raises ``ValueError``,
 since a larger index would carry into the tag bits and read another family.
+A master seed outside ``[0, 2**64)`` or a skip that is not an integer raises
+``ValueError`` too, where it would otherwise alias a seed modulo ``2**64``
+or be truncated.
 """
+
+import numbers
 
 import numpy as np
 
@@ -52,16 +71,63 @@ TAG_TEST_POINTS = 8   # deterministic auxiliary point draws
 _MAX_INDEX = 1 << 44
 _MASK64 = (1 << 64) - 1
 _SUB_BLOCK_UNIFORMS = 1 << 16   # uniforms per sub-block of ``replica_words``
+_SHORT_ROW = 24                 # longest row drawn by ``_philox_rows``
+_PHILOX_COUNTERS = 1 << 14      # counters per sub-block of ``_philox_rows``
+# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_HALF, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
+
+
+def _seed(master_seed):
+    if not (isinstance(master_seed, numbers.Integral) and 0 <= master_seed <= _MASK64):
+        raise ValueError(f"master seed must be an integer in [0, 2**64): {master_seed!r}")
+    return int(master_seed)
 
 
 def stream(master_seed, tag, index=0):
     """Generator for substream ``index`` of the ``tag`` family under a seed."""
     if not 0 <= index < _MAX_INDEX:
         raise ValueError(f"stream index out of range: {index}")
-    key = np.empty(2, dtype=np.uint64)
-    key[0] = np.uint64(master_seed & _MASK64)
-    key[1] = np.uint64((tag << 44) | index)
+    key = np.array([_seed(master_seed), (tag << 44) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(m, x):
+    """High and low words of ``m * x`` for a constant ``m``, on 32-bit halves."""
+    mh, ml = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    hi, xl = x >> _HALF, x & _LOW
+    t = xl * ml
+    t >>= _HALF
+    t += hi * ml
+    u = xl * mh
+    u += t & _LOW
+    t >>= _HALF
+    u >>= _HALF
+    hi *= mh
+    hi += t
+    hi += u
+    return hi, x * np.uint64(m)
+
+
+def _philox_rows(seed, keys, skip, count):
+    """Uniforms ``skip, ..., skip + count - 1`` of the streams keyed ``(seed, k)``
+    for every ``k`` in ``keys``: Philox4x64-10 evaluated for all keys at once."""
+    block, discard = divmod(skip, 4)
+    # numpy steps the counter before each block of four outputs, so draw
+    # ``k`` is word ``k % 4`` of counter ``k // 4 + 1``
+    counters = range(block + 1, block + 1 + (discard + count + 3) // 4)
+    c0, c1, c2, c3 = (np.array([(c >> 64 * w) & _MASK64 for c in counters], dtype=np.uint64)
+                      for w in range(4))
+    k1 = keys[:, None]
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k1 = k1 + np.uint64(_PHILOX_W[1])
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)
+    return (words[:, discard:discard + count] >> np.uint64(11)) * 2.0**-53
 
 
 def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0):
@@ -69,26 +135,39 @@ def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0)
 
     Row ``i`` holds uniforms ``skip, ..., skip + count - 1`` of the stream
     ``(master_seed, tag, first_replica + i)``, so the result is independent of
-    how replicas are grouped into blocks.  One bit generator serves the whole
-    block: it is re-keyed and its counter reset for every replica.
+    how replicas are grouped into blocks.  Rows of at most ``_SHORT_ROW``
+    uniforms are evaluated for all keys at once, ``_PHILOX_COUNTERS``
+    counters at a time; longer rows share one bit generator, re-keyed and
+    its counter reset for every replica.  The seed must lie in ``[0, 2**64)``
+    and ``skip`` be a non-negative integer.
     """
+    seed = _seed(master_seed)
+    if not isinstance(skip, numbers.Integral):
+        raise ValueError(f"skip must be an integer number of draws: {skip!r}")
     if skip < 0:
         raise ValueError(f"cannot skip a negative number of draws: {skip}")
     if not (0 <= first_replica and first_replica + replicas <= _MAX_INDEX):
         raise ValueError(f"replica streams {first_replica} to {first_replica + replicas - 1} "
                          f"are outside the stream index range [0, 2**44)")
     out = np.empty((replicas, count))
+    first = (tag << 44) | int(first_replica)
+    skip = int(skip)
+    block, discard = divmod(skip, 4)
+    if count <= _SHORT_ROW:
+        rows = max(1, _PHILOX_COUNTERS // max(1, (discard + count + 3) // 4))
+        for lo in range(0, replicas, rows):
+            keys = np.arange(first + lo, first + min(lo + rows, replicas), dtype=np.uint64)
+            out[lo:lo + rows] = _philox_rows(seed, keys, skip, count)
+        return out
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bits)
-    block, discard = divmod(int(skip), 4)
-    key = [int(master_seed) & _MASK64, 0]
+    key = [seed, 0]
     # the 256-bit counter as it stands after ``block`` blocks of four draws,
     # with the output buffer empty
     state = {"bit_generator": "Philox",
              "state": {"counter": [(block >> (64 * k)) & _MASK64 for k in range(4)],
                        "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    first = (tag << 44) | int(first_replica)
     for index, row in zip(range(first, first + replicas), out):
         key[1] = index
         bits.state = state
@@ -105,8 +184,8 @@ def indices_from_uniforms(u, weights):
     if len(weights) == 1:
         return np.zeros(u.shape, dtype=np.uint8)
     if len(weights) <= 8:
-        idx = np.zeros(u.shape, dtype=np.uint8)
-        for c in cdf[:-1]:
+        idx = np.greater_equal(u, cdf[0]).view(np.uint8)
+        for c in cdf[1:-1]:
             idx += (u >= c)
         return idx
     return np.searchsorted(cdf, u, side="right").astype(np.uint16)

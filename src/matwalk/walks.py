@@ -183,9 +183,11 @@ class _LetterTable:
         for end in marks:
             full, rest = divmod(end - pos, self.letters)
             letters = words[:, pos:end - rest].reshape(len(words), full, self.letters)
-            codes = np.zeros((len(words), full), dtype=np.uint16)
-            for j in range(self.letters):
-                codes += letters[:, :, j] * np.uint16(self.n_atoms**j)
+            # Horner: codes < A^L <= 256, so no step overflows
+            codes = letters[:, :, -1].astype(np.uint16)
+            for j in range(self.letters - 2, -1, -1):
+                codes *= np.uint16(self.n_atoms)
+                codes += letters[:, :, j]
             parts += [codes, words[:, end - rest:end] + np.uint16(self.single)]
             for step in [self.letters] * full + [1] * rest:
                 rescale.append(since + step > self.interval)

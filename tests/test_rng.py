@@ -1,10 +1,11 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import matwalk as mw
-from matwalk import rng
+from matwalk import rng, walks
 
 _LAST = (1 << 44) - 1   # the largest stream index
 
@@ -103,3 +104,152 @@ def test_replica_words_draw_every_stream_once_through_replica_uniforms(monkeypat
     assert sum(r for r, _ in calls) == replicas
     assert sum(r * c for r, c in calls) == replicas * n
     assert all(r * c <= max(rng._SUB_BLOCK_UNIFORMS, n) for r, c in calls)
+
+
+def _philox_reference(seed, tag, replicas, count, first=0, skip=0):
+    """Uniforms ``skip, ..., skip + count - 1`` of every stream from numpy's Philox."""
+    out = np.empty((replicas, count))
+    for i in range(replicas):
+        bits = np.random.Philox(key=np.array([seed, (tag << 44) | (first + i)], dtype=np.uint64))
+        bits.advance(skip // 4)
+        gen = np.random.Generator(bits)
+        gen.random(skip % 4)
+        out[i] = gen.random(count)
+    return out
+
+
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest(), a.shape, a.dtype
+
+
+SHORT_AND_LONG_ROWS = [
+    (9, 20000, 1, 0, 500),                      # two sub-blocks of counters
+    (2**64 - 1, 100, 13, 0, 0),
+    (9, 7, 9, 0, 3),
+    (9, 4096, 1, 0, 1001),
+    (9, 50, 16, 12345, 0),
+    (9, 30, 5, 3, 2**66 + 5),                   # the counter's third word
+    (9, 30, 7, 3, (2**64 - 1) * 4 + 2),         # the first word carries
+    (9, 0, 3, 0, 0),
+    (9, 3, 0, 0, 6),
+    (9, 2, 5, _LAST - 1, 7),
+    (0, 40, rng._SHORT_ROW, 1, 3),
+    (0, 40, rng._SHORT_ROW + 1, 1, 3),
+    (5, 20, 64, 0, 2),
+]
+
+
+@pytest.mark.parametrize("seed, replicas, count, first, skip", SHORT_AND_LONG_ROWS)
+def test_replica_uniforms_equal_numpy_philox(seed, replicas, count, first, skip):
+    block = rng.replica_uniforms(seed, rng.TAG_CLOUD, replicas, count, first, skip)
+    expected = _philox_reference(seed, rng.TAG_CLOUD, replicas, count, first, skip)
+    assert _digest(block) == _digest(expected)
+
+
+@pytest.mark.parametrize("count", [1, 6, rng._SHORT_ROW])
+def test_short_rows_in_many_sub_blocks_equal_numpy_philox(monkeypatch, count):
+    monkeypatch.setattr(rng, "_PHILOX_COUNTERS", 5)
+    block = rng.replica_uniforms(3, rng.TAG_WALK, 23, count, 40, 2)
+    assert _digest(block) == _digest(_philox_reference(3, rng.TAG_WALK, 23, count, 40, 2))
+
+
+def test_one_draw_rows_take_the_short_row_path(monkeypatch, free_pair):
+    dual = mw.estimate_dual_stationary(free_pair, burn_in=3, particles=20_000, seed=6)
+    drawn = {"streams": 0, "short": 0}
+    draw, short = rng.replica_uniforms, rng._philox_rows
+
+    def counting(master_seed, tag, replicas, count, first_replica=0, skip=0):
+        drawn["streams"] += replicas
+        return draw(master_seed, tag, replicas, count, first_replica, skip)
+
+    def counting_short(seed, keys, skip, count):
+        drawn["short"] += len(keys)
+        return short(seed, keys, skip, count)
+
+    monkeypatch.setattr(rng, "replica_uniforms", counting)
+    monkeypatch.setattr(rng, "_philox_rows", counting_short)
+    mw.advance_cloud(free_pair, dual)
+    assert drawn == {"streams": 20_000, "short": 20_000}
+    mw.brown_triangular_check(mw.TriangularArraySpec(kind="iid_gaussian", row_sizes=(10,),
+                                                     replicas=30_000, seed=8))
+    assert drawn == {"streams": 50_000, "short": 50_000}
+
+
+def test_short_rows_draw_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        block = rng.replica_uniforms(11, rng.TAG_MARTINGALE, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and a few sub-blocks of counters; a key per replica held at
+    # once would be another 8 MB
+    assert block.nbytes == 8_000_000
+    assert peak <= 8_000_000 + 4_000_000
+
+
+@pytest.mark.parametrize("count", [1, rng._SHORT_ROW + 1])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, "3"])
+def test_seeds_outside_the_key_range_are_refused(seed, count):
+    # 2**64 would alias seed 0 and -1 seed 2**64 - 1
+    with pytest.raises(ValueError, match="master seed"):
+        rng.replica_uniforms(seed, rng.TAG_WALK, 2, count)
+    with pytest.raises(ValueError, match="master seed"):
+        rng.stream(seed, rng.TAG_WALK)
+
+
+@pytest.mark.parametrize("count", [1, rng._SHORT_ROW + 1])
+def test_seeds_at_both_ends_of_the_key_range_are_their_own(count):
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        block = rng.replica_uniforms(seed, rng.TAG_WALK, 2, count, skip=np.int64(5))
+        expected = _philox_reference(int(seed), rng.TAG_WALK, 2, count, skip=5)
+        assert block.tobytes() == expected.tobytes()
+        assert rng.stream(seed, rng.TAG_WALK, 1).random(count).tobytes() == \
+            _philox_reference(int(seed), rng.TAG_WALK, 1, count, first=1).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, rng._SHORT_ROW + 1])
+@pytest.mark.parametrize("skip", [2.5, 2.0, "2"])
+def test_skips_that_are_not_integers_are_refused(skip, count):
+    with pytest.raises(ValueError, match="skip"):
+        rng.replica_uniforms(1, rng.TAG_WALK, 2, count, skip=skip)
+
+
+def test_library_seed_range_is_checked(free_pair):
+    with pytest.raises(ValueError, match="master seed"):
+        mw.lyapunov_top(free_pair, n=5, replicas=2, seed=2**64)
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9])
+def test_letters_at_and_below_every_cdf_entry(atoms):
+    weights = _weights(atoms)
+    cdf = np.cumsum(weights)
+    below = np.nextafter(cdf, 0.0)
+    at = cdf[:-1]                   # uniforms are below 1, the last entry
+    u = np.concatenate([[0.0], at, below])
+    expected = np.concatenate([[0], np.arange(1, atoms), np.arange(atoms)])
+    letters = rng.indices_from_uniforms(u.reshape(1, -1), weights)
+    assert letters.dtype == (np.uint8 if atoms <= 8 else np.uint16)
+    assert letters.shape == (1, len(u))
+    assert letters[0].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n_atoms, letters", [(2, 8), (3, 5), (4, 4), (20, 1)])
+def test_table_codes_are_the_base_a_words(n_atoms, letters):
+    angles = np.linspace(0.01, 0.02, n_atoms)
+    atoms = [[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in angles]
+    table = walks._LetterTable(atoms)
+    assert table.letters == letters
+    n = 3 * letters + 2                       # off the grid of whole table steps
+    words = np.random.default_rng(1).integers(0, n_atoms, size=(5, n)).astype(
+        np.uint8 if n_atoms <= 8 else np.uint16)
+    codes, _, _ = table._steps(words, [letters + 1, n])
+    expected = []
+    for lo, hi in [(0, letters + 1), (letters + 1, n)]:
+        full, rest = divmod(hi - lo, letters)
+        for k in range(full):
+            step = words[:, lo + k * letters:lo + (k + 1) * letters]
+            expected.append(sum(step[:, j].astype(int) * n_atoms**j for j in range(letters)))
+        expected += [words[:, hi - rest + j].astype(int) + table.single for j in range(rest)]
+    assert codes.dtype == np.uint16
+    assert codes.tolist() == np.array(expected).tolist()
