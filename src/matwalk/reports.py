@@ -13,6 +13,8 @@ import numpy as np
 
 def fmt(value):
     """Canonical value formatting used in all artifacts."""
+    if isinstance(value, float):  # np.float64 too
+        return f"{value:.17g}"
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -25,6 +27,11 @@ def fmt(value):
 
 
 def write_csv(path, header, rows):
+    # apart from _write_table: the bench tracer wraps both write_csv and to_csv
+    _write_table(path, header, rows)
+
+
+def _write_table(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -45,6 +52,13 @@ _MARGIN = 60
 def _x_pix(t, lo, hi):
     span = hi - lo if hi > lo else 1.0
     return _MARGIN + (_W - 2 * _MARGIN) * (t - lo) / span
+
+
+def _cdf_line(ts, vs, lo, hi, stroke, width):
+    """Polyline through ``(t, v)``: ``t`` on the data axis, ``v`` on the right axis [0, 1]."""
+    pts = " ".join(f"{fmt(_x_pix(t, lo, hi))},{fmt(_H - _MARGIN - (_H - 2 * _MARGIN) * v)}"
+                   for t, v in zip(ts, vs))
+    return f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
 
 
 def svg_histogram(path, samples, cdf=None, bins=40, title=""):
@@ -82,25 +96,11 @@ def svg_histogram(path, samples, cdf=None, bins=40, title=""):
     )
     if cdf is not None:
         grid = np.linspace(lo, hi, 200)
-        vals = np.asarray(cdf(grid), dtype=float)
-        pts = " ".join(
-            f"{fmt(_x_pix(t, lo, hi))},{fmt(base - (_H - 2 * _MARGIN) * v)}"
-            for t, v in zip(grid, vals)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#de2d26" stroke-width="1.5"/>'
-        )
+        parts.append(_cdf_line(grid, np.asarray(cdf(grid), dtype=float), lo, hi, "#de2d26", 1.5))
     # empirical CDF steps for comparison against the reference line
     ec = np.arange(1, samples.size + 1) / samples.size
-    step = samples[:: max(1, samples.size // 400)]
-    stepv = ec[:: max(1, samples.size // 400)]
-    pts = " ".join(
-        f"{fmt(_x_pix(t, lo, hi))},{fmt(base - (_H - 2 * _MARGIN) * v)}"
-        for t, v in zip(step, stepv)
-    )
-    parts.append(
-        f'<polyline points="{pts}" fill="none" stroke="#31a354" stroke-width="1"/>'
-    )
+    stride = max(1, samples.size // 400)
+    parts.append(_cdf_line(samples[::stride], ec[::stride], lo, hi, "#31a354", 1))
     parts.append("</svg>")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -181,8 +181,6 @@ def indices_from_uniforms(u, weights):
     """Map uniforms to atom indices by inverse CDF over a fixed atom order."""
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0  # guard rounding in the last bin
-    if len(weights) == 1:
-        return np.zeros(u.shape, dtype=np.uint8)
     if len(weights) <= 8:
         idx = np.greater_equal(u, cdf[0]).view(np.uint8)
         for c in cdf[1:-1]:

@@ -42,7 +42,7 @@ from .measures import (
     shear_pair_sl3,
 )
 from .stationary import MAX_START_DIMENSION
-from .walks import BLOCK
+from .walks import _TABLE_ROWS, BLOCK
 
 REQUIRED = "required"  # in place of a default: the key must be given
 
@@ -112,6 +112,14 @@ _STEP_LIST = _increasing(_MAX_STEPS)
 # A walk block holds min(replicas, walks.BLOCK) words of n one-byte letters,
 # plus table codes of at most 4 bytes a letter: 2e8 letters is about 1 GB.
 _MAX_BLOCK_LETTERS = 2 * 10**8
+# A walk's letter table has up to 256 + A rows for A atoms; a row holds one m x m float
+# matrix per induced action the walk follows (m in _ACTIONS, d if unlisted): <= 1 GiB.
+_MAX_TABLE_BYTES = 2**30
+_ACTIONS = {
+    "lyapunov": lambda d: [d, math.comb(d, 2)],  # the wedge-square walk
+    "clt_cartan": lambda d: [math.comb(d, r) for r in range(1, d)],
+    "martingale_lab": lambda d: [],
+}
 # kind -> (replica key, step key) of every walk it runs
 _WALKS = {
     "lyapunov": [("replicas", "n")],
@@ -350,6 +358,12 @@ def validate_config(data):
     atoms, weights = (), ()
     if top["measure"] is not None:
         atoms, weights = _check_measure(top["measure"], dim, problems)
+    if atoms:
+        entries = sum(m * m for m in _ACTIONS.get(kind, lambda d: [d])(dim))
+        table = (_TABLE_ROWS + len(atoms)) * entries * 8
+        if table > _MAX_TABLE_BYTES:
+            problems.append(f"'dimension' {dim} with {len(atoms)} atoms needs {table} bytes "
+                            f"of walk letter tables; at most {_MAX_TABLE_BYTES} are allowed")
     schedule = {}
     if kind is not None and top["schedule"] is not None:
         schedule = _check_schedule(kind, top["schedule"], dim, problems)

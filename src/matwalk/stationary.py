@@ -1,6 +1,6 @@
 """Empirical stationary measures, the explicit corrector, and log-regularity.
 
-Stationary measures are represented as equal-weight particle clouds obtained
+Stationary measures are particle clouds of equal positive weights, obtained
 from independent trajectories (one stream per particle), never from a single
 ergodic orbit: independent replicas give clean confidence intervals and
 parallelize freely.  The corrector is the empirical object
@@ -12,14 +12,13 @@ no smoothing.  Pairings below ``DELTA_FLOOR`` are treated as exact zeros
 (the log of a denormal is meaningless downstream).
 """
 
-import csv
 import threading
 from dataclasses import dataclass
 from math import inf
 
 import numpy as np
 
-from . import rng, walks
+from . import reports, rng, walks
 from .errors import SingularEvaluationError
 from .linalg import DualProjectivePoint, ProjectivePoint, act, canonicalize_rows
 from .stats import ndtri
@@ -58,7 +57,7 @@ def start_cloud(dim, count):
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted particle cloud on projective space or on its dual."""
+    """Particle cloud on projective space or on its dual, with positive weights."""
 
     reps: np.ndarray      # (N, d) canonical unit rows
     weights: np.ndarray   # (N,) positive, sums to 1
@@ -72,8 +71,8 @@ class EmpiricalMeasure:
             raise ValueError("cloud needs at least one particle")
         if not np.all(np.isfinite(reps)):
             raise ValueError("particle coordinates must be finite")
-        if weights.shape != (reps.shape[0],) or not np.all(weights >= 0.0):
-            raise ValueError("one nonnegative weight per particle required")
+        if weights.shape != (reps.shape[0],) or not np.all(weights > 0.0):
+            raise ValueError("one positive weight per particle required")
         if abs(float(weights.sum()) - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
         reps.setflags(write=False)
@@ -96,11 +95,8 @@ class EmpiricalMeasure:
 
     def to_csv(self, path):
         """One row per particle: coordinates then weight."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"coord_{i + 1}" for i in range(self.dim)] + ["weight"])
-            for row, w in zip(self.reps, self.weights):
-                writer.writerow([f"{v:.17g}" for v in row] + [f"{w:.17g}"])
+        reports._write_table(path, [f"coord_{i + 1}" for i in range(self.dim)] + ["weight"],
+                             np.column_stack([self.reps, self.weights]).tolist())
 
 
 def _equal_weight_cloud(rows, dual, seed, burn_in):
@@ -153,9 +149,9 @@ def advance_cloud(mu, cloud, steps=1):
 
 
 def push_cloud(cloud, g):
-    """Pushforward of the whole cloud by a single matrix."""
+    """Pushforward of the whole cloud by a single matrix, each point moved as by ``act``."""
     g = np.asarray(g, dtype=float)
-    rows = cloud.reps @ g.T
+    rows = np.linalg.solve(g.T, cloud.reps.T).T if cloud.dual else cloud.reps @ g.T
     return EmpiricalMeasure(
         reps=canonicalize_rows(rows),
         weights=cloud.weights.copy(),
@@ -186,9 +182,11 @@ class PsiFunction:
         return psi_eval(self, x)
 
 
-def _pairings(reps, x_rows):
+def _pairings(reps, x_rows, out=None):
     """|<f_j, v_i>| for cloud rows f_j against unit rows v_i, clipped to <= 1."""
-    return np.minimum(np.abs(x_rows @ reps.T), 1.0)
+    out = np.matmul(x_rows, reps.T, out=out)
+    np.abs(out, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def psi_eval(psi, x):
@@ -224,7 +222,6 @@ def psi_eval_many(psi, x_rows, groups=1):
     chunks = [(base + lo, min(_EVAL_CHUNK, size - lo))
               for base in range(0, len(x_rows), max(size, 1))
               for lo in range(0, size, _EVAL_CHUNK)]
-    positive = cloud.weights > 0.0
     per_thread = threading.local()   # one pairing buffer per worker thread
 
     def block_sum(lo, count, clo):
@@ -236,19 +233,13 @@ def psi_eval_many(psi, x_rows, groups=1):
         edges = [lo + count * k // n_tiles for k in range(n_tiles + 1)]
         for a, b in zip(edges[:-1], edges[1:]):
             vals = per_thread.buf[:(b - a) * len(reps)].reshape(b - a, len(reps))
-            np.matmul(x_rows[a:b], reps.T, out=vals)
-            np.abs(vals, out=vals)
-            np.minimum(vals, 1.0, out=vals)
+            _pairings(reps, x_rows[a:b], out=vals)
             if vals.min() <= DELTA_FLOOR:
-                bad = (vals <= DELTA_FLOOR) & positive[None, clo:clo + _EVAL_CHUNK]
-                if np.any(bad):
-                    i, j = np.argwhere(bad)[0]
-                    raise SingularEvaluationError(
-                        f"evaluation point {(a + i) % size} is orthogonal to cloud atom {clo + j}",
-                        atom_index=int(clo + j),
-                    )
-                # zero-weight atoms may pair to zero; keep them out of the log
-                vals[vals <= DELTA_FLOOR] = 1.0
+                i, j = np.argwhere(vals <= DELTA_FLOOR)[0]
+                raise SingularEvaluationError(
+                    f"evaluation point {(a + i) % size} is orthogonal to cloud atom {clo + j}",
+                    atom_index=int(clo + j),
+                )
             np.log(vals, out=vals)
             # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
             np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK],
@@ -316,8 +307,6 @@ def log_regularity_integral(nu, y, p):
     if nu.dual or not isinstance(y, DualProjectivePoint):
         raise TypeError("expected a primal cloud and a dual test point")
     vals = _pairings(nu.reps, y.rep[None, :])[0]
-    positive = nu.weights > 0.0
-    if np.any(vals[positive] <= DELTA_FLOOR):
+    if np.any(vals <= DELTA_FLOOR):
         return inf
-    return float(np.einsum("i,i->", np.abs(np.log(vals[positive])) ** (p - 1.0),
-                           nu.weights[positive]))
+    return float(np.einsum("i,i->", np.abs(np.log(vals)) ** (p - 1.0), nu.weights))

@@ -99,8 +99,6 @@ def gaussian_cdf(t, mean=0.0, var=1.0):
 
 def folded_gaussian_cdf(t, var):
     """CDF of ``|Z|`` for centered Gaussian ``Z`` with the given variance."""
-    if var < 0.0:
-        raise ValueError("variance must be nonnegative")
     t = np.asarray(t, dtype=float)
     out = np.where(t < 0.0, 0.0, 2.0 * gaussian_cdf(np.maximum(t, 0.0), 0.0, var) - 1.0)
     return float(out) if out.ndim == 0 else out

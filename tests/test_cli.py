@@ -545,6 +545,26 @@ def test_walk_block_bound_counts_one_block_of_replicas():
     mw.validate_config(small_config("lil", {"n_max": 10**7}))
 
 
+@pytest.mark.parametrize("table, dim, atoms, passes", [
+    ("clt_cartan", 10, 2, True), ("clt_cartan", 10, 20, True),
+    ("clt_cartan", 11, 1, False), ("clt_cartan", 12, 2, False),
+    ("lyapunov", 38, 2, True), ("lyapunov", 39, 2, False), ("lyapunov", 100, 2, False),
+    ("clt", 721, 2, True), ("clt", 722, 2, False),
+])
+def test_letter_tables_bound_the_dimension(table, dim, atoms, passes):
+    # (256 + atoms) x (sum of m^2 over the walked actions) x 8 bytes <= 2**30;
+    # validation only: none of these is ever run
+    data = small_config(table, dimension=dim,
+                        measure={"atoms": identity_measure(dim)["atoms"] * atoms})
+    if passes:
+        assert mw.validate_config(data).dimension == dim
+        return
+    with pytest.raises(mw.ConfigError) as exc:
+        mw.validate_config(data)
+    assert len(exc.value.problems) == 1
+    assert exc.value.problems[0].startswith(f"'dimension' {dim} with {atoms} atoms needs ")
+
+
 def test_three_bad_keys_listed_in_one_run(tmp_path, capsys):
     data = small_config("lyapunov", {"n": 0, "replicas": "many"}, master_seed=-1)
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Source check that needs no linter: every module uses each name it imports."""
+"""Source checks that need no linter: every module uses each name it imports, and
+only ``reports`` writes CSV."""
 import ast
 from pathlib import Path
 
@@ -22,3 +23,13 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_only_reports_imports_csv():
+    importers = set()
+    for path in _MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "csv" in names or isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.add(path.name)
+    assert importers == {"reports.py"}

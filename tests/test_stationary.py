@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import matwalk as mw
-from matwalk import rng, walks
+from matwalk import reports, rng, walks
 from matwalk.stationary import _EVAL_ROWS, canonicalize_rows, psi_eval_many
 from matwalk.stats import mean_ci_halfwidth
 
@@ -111,6 +111,14 @@ def test_cloud_csv_roundtrip(tmp_path):
     assert len(lines) == 11
     first = [float(v) for v in lines[1].split(",")]
     assert first == pytest.approx([1.0, 0.0, 0.1])
+
+
+def test_cloud_csv_is_the_report_writer(tmp_path):
+    cloud = mw.EmpiricalMeasure(reps=mw.start_cloud(3, 200), weights=np.full(200, 1 / 200))
+    cloud.to_csv(tmp_path / "cloud.csv")
+    reports.write_csv(tmp_path / "table.csv", ["coord_1", "coord_2", "coord_3", "weight"],
+                      np.column_stack([cloud.reps, cloud.weights]))
+    assert (tmp_path / "cloud.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
 
 
 # --- corrector evaluation ---
@@ -226,6 +234,7 @@ def test_psi_eval_many_rejects_malformed_rows(x_rows, message):
     ([[1.0, 0.0], [np.nan, 1.0]], [0.5, 0.5]),
     ([[1.0, 0.0], [0.0, np.inf]], [0.5, 0.5]),
     ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.nan]),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
 ])
 def test_empirical_measure_rejects_non_finite_entries(reps, weights):
     with pytest.raises(ValueError):
@@ -448,6 +457,17 @@ def test_contraction_pushforward_concentrates(free_pair):
     center = mw.principal_direction(pushed)
     dists = np.array([mw.proj_distance(p, center) for p in pushed.points()])
     assert (dists <= 0.01).mean() >= 0.99
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_push_cloud_moves_points_as_act_does(dual):
+    cloud = mw.EmpiricalMeasure(reps=mw.start_cloud(3, 50), weights=np.full(50, 1 / 50),
+                                dual=dual)
+    g = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.5, 0.0, 1.0]])
+    pushed = mw.push_cloud(cloud, g)
+    assert pushed.dual == dual
+    expected = np.stack([mw.act(g, point).rep for point in cloud.points()])
+    np.testing.assert_allclose(pushed.reps, expected, rtol=0, atol=1e-12)
 
 
 def test_log_regularity_examples():
