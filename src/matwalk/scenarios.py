@@ -117,7 +117,7 @@ _MAX_BLOCK_LETTERS = 2 * 10**8
 _MAX_TABLE_BYTES = 2**30
 _ACTIONS = {
     "lyapunov": lambda d: [d, math.comb(d, 2)],  # the wedge-square walk
-    "clt_cartan": lambda d: [math.comb(d, r) for r in range(1, d)],
+    "clt_cartan": lambda d: (math.comb(d, r) for r in range(1, d)),
     "martingale_lab": lambda d: [],
 }
 # kind -> (replica key, step key) of every walk it runs
@@ -342,6 +342,16 @@ def _check_measure(measure, dim, problems):
     return atoms, weights
 
 
+def _table_bytes(kind, dim, atom_count):
+    """Letter-table bytes of a walk, summed only until they pass the bound."""
+    table = 0
+    for m in _ACTIONS.get(kind, lambda d: [d])(dim):
+        table += (_TABLE_ROWS + atom_count) * m * m * 8
+        if table > _MAX_TABLE_BYTES:
+            break
+    return table
+
+
 def validate_config(data):
     """Validate a parsed mapping and produce a ScenarioConfig.
 
@@ -357,13 +367,16 @@ def validate_config(data):
                            f"'dimension' of a {kind!r} scenario", problems)
     atoms, weights = (), ()
     if top["measure"] is not None:
-        atoms, weights = _check_measure(top["measure"], dim, problems)
-    if atoms:
-        entries = sum(m * m for m in _ACTIONS.get(kind, lambda d: [d])(dim))
-        table = (_TABLE_ROWS + len(atoms)) * entries * 8
-        if table > _MAX_TABLE_BYTES:
-            problems.append(f"'dimension' {dim} with {len(atoms)} atoms needs {table} bytes "
-                            f"of walk letter tables; at most {_MAX_TABLE_BYTES} are allowed")
+        raw_atoms, atom_dim = top["measure"].get("atoms"), dim
+        if dim is not None and isinstance(raw_atoms, list) and raw_atoms:
+            # the bound needs only the atom count: an oversized config skips the atom checks
+            table = _table_bytes(kind, dim, len(raw_atoms))
+            if table > _MAX_TABLE_BYTES:
+                problems.append(f"'dimension' {dim} with {len(raw_atoms)} atoms needs at least "
+                                f"{table} bytes of walk letter tables; at most "
+                                f"{_MAX_TABLE_BYTES} are allowed")
+                atom_dim = None
+        atoms, weights = _check_measure(top["measure"], atom_dim, problems)
     schedule = {}
     if kind is not None and top["schedule"] is not None:
         schedule = _check_schedule(kind, top["schedule"], dim, problems)

@@ -17,7 +17,9 @@ word is cut into chunks of ``rescale_interval`` letters, the running product
 inside every chunk is formed for all chunks at once, one sequential pass
 carries the unit vector from chunk head to chunk head, and one batched
 product gives the cocycle value after every letter (a blocked prefix scan,
-Blelloch, "Prefix sums and their applications", 1990).
+Blelloch, "Prefix sums and their applications", 1990).  For one row the
+head pass runs in Python floats (``_one_row_heads``), in the order of the
+einsums it replaces, and is checked bitwise against the many-row pass.
 
 States and letter tables are *entry-major*, replicas last: vectors ``(d, N)``,
 matrices ``(d, d, N)``.  Every batched product is then ``d`` entry-wise
@@ -39,6 +41,7 @@ order on the calling thread; matrix-walk blocks are spread over a pool of
 worker threads, which changes wall time only.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -49,6 +52,7 @@ BLOCK = 4096    # replicas per scheduling block (fixed: part of no contract,
                 # results do not depend on it, only wall time does)
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
+_HEAD_BLOCK = 512         # chunk ends a one-row head pass holds as Python floats at once
 _THREADS = 1
 
 
@@ -216,7 +220,7 @@ class _LetterTable:
                 acc += np.log(scale)
                 state /= scale
             # codes are in range; "wrap" takes numpy's faster gather loop
-            np.take(self.rows, code, axis=2, out=gathered, mode="wrap")
+            self.rows.take(code, axis=2, out=gathered, mode="wrap")
             state, spare = _product(gathered, state, spare), state
             if read[step]:
                 top = (_norms(state) if vector else
@@ -286,6 +290,35 @@ def cloud_walk(atoms, weights, starts, n, seed, tag, skip=0):
     return finals
 
 
+def _one_row_heads(ends, heads):
+    """Fill ``heads`` ``(d, k + 1)``, whose column 0 holds a unit row, with the
+    unit rows at the chunk heads of one walk, in Python floats.
+
+    ``ends`` ``(d, d, k)`` holds the products of chunks ``0, ..., k - 1``.
+    Each ``P h`` adds ``p[i][j] * h[j]`` to 0.0 in ``j`` order and each norm
+    the squares in order, as the einsums of ``_product`` and ``_norms`` do, so
+    the bytes equal those of the many-row pass, at a fraction of a numpy call
+    per chunk.  Chunks are read, and heads written, a block at a time.
+    """
+    head = heads[:, 0].tolist()
+    for lo in range(0, ends.shape[-1], _HEAD_BLOCK):
+        block = []
+        for p in np.moveaxis(ends[..., lo:lo + _HEAD_BLOCK], -1, 0).tolist():
+            moved = []
+            for row in p:
+                acc = 0.0
+                for a, b in zip(row, head):
+                    acc += a * b
+                moved.append(acc)
+            square = 0.0
+            for x in moved:
+                square += x * x
+            norm = math.sqrt(square)
+            head = [x / norm for x in moved]
+            block.append(head)
+        heads[:, lo + 1:lo + 1 + len(block)] = np.array(block).T
+
+
 def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
     """Cocycle values and positions after every letter, by chunked prefix products.
 
@@ -318,16 +351,20 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
         # prefix products inside every chunk, all chunks at once
         prods = np.empty((chunk, d, d, count))
         gathered = np.empty((d, d, count))
-        np.take(padded, codes[0], axis=2, out=prods[0], mode="wrap")
+        padded.take(codes[0], axis=2, out=prods[0], mode="wrap")
         for j in range(1, chunk):
-            np.take(padded, codes[j], axis=2, out=gathered, mode="wrap")
+            padded.take(codes[j], axis=2, out=gathered, mode="wrap")
             _product(gathered, prods[j - 1], prods[j])
         # the unit vector at every chunk head, one chunk at a time
         heads = np.empty((d, heads_per_row, rows))
         heads[:, 0] = u.T
-        for k in range(1, heads_per_row):
-            head = _product(prods[-1, ..., (k - 1) * rows:k * rows], heads[:, k - 1], heads[:, k])
-            head /= _norms(head)
+        if rows == 1:
+            _one_row_heads(prods[-1, ..., :-1], heads[..., 0])
+        else:
+            for k in range(1, heads_per_row):
+                head = _product(prods[-1, ..., (k - 1) * rows:k * rows], heads[:, k - 1],
+                                heads[:, k])
+                head /= _norms(head)
         vecs = _product(prods, heads.reshape(1, d, count), np.empty((chunk, d, count)))
         norms = np.sqrt(np.einsum("cin,cin->cn", vecs, vecs))
         logs = np.log(norms).reshape(chunk, heads_per_row, rows)

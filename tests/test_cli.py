@@ -551,18 +551,47 @@ def test_walk_block_bound_counts_one_block_of_replicas():
     ("lyapunov", 38, 2, True), ("lyapunov", 39, 2, False), ("lyapunov", 100, 2, False),
     ("clt", 721, 2, True), ("clt", 722, 2, False),
 ])
-def test_letter_tables_bound_the_dimension(table, dim, atoms, passes):
+def test_letter_tables_bound_the_dimension(table, dim, atoms, passes, monkeypatch):
     # (256 + atoms) x (sum of m^2 over the walked actions) x 8 bytes <= 2**30;
-    # validation only: none of these is ever run
+    # validation only: none of these is ever run.  The bound needs only the
+    # atom count, so an oversized config is rejected without checking an atom.
     data = small_config(table, dimension=dim,
                         measure={"atoms": identity_measure(dim)["atoms"] * atoms})
+    checked = []
+    check = scenarios.check_group_element
+    monkeypatch.setattr(scenarios, "check_group_element", lambda g: checked.append(1) or check(g))
     if passes:
         assert mw.validate_config(data).dimension == dim
+        assert len(checked) == atoms
         return
     with pytest.raises(mw.ConfigError) as exc:
         mw.validate_config(data)
     assert len(exc.value.problems) == 1
     assert exc.value.problems[0].startswith(f"'dimension' {dim} with {atoms} atoms needs ")
+    assert checked == []
+
+
+def test_oversized_config_exits_2_naming_the_bound(tmp_path, capsys):
+    data = small_config("clt_cartan", dimension=11, measure=identity_measure(11))
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'dimension' 11 with 1 atoms needs " in err and "walk letter tables" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table", ["clt", "clt_cartan", "lyapunov"])
+def test_huge_dimension_is_rejected_without_summing_every_table(table, monkeypatch):
+    # the table sum stops once past the bound: clt_cartan would otherwise square
+    # 10**6 binomials of up to 10**6 bits; a one-entry atom is never shape-checked
+    data = small_config(table, dimension=10**6, measure={"atoms": [[1.0]]})
+    checked = []
+    monkeypatch.setattr(scenarios, "check_group_element", lambda g: checked.append(1))
+    with pytest.raises(mw.ConfigError) as exc:
+        mw.validate_config(data)
+    assert exc.value.problems[0].startswith(f"'dimension' {10**6} with 1 atoms needs at least ")
+    assert "walk letter tables" in exc.value.problems[0]
+    assert checked == []
 
 
 def test_three_bad_keys_listed_in_one_run(tmp_path, capsys):

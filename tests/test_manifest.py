@@ -1,5 +1,8 @@
 """Golden artifact manifest: the sha256 of every artifact of every bundled
-scenario at seed 11, run at 1 and at 2 threads.
+scenario at seed 11, run at 1 and at 2 threads, and of the float64 bytes of
+a few walk outputs no bundled scenario reaches: one-row trajectories in
+dimension 2 and 3, long enough to cross a segment of the chunked scan, and
+the walk-induced martingale sums.
 
 Artifact bytes are a function of (config, seed) on one machine class: psi
 pairs through BLAS gemm, and ``np.log`` dispatches on the CPU's SIMD
@@ -24,11 +27,12 @@ import numpy as np
 import pytest
 
 import matwalk as mw
-from matwalk import walks
+from matwalk import rng, walks
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 SEED = 11
 THREADS = (1, 2)
+TRAJECTORY_LETTERS = 270_000   # past the first 2^18-letter segment of a one-row scan
 
 
 def fingerprint():
@@ -57,17 +61,44 @@ def artifact_hashes(root):
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def test_bundled_artifacts_match_the_manifest(tmp_path):
-    manifest = json.loads(MANIFEST.read_text())
-    if manifest["fingerprint"] != fingerprint():
-        pytest.skip(f"manifest recorded on {manifest['fingerprint']}, "
+def array_hashes():
+    """sha256 of the float64 bytes of one-row trajectories and walk-induced sums."""
+    pair, sl3 = mw.free_semigroup_pair(), mw.shear_pair_sl3()
+    stream = mw.DifferenceStream(kind="walk_induced", seed=SEED, measure=pair,
+                                 start=mw.ProjectivePoint([1.0, 0.0]))
+    arrays = {
+        "trajectory_cocycle/free_pair": walks.trajectory_cocycle(
+            pair.atoms, pair.weights, [1.0, 0.0], TRAJECTORY_LETTERS, SEED, rng.TAG_WALK),
+        "trajectory_cocycle/sl3_pair": walks.trajectory_cocycle(
+            sl3.atoms, sl3.weights, [1.0, 2.0, 3.0], TRAJECTORY_LETTERS, SEED, rng.TAG_WALK),
+        "checkpoint_sums/walk_induced": mw.checkpoint_sums(
+            stream, [2**k for k in range(4, 13)], 100),
+    }
+    return {name: hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+            for name, a in arrays.items()}
+
+
+@pytest.fixture
+def manifest():
+    recorded = json.loads(MANIFEST.read_text())
+    if recorded["fingerprint"] != fingerprint():
+        pytest.skip(f"manifest recorded on {recorded['fingerprint']}, "
                     f"this runtime is {fingerprint()}")
+    return recorded
+
+
+def test_bundled_artifacts_match_the_manifest(tmp_path, manifest):
     assert artifact_hashes(tmp_path) == manifest["artifacts"]
+
+
+def test_walk_arrays_match_the_manifest(manifest):
+    assert array_hashes() == manifest["arrays"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = artifact_hashes(Path(tmp))
+    arrays = array_hashes()
     MANIFEST.write_text(json.dumps({"fingerprint": fingerprint(), "seed": SEED,
-                                    "artifacts": hashes}, indent=1) + "\n")
-    print(f"wrote {MANIFEST}: {len(hashes)} artifacts")
+                                    "artifacts": hashes, "arrays": arrays}, indent=1) + "\n")
+    print(f"wrote {MANIFEST}: {len(hashes)} artifacts, {len(arrays)} arrays")

@@ -406,3 +406,44 @@ def test_chunked_walk_rows_match_letter_loop(measure, request, monkeypatch):
             v /= np.linalg.norm(v)
             assert abs(values[r, k] - acc) <= 1e-12 * max(1.0, abs(acc))
             assert np.abs(units[r, k] - v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+def test_one_row_head_pass_matches_the_many_row_pass(measure, request, monkeypatch):
+    # one row carries its chunk heads in Python floats, many rows through
+    # _product and _norms, in the same order: row 0 of a two-row scan from the
+    # same unit row twice must give the one-row scan's bytes.  The scan bound
+    # grows with the rows, so both cut the time axis at the same segments.
+    mu = request.getfixturevalue(measure)
+    chunk = walks.rescale_interval(mu.atoms)
+    n, seed, first = 10 * chunk + 37, 41, 5
+    start = np.arange(1.0, mu.dim + 1.0)
+    start /= np.linalg.norm(start)
+
+    def scan(rows):
+        monkeypatch.setattr(walks, "_SCAN_PRODUCTS", 3 * chunk * rows)
+        segments = list(walks.chunked_walk(mu.atoms, mu.weights, np.tile(start, (rows, 1)), n,
+                                           seed, rng.TAG_WALK, first_replica=first))
+        assert len(segments) == 4
+        return (np.concatenate([v for _, v, _ in segments], axis=1),
+                np.concatenate([u for _, _, u in segments], axis=1))
+
+    one_values, one_units = scan(1)
+    two_values, two_units = scan(2)
+    assert one_values.tobytes() == two_values[:1].tobytes()
+    assert one_units.tobytes() == two_units[:1].tobytes()
+
+
+def test_one_row_head_pass_makes_no_numpy_call_per_chunk(free_pair, monkeypatch):
+    # per segment a one-row scan forms chunk - 1 prefix products and one
+    # read-out product; a numpy head pass would add one product per chunk
+    calls = []
+    product = walks._product
+    monkeypatch.setattr(walks, "_product", lambda *a: calls.append(1) or product(*a))
+    n = 200_000
+    chunk = walks.rescale_interval(free_pair.atoms)
+    segments = -(-n // (walks._SCAN_PRODUCTS // chunk * chunk))
+    walks.trajectory_cocycle(free_pair.atoms, free_pair.weights, [1.0, 0.0], n, 7,
+                             rng.TAG_WALK)
+    assert 0 < len(calls) <= segments * chunk
+    assert len(calls) < n // chunk // 10
