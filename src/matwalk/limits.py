@@ -31,6 +31,7 @@ from .stats import (
     variance_ci_halfwidth,
 )
 
+CALIBRATION_REPLICAS = 256  # replicas of the exponent calibration walk
 LIL_SLACK = 0.3
 LIL_SLACK_LOW = 0.3
 DEGENERATE_VAR = 1e-12
@@ -161,7 +162,7 @@ def _fit_and_ks(normalized, reference):
 
 
 def clt_experiment(mu, x=None, n=1000, samples=10_000, seed=0, reference=None,
-                   lambda1=None, calibration_replicas=256):
+                   lambda1=None, calibration_replicas=CALIBRATION_REPLICAS):
     """Normalized samples ``(statistic - n lambda1) / sqrt(n)`` and their fit.
 
     The statistic is the cocycle at the start point ``x``, or the log operator
@@ -331,7 +332,8 @@ def large_deviation_curve(mu, eps, schedule, replicas=10_000, seed=0, lambda1=No
     if not schedule:
         raise ValueError("schedule must be non-empty")
     if lambda1 is None:
-        lambda1 = lyapunov_top(mu, n=schedule[-1], replicas=256, seed=seed).lambda1
+        lambda1 = lyapunov_top(mu, n=schedule[-1], replicas=CALIBRATION_REPLICAS,
+                               seed=seed).lambda1
     vals = walks.matrix_walk_log_norms(
         {"id": mu.atoms}, mu.weights, schedule[-1], replicas, seed, rng.TAG_WALK,
         checkpoints=schedule,

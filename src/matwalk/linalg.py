@@ -30,7 +30,8 @@ def check_group_element(g):
 
     Returns a float64 copy.  Raises ``SingularMatrixError`` when the smallest
     singular value is below ``SINGULAR_TOL`` times the largest, and
-    ``ValueError`` on non-square or non-finite input.
+    ``ValueError`` on non-square or non-finite input, or when the largest
+    singular value overflows the float range.
     """
     g = np.array(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
@@ -38,6 +39,8 @@ def check_group_element(g):
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
     s = np.linalg.svd(g, compute_uv=False)
+    if not np.isfinite(s[0]):
+        raise ValueError("the largest singular value overflows the float range")
     if s[0] == 0.0 or s[-1] <= SINGULAR_TOL * s[0]:
         ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
         raise SingularMatrixError(

@@ -37,8 +37,16 @@ class GeneratorMeasure:
             raise ValueError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
-        for a in atoms:
-            check_group_element(a)
+        singular = []
+        for i, a in enumerate(atoms):
+            try:
+                check_group_element(a)
+            except SingularMatrixError as exc:
+                singular.append(f"atom {i}: {exc}")
+            except ValueError as exc:
+                raise ValueError(f"atom {i}: {exc}") from exc
+        if singular:  # name every singular atom at once
+            raise SingularMatrixError("; ".join(singular))
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)

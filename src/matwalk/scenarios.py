@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SingularMatrixError
-from .linalg import check_group_element
+from .limits import CALIBRATION_REPLICAS
 from .measures import (
     GeneratorMeasure,
     free_semigroup_pair,
@@ -120,14 +120,15 @@ _ACTIONS = {
     "clt_cartan": lambda d: (math.comb(d, r) for r in range(1, d)),
     "martingale_lab": lambda d: [],
 }
-# kind -> (replica key, step key) of every walk it runs
+# kind -> (replica key, step key) of every walk it runs; the replicas of the
+# exponent calibration, which runs unless the schedule gives lambda1, are a count
 _WALKS = {
     "lyapunov": [("replicas", "n")],
-    "clt": [("samples", "n")],
+    "clt": [("samples", "n"), (CALIBRATION_REPLICAS, "n")],
     "clt_cartan": [("samples", "n")],
     "stationary": [("particles", "burn_in")],
     "cohomological": [("particles", "burn_in"), ("calibration_replicas", "calibration_n")],
-    "large_deviation": [("replicas", "n_values")],
+    "large_deviation": [("replicas", "n_values"), (CALIBRATION_REPLICAS, "n_values")],
 }
 
 # kind, or martingale_lab/<check>  ->  schedule key  ->  (checker, default)
@@ -153,7 +154,7 @@ SCHEDULES = {
         "particles": (_ROWS, 100_000),
         "test_points": (_ROWS, 100),
         "calibration_n": (_STEPS, 1000),
-        "calibration_replicas": (_ROWS, 256),
+        "calibration_replicas": (_ROWS, CALIBRATION_REPLICAS),
     },
     "large_deviation": {
         "eps": (_real(0), REQUIRED),
@@ -215,17 +216,14 @@ class ScenarioConfig:
     name: str
     kind: str
     dimension: int
-    atoms: tuple          # tuple of flat row-major tuples
-    weights: tuple
+    measure: GeneratorMeasure
     schedule: dict = field(default_factory=dict)
     assertions: dict = field(default_factory=dict)
     master_seed: int | None = None
     output_dir: str | None = None
 
     def to_measure(self):
-        d = self.dimension
-        mats = np.array([np.array(a, dtype=float).reshape(d, d) for a in self.atoms])
-        return GeneratorMeasure(mats, np.array(self.weights))
+        return self.measure
 
 
 def _check_unknown(mapping, allowed, where, problems):
@@ -289,57 +287,64 @@ def _check_schedule(kind, schedule, dim, problems):
         problems.append(f"'start' in {where} must have `dimension` = {dim} entries, "
                         f"got {len(start)}")
     for rows, steps in _WALKS.get(kind, ()):
-        if typed[rows] is None or typed[steps] is None:
+        if isinstance(rows, str):
+            count, walk = typed[rows], f"{rows!r} and {steps!r}"
+        else:  # the exponent calibration
+            count = rows if typed.get("lambda1") is None else None
+            walk = f"{steps!r} and the {rows} replicas of the exponent calibration"
+        if count is None or typed[steps] is None:
             continue
         n = typed[steps][-1] if steps == "n_values" else typed[steps]
-        letters = min(typed[rows], BLOCK) * n
+        letters = min(count, BLOCK) * n
         if letters > _MAX_BLOCK_LETTERS:
-            problems.append(f"{rows!r} and {steps!r} in {where} ask for {letters} letters "
+            problems.append(f"{walk} in {where} ask for {letters} letters "
                             f"per walk block, min({rows}, {BLOCK}) x {n}; "
                             f"at most {_MAX_BLOCK_LETTERS} are allowed")
     return typed
 
 
 def _check_measure(measure, dim, problems):
-    """Atoms and normalised weights as tuples of floats (empty on failure)."""
+    """The GeneratorMeasure of a measure mapping, weights normalised; None on failure.
+
+    Only the mapping's shape is checked here: building the measure checks the atoms.
+    """
     _check_unknown(measure, _MEASURE_KEYS, "measure", problems)
-    atoms, weights = (), ()
+    atoms = weights = None
     raw_atoms = measure.get("atoms")
     if not isinstance(raw_atoms, list) or not raw_atoms:
         problems.append("'measure.atoms' must be a nonempty list")
     elif dim is not None:
-        atoms_ok = True
-        for i, a in enumerate(raw_atoms):
-            if not isinstance(a, list) or len(a) != dim * dim or not all(map(_is_real, a)):
-                problems.append(
-                    f"atom {i} must be a flat row-major list of {dim * dim} finite reals"
-                )
-                atoms_ok = False
-                continue
-            try:
-                check_group_element(np.reshape(a, (dim, dim)))
-            except SingularMatrixError as exc:
-                problems.append(f"atom {i}: {exc}")
-                atoms_ok = False
-        if atoms_ok:
-            atoms = tuple(tuple(float(v) for v in a) for a in raw_atoms)
+        bad = [i for i, a in enumerate(raw_atoms)
+               if not isinstance(a, list) or len(a) != dim * dim or not all(map(_is_real, a))]
+        for i in bad:
+            problems.append(f"atom {i} must be a flat row-major list of {dim * dim} finite reals")
+        if not bad:
+            atoms = np.array([[float(v) for v in a] for a in raw_atoms]).reshape(-1, dim, dim)
     raw_weights = measure.get("weights")
     if raw_weights is None:
-        if atoms:
-            weights = tuple(1.0 / len(atoms) for _ in atoms)
+        pass  # equal weights, below
     elif not isinstance(raw_weights, list) or not all(
         _is_real(w) and w > 0 for w in raw_weights
     ):
         problems.append("'measure.weights' must be a list of positive numbers")
-    elif atoms and len(raw_weights) != len(atoms):
+    elif atoms is not None and len(raw_weights) != len(atoms):
         problems.append("'measure.weights' length must match the atom count")
     else:
         total = float(sum(raw_weights))
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             problems.append(f"weights sum to {total!r}, expected 1")
         else:
-            weights = tuple(float(w) / total for w in raw_weights)
-    return atoms, weights
+            weights = np.array([float(w) / total for w in raw_weights])
+    if atoms is None:
+        return None
+    try:
+        # equal weights also stand in for bad ones, so that every atom is still checked
+        built = GeneratorMeasure(atoms, np.full(len(atoms), 1.0 / len(atoms))
+                                 if weights is None else weights)
+    except (SingularMatrixError, ValueError) as exc:
+        problems.append(str(exc))
+        return None
+    return built if weights is not None or raw_weights is None else None
 
 
 def _table_bytes(kind, dim, atom_count):
@@ -365,7 +370,7 @@ def validate_config(data):
     if kind in _DIMENSIONS and dim is not None:
         dim = _check_value(dim, _DIMENSIONS[kind],
                            f"'dimension' of a {kind!r} scenario", problems)
-    atoms, weights = (), ()
+    measure = None
     if top["measure"] is not None:
         raw_atoms, atom_dim = top["measure"].get("atoms"), dim
         if dim is not None and isinstance(raw_atoms, list) and raw_atoms:
@@ -376,7 +381,7 @@ def validate_config(data):
                                 f"{table} bytes of walk letter tables; at most "
                                 f"{_MAX_TABLE_BYTES} are allowed")
                 atom_dim = None
-        atoms, weights = _check_measure(top["measure"], atom_dim, problems)
+        measure = _check_measure(top["measure"], atom_dim, problems)
     schedule = {}
     if kind is not None and top["schedule"] is not None:
         schedule = _check_schedule(kind, top["schedule"], dim, problems)
@@ -391,8 +396,7 @@ def validate_config(data):
         name=top["name"],
         kind=kind,
         dimension=dim,
-        atoms=atoms,
-        weights=weights,
+        measure=measure,
         schedule=schedule,
         assertions=assertions,
         master_seed=top["master_seed"],
@@ -412,18 +416,14 @@ def load_config(path):
     return validate_config(data)
 
 
-def _flat(mat):
-    return [float(v) for row in np.asarray(mat, dtype=float) for v in row]
-
-
 def _config(name, kind, measure, schedule, assertions, seed=20260810):
     return validate_config({
         "name": name,
         "kind": kind,
         "dimension": measure.dim,
         "master_seed": seed,
-        "measure": {"atoms": [_flat(a) for a in measure.atoms],
-                    "weights": [float(w) for w in measure.weights]},
+        "measure": {"atoms": [a.ravel().tolist() for a in measure.atoms],
+                    "weights": measure.weights.tolist()},
         "schedule": schedule,
         "assertions": assertions,
     })

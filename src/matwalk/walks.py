@@ -54,6 +54,8 @@ _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
 _HEAD_BLOCK = 512         # chunk ends a one-row head pass holds as Python floats at once
 _THREADS = 1
+# below log(DBL_MAX) / 2 ~ 354.9, past which one letter overflows a unit state's squared norm
+MAX_ATOM_GROWTH = 350.0
 
 
 def set_thread_count(k):
@@ -74,11 +76,19 @@ def _run_blocks(fn, blocks):
 
 
 def rescale_interval(atoms):
-    """Steps between rescalings so scaled entries stay far from overflow."""
+    """Steps between rescalings so scaled entries stay far from overflow.
+
+    Raises ``ValueError`` for an atom whose growth ``max(|log s_max|, |log s_min|)``
+    is above ``MAX_ATOM_GROWTH``: one letter would take a unit state out of range.
+    """
     growth = 0.0
-    for a in atoms:
+    for i, a in enumerate(atoms):
         s = np.linalg.svd(a, compute_uv=False)
-        growth = max(growth, abs(np.log(s[0])), abs(np.log(s[-1])))
+        g = max(abs(np.log(s[0])), abs(np.log(s[-1])))
+        if g > MAX_ATOM_GROWTH:
+            raise ValueError(f"atom {i} has growth max(|log s_max|, |log s_min|) = {g:.1f}, "
+                             f"above {MAX_ATOM_GROWTH:g}: a scaled state would overflow")
+        growth = max(growth, g)
     if growth <= 0.0:
         return 64
     return int(np.clip(300.0 / growth, 1, 64))

@@ -3,6 +3,7 @@ import filecmp
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
-from matwalk import runner, scenarios, walks
+from matwalk import measures, runner, scenarios, walks
 from matwalk.cli import main
 
 REQUIRED_BUILTINS = {
@@ -84,14 +85,19 @@ def minimal_lyapunov(tmp_path, **overrides):
     return write_config(tmp_path, data)
 
 
-def test_bundle_is_complete_and_valid():
+def test_bundle_is_complete_and_valid(monkeypatch):
     bundle = mw.bundled_scenarios()
     assert len(bundle) >= 9
     assert REQUIRED_BUILTINS <= set(bundle)
     non_gaussian = bundle["example_nongaussian"]
     assert non_gaussian.schedule["reference"] == "folded_normal"
+    # a config carries its checked measure: to_measure checks no atom again
+    checked = []
+    monkeypatch.setattr(measures, "check_group_element", lambda g: checked.append(1))
     for cfg in bundle.values():
+        assert cfg.to_measure() is cfg.measure
         assert cfg.to_measure().dim == cfg.dimension
+    assert checked == []
 
 
 def test_list_prints_bundle(capsys):
@@ -144,6 +150,48 @@ def test_weight_and_atom_shape_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "atom 1" in err
     assert "weights sum" in err
+
+
+def test_every_singular_atom_is_named(tmp_path, capsys):
+    bad = minimal_lyapunov(tmp_path, measure={
+        "atoms": [[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.5], [1.0, 2.0, 2.0, 4.0]],
+    })
+    out = tmp_path / "out"
+    assert main(["run", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "atom 0: matrix is numerically singular" in err
+    assert "atom 2: matrix is numerically singular" in err
+    assert "atom 1" not in err and not out.exists()
+
+
+def test_scenario_file_checks_each_atom_once(tmp_path, monkeypatch):
+    checked = []
+    check = measures.check_group_element
+    monkeypatch.setattr(measures, "check_group_element", lambda g: checked.append(1) or check(g))
+    cfg = mw.load_config(minimal_lyapunov(tmp_path, measure={
+        "atoms": [[2.0, 0.0, 0.0, 0.5], [1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]],
+    }))
+    assert len(checked) == 3
+    assert cfg.to_measure().weights.tolist() == [1.0 / 3.0] * 3
+    assert len(checked) == 3
+
+
+def test_atom_growth_past_the_bound_exits_3_without_warnings(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "name": "overflowing_atom",
+        "kind": "clt",
+        "dimension": 2,
+        "master_seed": 5,
+        "measure": {"atoms": [[1e160, 0.0, 0.0, 1e160], [1.0, 1.0, 0.0, 1.0]]},
+        "schedule": {"n": 50, "samples": 16},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "overflowing_atom" in err and "seed 5" in err
+    assert "atom 0 has growth max(|log s_max|, |log s_min|) = 368.4, above 350" in err
 
 
 def test_unknown_builtin_is_config_error(capsys):
@@ -256,8 +304,8 @@ def test_golden_headers_across_kinds(tmp_path):
         small = write_config(tmp_path, {
             "name": cfg.name, "kind": cfg.kind, "dimension": cfg.dimension,
             "master_seed": 1,
-            "measure": {"atoms": [list(a) for a in cfg.atoms],
-                        "weights": list(cfg.weights)},
+            "measure": {"atoms": [a.ravel().tolist() for a in cfg.to_measure().atoms],
+                        "weights": cfg.to_measure().weights.tolist()},
             **shrink,
         }, name=f"{name}.yaml")
         out = tmp_path / f"out_{name}"
@@ -407,8 +455,8 @@ def small_config(table, schedule=(), **top):
     cfg = mw.bundled_scenarios()[name]
     data = {"name": cfg.name, "kind": cfg.kind, "dimension": cfg.dimension,
             "master_seed": 1,
-            "measure": {"atoms": [list(a) for a in cfg.atoms],
-                        "weights": list(cfg.weights)},
+            "measure": {"atoms": [a.ravel().tolist() for a in cfg.to_measure().atoms],
+                        "weights": cfg.to_measure().weights.tolist()},
             "schedule": {**small, **dict(schedule)}}
     data.update(top)
     return data
@@ -464,6 +512,10 @@ BAD_INPUTS = {
                       [], None, "atom 0"),
     "atom_nan": ("lyapunov", {}, {"measure": {"atoms": [[float("nan"), 0.0, 0.0, 1.0]]}},
                  [], None, "atom 0"),
+    "atom_overflowing": ("lyapunov", {}, {"measure": {"atoms": [[1.0, 0.0, 0.0, 1.0],
+                                                                [1.7e308, -1.7e308,
+                                                                 1.7e308, 1.7e308]]}},
+                         [], None, "atom 1: the largest singular value overflows"),
     "name_number": ("lyapunov", {}, {"name": 5}, [], None, "'name'"),
     "output_dir_number": ("lyapunov", {}, {"output_dir": 3}, [], None, "'output_dir'"),
     "assertion_text": ("lyapunov", {}, {"assertions": {"proximal": "yes"}}, [], None,
@@ -523,6 +575,12 @@ TOO_LARGE = {
                           "'calibration_replicas' and 'calibration_n'"),
     "deviation_block": ("large_deviation", {"replicas": 8192, "n_values": [8, 10**5]},
                         "'replicas' and 'n_values'"),
+    # 256 calibration replicas x 10**7 letters: lambda1 is estimated first
+    "clt_calibration": ("clt", {"samples": 2, "n": 10**7},
+                        "'n' and the 256 replicas of the exponent calibration"),
+    "deviation_calibration": ("large_deviation", {"eps": 0.1, "n_values": [10**7],
+                                                  "replicas": 1},
+                              "'n_values' and the 256 replicas of the exponent calibration"),
 }
 
 
@@ -542,6 +600,9 @@ def test_walk_block_bound_counts_one_block_of_replicas():
         cfg = mw.validate_config(small_config("lyapunov", {"replicas": replicas, "n": 48_828}))
         assert cfg.schedule == {"n": 48_828, "replicas": replicas}
     mw.validate_config(small_config("clt", {"samples": 10**6, "n": 1000}))
+    # with lambda1 given there is no calibration walk; 256 x 781250 letters is the bound
+    mw.validate_config(small_config("clt", {"samples": 2, "n": 10**7, "lambda1": 0.5}))
+    mw.validate_config(small_config("clt", {"samples": 2, "n": 781_250}))
     mw.validate_config(small_config("lil", {"n_max": 10**7}))
 
 
@@ -558,8 +619,8 @@ def test_letter_tables_bound_the_dimension(table, dim, atoms, passes, monkeypatc
     data = small_config(table, dimension=dim,
                         measure={"atoms": identity_measure(dim)["atoms"] * atoms})
     checked = []
-    check = scenarios.check_group_element
-    monkeypatch.setattr(scenarios, "check_group_element", lambda g: checked.append(1) or check(g))
+    check = measures.check_group_element
+    monkeypatch.setattr(measures, "check_group_element", lambda g: checked.append(1) or check(g))
     if passes:
         assert mw.validate_config(data).dimension == dim
         assert len(checked) == atoms
@@ -586,7 +647,7 @@ def test_huge_dimension_is_rejected_without_summing_every_table(table, monkeypat
     # 10**6 binomials of up to 10**6 bits; a one-entry atom is never shape-checked
     data = small_config(table, dimension=10**6, measure={"atoms": [[1.0]]})
     checked = []
-    monkeypatch.setattr(scenarios, "check_group_element", lambda g: checked.append(1))
+    monkeypatch.setattr(measures, "check_group_element", lambda g: checked.append(1))
     with pytest.raises(mw.ConfigError) as exc:
         mw.validate_config(data)
     assert exc.value.problems[0].startswith(f"'dimension' {10**6} with 1 atoms needs at least ")

@@ -278,6 +278,10 @@ def test_check_group_element_rejects_bad_input():
         check_group_element(np.ones((2, 3)))
     with pytest.raises(mw.SingularMatrixError):
         check_group_element(np.ones((2, 2)))
+    # sqrt(2) times the largest double: invertible, but its singular values overflow
+    big = np.finfo(float).max
+    with pytest.raises(ValueError, match="overflows the float range"):
+        check_group_element(np.array([[big, -big], [big, big]]))
     # invertibility is relative: a tiny scalar matrix is a fine group element
     check_group_element(1e-20 * np.eye(2))
 

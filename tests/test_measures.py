@@ -21,6 +21,13 @@ def test_measure_validation():
         mw.GeneratorMeasure(np.eye(2)[None], np.array([0.5]))  # weights not 1
     mu = mw.GeneratorMeasure.from_atoms([np.eye(2), 2 * np.eye(2)], [3.0, 1.0])
     assert mu.weights == pytest.approx([0.75, 0.25])
+    # one error names every singular atom
+    atoms = np.array([np.zeros((2, 2)), np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+    with pytest.raises(mw.SingularMatrixError) as exc:
+        mw.GeneratorMeasure(atoms, np.full(3, 1.0 / 3.0))
+    assert str(exc.value).startswith("atom 0: matrix is numerically singular")
+    assert "; atom 2: matrix is numerically singular" in str(exc.value)
+    assert "atom 1" not in str(exc.value)
 
 
 def test_big_n_examples():

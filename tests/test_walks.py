@@ -123,6 +123,25 @@ def test_rescale_interval_scales_with_growth():
     assert 1 <= wild < 64
 
 
+def test_atom_growth_past_the_bound_is_refused():
+    # growth 345.4 stays below the bound of 350 and walks; 368.4 would overflow
+    # a unit state's squared norm after one letter, and is refused up front
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    tame = np.array([1e150 * np.eye(2), shear])
+    assert walks.rescale_interval(tame) == 1
+    vals, finals = walks.vector_walk(tame, [0.5, 0.5], np.array([1.0, 0.0]), 300, 4, 3,
+                                     rng.TAG_WALK)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(finals))
+    logs = walks.matrix_walk_log_norms({"id": tame}, [0.5, 0.5], 300, 4, 3, rng.TAG_WALK)["id"]
+    assert np.all(np.isfinite(logs))
+    for wild in ([shear, 1e160 * np.eye(2)], [shear, 1e-160 * np.eye(2)]):
+        with pytest.raises(ValueError, match=r"atom 1 has growth .* = 368\.4, above 350"):
+            walks.rescale_interval(np.array(wild))
+        with pytest.raises(ValueError, match="atom 1 has growth"):
+            walks.vector_walk(np.array(wild), [0.5, 0.5], np.array([1.0, 0.0]), 10, 2, 3,
+                              rng.TAG_WALK)
+
+
 @pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 499, 500, 501])
 def test_replica_uniforms_skip_is_the_prefix_tail(skip):
     full = rng.replica_uniforms(31, rng.TAG_DUAL_CLOUD, 6, 510, first_replica=40)
