@@ -19,7 +19,7 @@ EIG_GAP_TOL = 1e-6       # relative modulus gap certifying a dominant eigenvalue
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class GeneratorMeasure:
     """Finitely supported probability measure on the invertible matrices."""
 

@@ -22,36 +22,44 @@ a draw from the start of each stream (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11).
 
 How a block is drawn does not change its bytes.  ``replica_uniforms`` has
-two paths to numpy's own Philox4x64-10 output.  Rows of more than
-``_SHORT_ROW`` (24) uniforms re-key one Philox per replica through the public
+one draw engine, which yields numpy's own raw Philox4x64-10 outputs on two
+paths; ``raw=True`` returns them as they are, and otherwise each sub-block
+becomes its uniforms ``(word >> 11) * 2**-53`` in place.  Rows of more than
+``_SHORT_ROW`` (24) draws re-key one Philox per replica through the public
 ``state`` setter, given a state dict of plain Python ints in which only the
 second key word changes (numpy array fields cost the setter more than the
-draw of a short row).  Re-keying costs about 1.5 us per replica, so shorter
-rows (one uniform per particle in ``advance_cloud``, one per replica in
-``brown_triangular_check``) are evaluated in numpy for all keys at once,
-``2**14`` counters at a time: ten rounds of the two 64-bit mul-hi products
-(multipliers ``0xD2E7470EE14C6C93`` and ``0xCA5A826395121157``, taken on
-32-bit halves) with the key bumped by ``0x9E3779B97F4A7C15`` and
-``0xBB67AE8584CAA73B`` between rounds.  numpy steps the 256-bit counter
-before each block of four outputs, so draw ``k`` of a stream is word
-``k % 4`` of counter ``k // 4 + 1``, and its uniform is ``(word >> 11) *
-2**-53``.  Both paths give the same bytes.  The vectorised form pays about
-50 ns per uniform against numpy's 5-7, so the two cost the same at rows of
-about 30 uniforms (2-vCPU Xeon, numpy 2.4), and the threshold sits below.
+draw of a short row), and read ``random_raw``.  Re-keying costs about 1.5 us
+per replica, so shorter rows (one uniform per particle in
+``advance_cloud``, one per replica in ``brown_triangular_check``) are
+evaluated in numpy for all keys at once, ``2**14`` counters at a time: ten
+rounds of the two 64-bit mul-hi products (multipliers
+``0xD2E7470EE14C6C93`` and ``0xCA5A826395121157``, taken on 32-bit halves)
+with the key bumped by ``0x9E3779B97F4A7C15`` and ``0xBB67AE8584CAA73B``
+between rounds.  numpy steps the 256-bit counter before each block of four
+outputs, so draw ``k`` of a stream is word ``k % 4`` of counter
+``k // 4 + 1``.  Both paths give the same bytes.  The vectorised form pays
+about 50 ns per draw against numpy's 5-7, so the two cost the same at rows
+of about 30 draws (2-vCPU Xeon, numpy 2.4), and the threshold sits below.
 
 ``replica_words`` fills its word array one sub-block of rows at a time, about
-``2**16`` uniforms each (one row when a row is longer); each sub-block is
-drawn by one ``replica_uniforms`` call, so every stream and uniform drawn is
-still counted there, and mapped by ``indices_from_uniforms``.  The float64
-uniforms of a whole block never exist at once, and the words equal those
-mapped from one ``replica_uniforms`` call for the block.  Stream indices run
-over ``[0, 2**44)``; a block reaching past either end raises ``ValueError``,
-since a larger index would carry into the tag bits and read another family.
-A master seed outside ``[0, 2**64)`` or a skip that is not an integer raises
-``ValueError`` too, where it would otherwise alias a seed modulo ``2**64``
-or be truncated.
+``2**16`` draws each (one row when a row is longer); each sub-block is drawn
+by one ``replica_uniforms(..., raw=True)`` call, so every stream and draw is
+still counted there.  Letters come from the raw outputs by exact integer
+thresholds (``_letter_rule``): a uniform is at or past the cdf entry ``c``
+exactly when its output is at or past ``ceil(c * 2**53) << 11``, so the
+words equal those ``indices_from_uniforms`` maps from the uniforms, and no
+float uniform is formed.  For ``2**b`` equal weights the letter is the top
+``b`` bits; otherwise up to eight atoms take one compare per threshold and
+more take a binary search, the split ``indices_from_uniforms`` makes.  No
+array of a whole block's outputs exists at once.  Stream indices run over
+``[0, 2**44)``; a block reaching past either end raises
+``ValueError``, since a larger index would carry into the tag bits and read
+another family.  A master seed outside ``[0, 2**64)`` or a skip that is not
+an integer raises ``ValueError`` too, where it would otherwise alias a seed
+modulo ``2**64`` or be truncated.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -70,13 +78,14 @@ TAG_TEST_POINTS = 8   # deterministic auxiliary point draws
 
 _MAX_INDEX = 1 << 44
 _MASK64 = (1 << 64) - 1
-_SUB_BLOCK_UNIFORMS = 1 << 16   # uniforms per sub-block of ``replica_words``
+_SUB_BLOCK_UNIFORMS = 1 << 16   # draws per sub-block of ``replica_words`` and of long rows
 _SHORT_ROW = 24                 # longest row drawn by ``_philox_rows``
 _PHILOX_COUNTERS = 1 << 14      # counters per sub-block of ``_philox_rows``
 # Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _HALF, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
+_DROPPED_BITS = np.uint64(11)   # a uniform keeps the top 53 bits of its output
 
 
 def _seed(master_seed):
@@ -111,7 +120,7 @@ def _mulhilo(m, x):
 
 
 def _philox_rows(seed, keys, skip, count):
-    """Uniforms ``skip, ..., skip + count - 1`` of the streams keyed ``(seed, k)``
+    """Raw outputs ``skip, ..., skip + count - 1`` of the streams keyed ``(seed, k)``
     for every ``k`` in ``keys``: Philox4x64-10 evaluated for all keys at once."""
     block, discard = divmod(skip, 4)
     # numpy steps the counter before each block of four outputs, so draw
@@ -127,19 +136,22 @@ def _philox_rows(seed, keys, skip, count):
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         k1 = k1 + np.uint64(_PHILOX_W[1])
     words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), -1)
-    return (words[:, discard:discard + count] >> np.uint64(11)) * 2.0**-53
+    return words[:, discard:discard + count]
 
 
-def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0):
+def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0, raw=False):
     """Uniforms for a block of replica streams, one row per replica.
 
     Row ``i`` holds uniforms ``skip, ..., skip + count - 1`` of the stream
     ``(master_seed, tag, first_replica + i)``, so the result is independent of
-    how replicas are grouped into blocks.  Rows of at most ``_SHORT_ROW``
-    uniforms are evaluated for all keys at once, ``_PHILOX_COUNTERS``
-    counters at a time; longer rows share one bit generator, re-keyed and
-    its counter reset for every replica.  The seed must lie in ``[0, 2**64)``
-    and ``skip`` be a non-negative integer.
+    how replicas are grouped into blocks.  With ``raw=True`` the rows hold
+    the raw 64-bit outputs (``uint64``) whose uniforms those are.  Rows are
+    drawn, and converted, a sub-block at a time: rows of at most
+    ``_SHORT_ROW`` draws for all keys at once, ``_PHILOX_COUNTERS`` counters
+    at a time; longer rows about ``_SUB_BLOCK_UNIFORMS`` draws at a time from
+    one bit generator, re-keyed and its counter reset for every replica.
+    The seed must lie in ``[0, 2**64)`` and ``skip`` be a non-negative
+    integer.
     """
     seed = _seed(master_seed)
     if not isinstance(skip, numbers.Integral):
@@ -149,31 +161,38 @@ def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0)
     if not (0 <= first_replica and first_replica + replicas <= _MAX_INDEX):
         raise ValueError(f"replica streams {first_replica} to {first_replica + replicas - 1} "
                          f"are outside the stream index range [0, 2**44)")
-    out = np.empty((replicas, count))
+    out = np.empty((replicas, count), dtype=np.uint64 if raw else float)
+    words = out.view(np.uint64)   # raw outputs first, converted in place unless ``raw``
     first = (tag << 44) | int(first_replica)
     skip = int(skip)
     block, discard = divmod(skip, 4)
-    if count <= _SHORT_ROW:
+    short = count <= _SHORT_ROW
+    if short:
         rows = max(1, _PHILOX_COUNTERS // max(1, (discard + count + 3) // 4))
-        for lo in range(0, replicas, rows):
-            keys = np.arange(first + lo, first + min(lo + rows, replicas), dtype=np.uint64)
-            out[lo:lo + rows] = _philox_rows(seed, keys, skip, count)
-        return out
-    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    key = [seed, 0]
-    # the 256-bit counter as it stands after ``block`` blocks of four draws,
-    # with the output buffer empty
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [(block >> (64 * k)) & _MASK64 for k in range(4)],
-                       "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for index, row in zip(range(first, first + replicas), out):
-        key[1] = index
-        bits.state = state
-        if discard:
-            gen.random(discard)
-        gen.random(out=row)
+    else:
+        rows = max(1, _SUB_BLOCK_UNIFORMS // count)
+        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        key = [seed, 0]
+        # the 256-bit counter as it stands after ``block`` blocks of four
+        # draws, with the output buffer empty
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [(block >> (64 * k)) & _MASK64 for k in range(4)],
+                           "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for lo in range(0, replicas, rows):
+        part = words[lo:lo + rows]
+        indices = range(first + lo, first + lo + len(part))
+        if short:
+            part[:] = _philox_rows(seed, np.arange(indices.start, indices.stop,
+                                                   dtype=np.uint64), skip, count)
+        else:
+            for index, row in zip(indices, part):
+                key[1] = index
+                bits.state = state
+                row[...] = bits.random_raw(discard + count)[discard:]
+        if not raw:
+            part >>= _DROPPED_BITS
+            np.multiply(part, 2.0**-53, out=out[lo:lo + rows])
     return out
 
 
@@ -189,17 +208,53 @@ def indices_from_uniforms(u, weights):
     return np.searchsorted(cdf, u, side="right").astype(np.uint16)
 
 
+def _letter_rule(weights):
+    """How ``replica_words`` maps raw outputs to letters, equal to the float rule.
+
+    A uniform ``(w >> 11) * 2**-53`` is at or past ``cdf_k`` exactly when
+    ``w >= t_k = ceil(cdf_k * 2**53) << 11`` (``cdf_k * 2**53`` scales by a
+    power of two, so it is exact); a threshold of ``2**64`` or more is never
+    reached, and left out.  Returns the thresholds as ``uint64``, or, for
+    ``2**b`` equal weights, the shift ``s = 64 - b`` that gives the letter
+    ``w >> s``.
+    """
+    cdf = np.cumsum(weights)[:-1].tolist()
+    marks = [max(0, math.ceil(c * 2.0**53)) << 11 for c in cdf]
+    thresholds = np.array([t for t in marks if t <= _MASK64], dtype=np.uint64)
+    bits = len(weights).bit_length() - 1
+    if len(weights) > 1 and marks == [(k + 1) << (64 - bits) for k in range(len(cdf))]:
+        return np.uint64(64 - bits)
+    return thresholds
+
+
+def _letters(words, rule, out):
+    """Write the letters of raw outputs ``words`` into ``out`` by ``_letter_rule``."""
+    if rule.ndim == 0:
+        np.right_shift(words, rule, out=out, casting="unsafe")
+    elif out.dtype == np.uint8:
+        # the split ``indices_from_uniforms`` makes: a pass per threshold is linear in
+        # the atom count, a binary search is not, and for a few atoms the passes win
+        out[...] = 0
+        for t in rule:
+            out += words >= t
+    else:
+        out[...] = np.searchsorted(rule, words, side="right")
+
+
 def replica_words(master_seed, tag, replicas, n_steps, weights, first_replica=0, skip=0):
     """Atom-index words for a block of replicas (one word per row), from letter ``skip`` on.
 
     Equal, dtype included, to ``indices_from_uniforms(replica_uniforms(...),
-    weights)`` on the whole block, drawn one sub-block of rows at a time.
+    weights)`` on the whole block, drawn one sub-block of rows at a time as
+    raw outputs and mapped by integer thresholds (``_letter_rule``).
     """
     # the dtype ``indices_from_uniforms`` gives
     words = np.empty((replicas, n_steps), dtype=np.uint8 if len(weights) <= 8 else np.uint16)
+    rule = _letter_rule(weights)
     rows = max(1, _SUB_BLOCK_UNIFORMS // max(n_steps, 1))
     for lo in range(0, replicas, rows):
         count = min(rows, replicas - lo)
-        u = replica_uniforms(master_seed, tag, count, n_steps, first_replica + lo, skip)
-        words[lo:lo + count] = indices_from_uniforms(u, weights)
+        raw = replica_uniforms(master_seed, tag, count, n_steps, first_replica + lo, skip,
+                               raw=True)
+        _letters(raw, rule, words[lo:lo + count])
     return words

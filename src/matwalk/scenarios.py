@@ -42,7 +42,7 @@ from .measures import (
     shear_pair_sl3,
 )
 from .stationary import MAX_START_DIMENSION
-from .walks import _TABLE_ROWS, BLOCK
+from .walks import _TABLE_ROWS, BLOCK, MAX_ATOM_GROWTH, atom_growth
 
 REQUIRED = "required"  # in place of a default: the key must be given
 
@@ -113,11 +113,14 @@ _STEP_LIST = _increasing(_MAX_STEPS)
 # plus table codes of at most 4 bytes a letter: 2e8 letters is about 1 GB.
 _MAX_BLOCK_LETTERS = 2 * 10**8
 # A walk's letter table has up to 256 + A rows for A atoms; a row holds one m x m float
-# matrix per induced action the walk follows (m in _ACTIONS, d if unlisted): <= 1 GiB.
+# matrix per induced action the walk follows: <= 1 GiB.
 _MAX_TABLE_BYTES = 2**30
-_ACTIONS = {
-    "lyapunov": lambda d: [d, math.comb(d, 2)],  # the wedge-square walk
-    "clt_cartan": lambda d: (math.comb(d, r) for r in range(1, d)),
+# kind -> degrees r of the walks it runs: r = 1 is the measure's own action, r > 1 its
+# action on the r-th exterior power, m = comb(d, r); [1] if unlisted
+_WALK_DIMS = {
+    "lyapunov": lambda d: [1, 2] if d >= 2 else [1],  # the wedge-square walk
+    "clt_cartan": lambda d: range(1, d),
+    "lil": lambda d: [1] if d >= 2 else [],  # in dimension 1 a plain sum of logs
     "martingale_lab": lambda d: [],
 }
 # kind -> (replica key, step key) of every walk it runs; the replicas of the
@@ -211,7 +214,7 @@ _ASSERTIONS = {key: (_boolean, None) for key in ("strong_irreducible", "proximal
 _WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds a measure and dicts: equal and hashed by identity
 class ScenarioConfig:
     name: str
     kind: str
@@ -347,14 +350,43 @@ def _check_measure(measure, dim, problems):
     return built if weights is not None or raw_weights is None else None
 
 
+def _walk_degrees(kind, dim):
+    """Degrees ``r`` of the walks a ``kind`` runs in dimension ``dim`` (``_WALK_DIMS``)."""
+    return list(_WALK_DIMS.get(kind, lambda d: [1])(dim))
+
+
 def _table_bytes(kind, dim, atom_count):
     """Letter-table bytes of a walk, summed only until they pass the bound."""
     table = 0
-    for m in _ACTIONS.get(kind, lambda d: [d])(dim):
-        table += (_TABLE_ROWS + atom_count) * m * m * 8
+    for r in _walk_degrees(kind, dim):
+        table += (_TABLE_ROWS + atom_count) * math.comb(dim, r) ** 2 * 8
         if table > _MAX_TABLE_BYTES:
             break
     return table
+
+
+def _check_growth(kind, measure, problems):
+    """Name every atom that one letter of a walk of ``kind`` would grow past
+    ``MAX_ATOM_GROWTH``, which the walk itself refuses when it starts.
+
+    On the r-th exterior power an atom grows by ``walks.atom_growth``, at most
+    ``r`` times its own growth ``max(|log s_max|, |log s_min|)``.
+    """
+    degrees = _walk_degrees(kind, measure.dim)
+    if not degrees:
+        return
+    for i, atom in enumerate(measure.atoms):
+        logs = np.log(np.linalg.svd(atom, compute_uv=False))
+        growth = {r: atom_growth(logs, r) for r in degrees}
+        worst = max(growth, key=growth.get)
+        if growth[worst] > MAX_ATOM_GROWTH:
+            where = "its own walk" if worst == 1 else f"its exterior power {worst}"
+            problems.append(
+                f"atom {i} grows by {growth[worst]:.1f} per letter on {where}, above "
+                f"{MAX_ATOM_GROWTH:g}: a scaled walk state would overflow (its own growth "
+                f"max(|log s_max|, |log s_min|) is {atom_growth(logs):.1f}; "
+                f"for kind {kind!r} in dimension {measure.dim} a growth up to "
+                f"{MAX_ATOM_GROWTH / max(degrees):g} always passes)")
 
 
 def validate_config(data):
@@ -382,6 +414,8 @@ def validate_config(data):
                                 f"{_MAX_TABLE_BYTES} are allowed")
                 atom_dim = None
         measure = _check_measure(top["measure"], atom_dim, problems)
+        if measure is not None and kind is not None:
+            _check_growth(kind, measure, problems)
     schedule = {}
     if kind is not None and top["schedule"] is not None:
         schedule = _check_schedule(kind, top["schedule"], dim, problems)

@@ -55,7 +55,7 @@ def start_cloud(dim, count):
     return canonicalize_rows(gauss)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class EmpiricalMeasure:
     """Particle cloud on projective space or on its dual, with positive weights."""
 

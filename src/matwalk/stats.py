@@ -8,7 +8,6 @@ against a step reference exactly.
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -18,7 +17,6 @@ import numpy as np
 # within 2e-15 absolute on [1e-12, 1 - 1e-12] (tests/test_stats.py).
 _SQRT1_2 = math.sqrt(0.5)
 _NDTR = np.frompyfunc(lambda z: 0.5 * math.erfc(-z * _SQRT1_2), 1, 1)
-_NDTRI = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def ndtr(z):
@@ -28,7 +26,10 @@ def ndtr(z):
 
 def ndtri(p):
     """Standard normal quantile, elementwise, for ``0 < p < 1``."""
-    return np.asarray(_NDTRI(np.asarray(p, dtype=float)), dtype=float)
+    from statistics import NormalDist  # imported on first use, not at a cold start
+
+    quantile = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+    return np.asarray(quantile(np.asarray(p, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)

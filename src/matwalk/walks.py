@@ -12,6 +12,15 @@ the logs of the scales, and log operator norms of products are read off
 scaled matrix states.  Entries of a scaled state stay far from overflow, so
 walks of any length are safe.
 
+A step's table row is its *code* ``sum_j l_j A^j``.  ``_LetterTable._steps``
+builds the codes of a block of rows of words about ``2^18`` letters at a time
+(``_CODE_LETTERS``), so the block stays in cache, and writes them straight
+into the step-major ``uint16`` array the steps read: eight letters of a pair
+of atoms are one byte (``np.packbits``), other whole steps take a Horner
+scheme in bytes (codes stay below ``A^L <= 256``), steps of one letter copy
+it, and a single atom has code 0 only.  Tables with equal ``(A, L,
+interval)``, such as the Cartan walk's two tables, share one code array.
+
 A single trajectory is read at every step from chunked prefix products: the
 word is cut into chunks of ``rescale_interval`` letters, the running product
 inside every chunk is formed for all chunks at once, one sequential pass
@@ -42,7 +51,6 @@ worker threads, which changes wall time only.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,6 +59,7 @@ from . import rng
 BLOCK = 4096    # replicas per scheduling block (fixed: part of no contract,
                 # results do not depend on it, only wall time does)
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
+_CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
 _HEAD_BLOCK = 512         # chunk ends a one-row head pass holds as Python floats at once
 _THREADS = 1
@@ -71,20 +80,34 @@ def _blocks(total):
 def _run_blocks(fn, blocks):
     if _THREADS <= 1 or len(blocks) <= 1:
         return [fn(*b) for b in blocks]
+    # imported on first use: a cold start needs no pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=_THREADS) as pool:
         return list(pool.map(lambda b: fn(*b), blocks))
+
+
+def atom_growth(log_s, r=1):
+    """How far one letter of an atom moves a log norm on its ``r``-th exterior power.
+
+    ``log_s`` holds the atom's log singular values, largest first; the growth is
+    ``max(|sum of the top r|, |sum of the bottom r|)``, for ``r = 1`` the atom's own
+    ``max(|log s_max|, |log s_min|)``.  A walk refuses an atom whose growth on the
+    walk it runs is above ``MAX_ATOM_GROWTH``.
+    """
+    return max(abs(log_s[:r].sum()), abs(log_s[-r:].sum()))
 
 
 def rescale_interval(atoms):
     """Steps between rescalings so scaled entries stay far from overflow.
 
     Raises ``ValueError`` for an atom whose growth ``max(|log s_max|, |log s_min|)``
-    is above ``MAX_ATOM_GROWTH``: one letter would take a unit state out of range.
+    (``atom_growth``) is above ``MAX_ATOM_GROWTH``: one letter would take a unit
+    state out of range.
     """
     growth = 0.0
     for i, a in enumerate(atoms):
-        s = np.linalg.svd(a, compute_uv=False)
-        g = max(abs(np.log(s[0])), abs(np.log(s[-1])))
+        g = atom_growth(np.log(np.linalg.svd(a, compute_uv=False)))
         if g > MAX_ATOM_GROWTH:
             raise ValueError(f"atom {i} has growth max(|log s_max|, |log s_min|) = {g:.1f}, "
                              f"above {MAX_ATOM_GROWTH:g}: a scaled state would overflow")
@@ -168,7 +191,8 @@ class _LetterTable:
     ``l_0`` acts first).  When ``L > 1``, row ``A^L + l`` holds the single atom
     ``a_l``; single letters finish the stretch up to each read-out, so a
     checkpoint reads exactly the product of its own letters.  ``rows`` is
-    entry-major, ``(d, d, table rows)``.
+    entry-major, ``(d, d, table rows)``.  Tables with equal ``key`` step
+    through the same codes.
     """
 
     def __init__(self, atoms):
@@ -177,47 +201,78 @@ class _LetterTable:
         self.dim = atoms.shape[1]
         self.interval = rescale_interval(atoms)
         self.letters = letters_per_step(self.n_atoms, self.interval)
+        self.key = (self.n_atoms, self.letters, self.interval)
         singles = _entry_major(atoms)
         rows = singles
         for _ in range(1, self.letters):
             # row l R + r is a_l times row r
-            left = np.repeat(singles, rows.shape[-1], axis=2)
-            rows = _product(left, np.tile(rows, self.n_atoms), np.empty_like(left))
+            if self.n_atoms == 1:
+                left, right = singles, rows
+            else:
+                left = np.repeat(singles, rows.shape[-1], axis=2)
+                right = np.tile(rows, self.n_atoms)
+            rows = _product(left, right, np.empty_like(left))
         self.single = rows.shape[-1] if self.letters > 1 else 0
         self.rows = np.concatenate([rows, singles], axis=2) if self.letters > 1 else rows
+
+    def _full_codes(self, letters, out):
+        """Codes of whole table steps: ``letters`` ``(rows, k L)`` -> ``out`` ``(k, rows)``."""
+        width = self.letters
+        if self.n_atoms == 1:
+            out[...] = 0
+        elif width == 1:
+            out[...] = letters.T
+        elif self.n_atoms == 2 and width == 8:
+            # the code of eight binary letters is their byte, letter 0 in bit 0
+            out[...] = np.packbits(letters, axis=1, bitorder="little").T
+        else:
+            # Horner in bytes, step-major: codes < A^L <= 256, so no step overflows
+            steps = letters.reshape(len(letters), -1, width).transpose(1, 0, 2)
+            codes = np.empty(steps.shape[:2], dtype=np.uint8)
+            np.copyto(codes, steps[..., -1], casting="unsafe")
+            for j in range(width - 2, -1, -1):
+                codes *= np.uint8(self.n_atoms)
+                np.add(codes, steps[..., j], out=codes, casting="unsafe")
+            out[...] = codes
 
     def _steps(self, words, marks):
         """Table rows of every step (steps x replicas), and per step whether to
         rescale before it and whether to read after it.
 
         Up to each mark the walk takes whole table steps, then single letters.
+        Codes are built a block of about ``_CODE_LETTERS`` letters of rows at
+        a time and written straight into the step-major array.
         """
-        parts, rescale, read = [], [], []
+        segments, rescale, read = [], [], []
         since = pos = 0
         for end in marks:
             full, rest = divmod(end - pos, self.letters)
-            letters = words[:, pos:end - rest].reshape(len(words), full, self.letters)
-            # Horner: codes < A^L <= 256, so no step overflows
-            codes = letters[:, :, -1].astype(np.uint16)
-            for j in range(self.letters - 2, -1, -1):
-                codes *= np.uint16(self.n_atoms)
-                codes += letters[:, :, j]
-            parts += [codes, words[:, end - rest:end] + np.uint16(self.single)]
+            segments.append((len(rescale), full, pos, pos + full * self.letters, end))
             for step in [self.letters] * full + [1] * rest:
                 rescale.append(since + step > self.interval)
                 since = step if rescale[-1] else since + step
                 read.append(False)
             read[-1] = True
             pos = end
-        return np.ascontiguousarray(np.concatenate(parts, axis=1).T), rescale, read
+        codes = np.empty((len(rescale), len(words)), dtype=np.uint16)
+        rows = max(1, _CODE_LETTERS // words.shape[1])
+        for lo in range(0, len(words), rows):
+            block, out = words[lo:lo + rows], codes[:, lo:lo + rows]
+            for step, full, start, tail, end in segments:
+                self._full_codes(block[:, start:tail], out[step:step + full])
+                step += full
+                np.add(block[:, tail:end].T, np.uint16(self.single),
+                       out=out[step:step + end - tail])
+        return codes, rescale, read
 
-    def walk(self, words, state, marks):
+    def walk(self, words, state, marks, steps=None):
         """Push ``state`` (rows ``(count, d)`` or matrices ``(count, m, m)``)
         through the rows of ``words``; log norms at each mark, and the final
         scaled state in the same layout.  Vectors read their Euclidean norm,
         matrices their operator norm.  The steps run on an entry-major copy.
+        ``steps`` may give ``_steps(words, marks)`` of a table with this ``key``.
         """
-        codes, rescale, read = self._steps(words, marks)
+        codes, rescale, read = self._steps(words, marks) if steps is None else steps
         vector = state.ndim == 2
         state = _entry_major(state)
         spare = np.empty_like(state)
@@ -246,8 +301,8 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     The letters are ``skip, ..., skip + n - 1`` of each replica's stream.
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
     column per checkpoint (the last one need not be ``n``).  Blocks run in
-    order on the calling thread: a vector step is too short a numpy call
-    for worker threads to gain on it.
+    order on the calling thread: their words come from a per-replica draw
+    loop that holds the interpreter lock, so worker threads gain nothing.
     """
     table = _LetterTable(atoms)
     start = np.asarray(start, dtype=float)
@@ -282,10 +337,12 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
 
     def run_block(first, count):
         words = rng.replica_words(seed, tag, count, n, weights, first_replica=first)
-        out = {}
+        out, steps = {}, {}
         for lab, table in tables.items():
+            if table.key not in steps:
+                steps[table.key] = table._steps(words, marks)
             eye = np.tile(np.eye(table.dim), (count, 1, 1))
-            logs, _ = table.walk(words, eye, marks)
+            logs, _ = table.walk(words, eye, marks, steps[table.key])
             out[lab] = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return out
 
@@ -329,7 +386,7 @@ def _one_row_heads(ends, heads):
         heads[:, lo + 1:lo + 1 + len(block)] = np.array(block).T
 
 
-def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
+def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=True):
     """Cocycle values and positions after every letter, by chunked prefix products.
 
     Row ``r`` walks stream ``first_replica + r`` from the unit row
@@ -337,7 +394,8 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
     hold about ``2^18`` letter-replica products (at least one chunk per row);
     each segment yields ``(lo, values, units)``, where ``values[r, k]`` is
     ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit row of that
-    vector.
+    vector.  With ``units=False`` only the last unit row of a segment is
+    formed, to carry the walk on, and ``None`` is yielded in place of units.
     """
     atoms = np.asarray(atoms, dtype=float)
     d = atoms.shape[1]
@@ -381,12 +439,18 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0):
         at_heads = np.zeros((heads_per_row, rows))
         np.cumsum(logs[-1, :-1], axis=0, out=at_heads[1:])
         values = (logs + (base + at_heads)[None]).T.reshape(rows, -1)[:, :length]
-        vecs /= norms[:, None]
-        units = vecs.reshape(chunk, d, heads_per_row, rows).transpose(3, 2, 0, 1)
-        units = units.reshape(rows, -1, d)[:, :length]
         base = values[:, -1]
-        u = units[:, -1]
-        yield lo, values, units
+        if units:
+            vecs /= norms[:, None]
+            seg_units = vecs.reshape(chunk, d, heads_per_row, rows).transpose(3, 2, 0, 1)
+            seg_units = seg_units.reshape(rows, -1, d)[:, :length]
+            u = seg_units[:, -1]
+        else:
+            # the unit rows after the last letter: position c of chunk k
+            k, c = divmod(length - 1, chunk)
+            last = slice(k * rows, (k + 1) * rows)
+            seg_units, u = None, (vecs[c, :, last] / norms[c, last]).T
+        yield lo, values, seg_units
 
 
 def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
@@ -400,6 +464,6 @@ def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
     v = np.asarray(start, dtype=float)
     out = np.empty(n_max)
     for lo, values, _ in chunked_walk(atoms, weights, (v / np.linalg.norm(v))[None], n_max,
-                                      seed, tag, first_replica=stream_index):
+                                      seed, tag, first_replica=stream_index, units=False):
         out[lo:lo + values.shape[1]] = values[0]
     return out

@@ -176,7 +176,8 @@ def test_scenario_file_checks_each_atom_once(tmp_path, monkeypatch):
     assert len(checked) == 3
 
 
-def test_atom_growth_past_the_bound_exits_3_without_warnings(tmp_path, capsys):
+def test_atom_growth_past_the_bound_exits_2_without_warnings(tmp_path, capsys):
+    # refused at load, before any walk starts
     cfg = write_config(tmp_path, {
         "name": "overflowing_atom",
         "kind": "clt",
@@ -187,11 +188,97 @@ def test_atom_growth_past_the_bound_exits_3_without_warnings(tmp_path, capsys):
     })
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert caught == []
     err = capsys.readouterr().err
-    assert "overflowing_atom" in err and "seed 5" in err
-    assert "atom 0 has growth max(|log s_max|, |log s_min|) = 368.4, above 350" in err
+    assert "atom 0 grows by 368.4 per letter on its own walk, above 350" in err
+    assert not (tmp_path / "out").exists()
+
+
+_BIG = [1.0e150, 0.0, 0.0, 1.0e150]
+_SHEAR = [1.0, 1.0, 0.0, 1.0]
+_SMALL = [1.0e-150, 0.0, 0.0, 1.0e-150]
+
+
+@pytest.mark.parametrize("atoms, offending", [([_BIG, _SHEAR], [0]),
+                                              ([_BIG, _SHEAR, _SMALL], [0, 2])])
+def test_wedge_square_growth_is_refused_at_load(tmp_path, capsys, atoms, offending):
+    # growth 345.4 passes the measure's own walk, but the wedge-square walk of
+    # 'lyapunov' multiplies by det = 1e+-300: 690.8 per letter
+    cfg = write_config(tmp_path, {
+        "name": "wedge_overflow", "kind": "lyapunov", "dimension": 2, "master_seed": 5,
+        "measure": {"atoms": atoms}, "schedule": {"n": 50, "replicas": 4},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    for atom in range(len(atoms)):
+        named = (f"atom {atom} grows by 690.8 per letter on its exterior power 2, above 350"
+                 in err)
+        assert named == (atom in offending)
+    assert "its own growth max(|log s_max|, |log s_min|) is 345.4" in err
+    assert "for kind 'lyapunov' in dimension 2 a growth up to 175 always passes" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _scaled_atom(dim, log_scale, seed):
+    """A random atom of condition number at most 10, times ``e^log_scale``."""
+    u, _, vt = np.linalg.svd(np.random.default_rng(seed).normal(size=(dim, dim)))
+    return np.exp(log_scale) * u @ np.diag(np.linspace(1.0, 10.0, dim)) @ vt
+
+
+@pytest.mark.parametrize("log_scale, passes", [(349.0 - np.log(10.0), True),
+                                               (351.0 - np.log(10.0), False)])
+def test_clt_atom_growth_bound_at_load(log_scale, passes):
+    atom = _scaled_atom(2, log_scale, 0)
+    data = small_config("clt", measure={"atoms": [atom.ravel().tolist(),
+                                                  [1.0, 1.0, 0.0, 1.0]]})
+    if passes:
+        assert mw.validate_config(data).kind == "clt"
+        return
+    with pytest.raises(mw.ConfigError) as exc:
+        mw.validate_config(data)
+    assert exc.value.problems == [
+        "atom 0 grows by 351.0 per letter on its own walk, above 350: a scaled walk state "
+        "would overflow (its own growth max(|log s_max|, |log s_min|) is 351.0; for kind "
+        "'clt' in dimension 2 a growth up to 350 always passes)"]
+
+
+@pytest.mark.parametrize("kind, dim", [("lyapunov", 2), ("lyapunov", 3), ("lyapunov", 4),
+                                       ("clt", 2), ("clt", 3)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_config_that_validates_passes_every_walk_check(kind, dim, sign):
+    # atoms scaled to just below the bound on their worst walk: the load check
+    # lets them through, and so does each walk's own check on its atoms
+    degrees = scenarios._walk_degrees(kind, dim)
+    atoms = []
+    for seed in range(4):
+        logs = np.log(np.linalg.svd(_scaled_atom(dim, 0.0, seed), compute_uv=False))
+        # growth on degree r: |r c + sum of r logs| at scale e^c, largest at top r
+        c = min((349.9 - (logs[:r].sum() if sign > 0 else -logs[-r:].sum())) / r
+                for r in degrees)
+        atoms.append(_scaled_atom(dim, sign * c, seed))
+    data = small_config(kind, dimension=dim,
+                        measure={"atoms": [a.ravel().tolist() for a in atoms]})
+    mu = mw.validate_config(data).measure
+    for r in degrees:
+        walks.rescale_interval(np.array([mw.exterior_power(a, r) for a in mu.atoms]))
+    data["measure"]["atoms"][0] = (atoms[0] * np.exp(sign * 0.2)).ravel().tolist()
+    with pytest.raises(mw.ConfigError, match=r"atom 0 grows by 350\.[1-5] per letter"):
+        mw.validate_config(data)
+
+
+def test_lil_in_dimension_one_has_no_growth_bound():
+    # a one-dimensional trajectory adds up logs of |a|: no scaled state to overflow
+    data = small_config("lil", measure={"atoms": [[1.0e160], [1.0e-160]]})
+    assert mw.validate_config(data).kind == "lil"
+
+
+def test_configs_compare_and_hash_by_identity():
+    first, second = mw.bundled_scenarios(), mw.bundled_scenarios()
+    for name, cfg in first.items():
+        assert cfg == cfg and cfg != second[name]
+        assert hash(cfg) == hash(cfg)
+    assert len(set(first.values()) | set(second.values())) == 2 * len(first)
 
 
 def test_unknown_builtin_is_config_error(capsys):

@@ -1,6 +1,8 @@
 """Source checks that need no linter: every module uses each name it imports, and
 only ``reports`` writes CSV."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,13 @@ def test_only_reports_imports_csv():
             if "csv" in names or isinstance(node, ast.ImportFrom) and node.module == "csv":
                 importers.add(path.name)
     assert importers == {"reports.py"}
+
+
+def test_a_cold_import_loads_no_pool_and_no_statistics():
+    # both are imported on first use: a thread pool for more than one block,
+    # NormalDist for a Gaussian quantile
+    code = ("import sys, matwalk; "
+            "print(sorted(m for m in ('statistics', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -30,6 +30,13 @@ def test_measure_validation():
     assert "atom 1" not in str(exc.value)
 
 
+def test_measures_compare_and_hash_by_identity():
+    first, second = mw.free_semigroup_pair(), mw.free_semigroup_pair()
+    assert first == first and first != second and not first == second
+    assert hash(first) == hash(first)
+    assert {first: 1, second: 2}[second] == 2
+
+
 def test_big_n_examples():
     assert mw.big_n(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
     assert mw.big_n(np.diag([np.e**2, np.e**-1])) == pytest.approx(np.e**2, rel=1e-12)

@@ -95,9 +95,9 @@ def test_replica_words_draw_every_stream_once_through_replica_uniforms(monkeypat
     calls = []
     draw = rng.replica_uniforms
 
-    def counting(master_seed, tag, replicas, count, first_replica=0, skip=0):
+    def counting(master_seed, tag, replicas, count, first_replica=0, skip=0, raw=False):
         calls.append((replicas, count))
-        return draw(master_seed, tag, replicas, count, first_replica, skip)
+        return draw(master_seed, tag, replicas, count, first_replica, skip, raw=raw)
 
     monkeypatch.setattr(rng, "replica_uniforms", counting)
     rng.replica_words(4, rng.TAG_WALK, replicas, n, [0.5, 0.5], first_replica=9, skip=2)
@@ -158,9 +158,9 @@ def test_one_draw_rows_take_the_short_row_path(monkeypatch, free_pair):
     drawn = {"streams": 0, "short": 0}
     draw, short = rng.replica_uniforms, rng._philox_rows
 
-    def counting(master_seed, tag, replicas, count, first_replica=0, skip=0):
+    def counting(master_seed, tag, replicas, count, first_replica=0, skip=0, raw=False):
         drawn["streams"] += replicas
-        return draw(master_seed, tag, replicas, count, first_replica, skip)
+        return draw(master_seed, tag, replicas, count, first_replica, skip, raw=raw)
 
     def counting_short(seed, keys, skip, count):
         drawn["short"] += len(keys)
@@ -232,6 +232,62 @@ def test_letters_at_and_below_every_cdf_entry(atoms):
     assert letters.dtype == (np.uint8 if atoms <= 8 else np.uint16)
     assert letters.shape == (1, len(u))
     assert letters[0].tolist() == expected.tolist()
+
+
+LETTER_WEIGHTS = {f"{a}{kind}": w for a in (1, 2, 3, 4, 8, 9, 20) for kind, w in [
+    ("equal", np.full(a, 1.0 / a)), ("ramp", _weights(a))]}
+LETTER_WEIGHTS.update(
+    tiny=np.array([1e-300, 0.5, 0.5 - 1e-300]),
+    tiny_last=np.array([0.75, 0.25, 1e-300]),     # cdf entry 1 is 1.0: never reached
+    thirds=np.array([1.0, 1.0, 1.0]) / 3.0,
+    tiny_many=np.array([1e-300] * 8 + [1.0 - 8e-300]),
+)
+
+
+@pytest.mark.parametrize("name", list(LETTER_WEIGHTS))
+def test_raw_letters_equal_the_float_rule_at_every_cdf_entry(name):
+    weights = LETTER_WEIGHTS[name]
+    cdf = np.cumsum(weights)
+    # the raw outputs whose uniforms are the last below, and the first at or
+    # above, every cdf entry, each with its neighbours
+    first = np.ceil(cdf * 2.0**53).astype(object)
+    grid = {int(m) + k for m in first for k in (-2, -1, 0, 1) if 0 <= int(m) + k < 2**53}
+    words = sorted({(m << 11) + low for m in grid | {0, 2**53 - 1}
+                    for low in (0, 1, 2**10, 2**11 - 1)})
+    words = np.array(words, dtype=np.uint64).reshape(1, -1)
+    expected = rng.indices_from_uniforms((words >> np.uint64(11)) * 2.0**-53, weights)
+    letters = np.empty_like(expected)
+    rng._letters(words, rng._letter_rule(weights), letters)
+    assert letters.tolist() == expected.tolist()
+    assert letters.max() < len(weights)
+
+
+@pytest.mark.parametrize("atoms, shift", [(2, 63), (4, 62), (8, 61), (16, 60), (1, None),
+                                          (3, None), (20, None)])
+def test_equal_power_of_two_weights_take_a_shift(atoms, shift):
+    rule = rng._letter_rule(np.full(atoms, 1.0 / atoms))
+    assert (int(rule) if rule.ndim == 0 else None) == shift
+
+
+@pytest.mark.parametrize("name", ["2equal", "4equal", "3ramp", "9ramp", "20equal", "tiny"])
+def test_replica_words_equal_the_float_rule_on_drawn_uniforms(name):
+    weights = LETTER_WEIGHTS[name]
+    for count, skip in [(5, 3), (700, 1)]:     # the short and the re-keyed rows
+        u = rng.replica_uniforms(2, rng.TAG_WALK, 40, count, first_replica=6, skip=skip)
+        words = rng.replica_words(2, rng.TAG_WALK, 40, count, weights, first_replica=6,
+                                  skip=skip)
+        assert words.tobytes() == rng.indices_from_uniforms(u, weights).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, rng._SHORT_ROW, rng._SHORT_ROW + 1, 300])
+def test_raw_rows_are_the_words_behind_the_uniforms(count):
+    raw = rng.replica_uniforms(8, rng.TAG_CLOUD, 9, count, first_replica=2, skip=5, raw=True)
+    u = rng.replica_uniforms(8, rng.TAG_CLOUD, 9, count, first_replica=2, skip=5)
+    assert raw.dtype == np.uint64 and raw.shape == u.shape
+    assert ((raw >> np.uint64(11)) * 2.0**-53).tobytes() == u.tobytes()
+    bits = np.random.Philox(key=np.array([8, (rng.TAG_CLOUD << 44) | 4], dtype=np.uint64))
+    bits.advance(1)
+    assert raw[2].tolist() == bits.random_raw(1 + count)[1:].tolist()
 
 
 @pytest.mark.parametrize("n_atoms, letters", [(2, 8), (3, 5), (4, 4), (20, 1)])

@@ -52,6 +52,14 @@ def test_start_cloud_unit_rows_in_every_lattice_dimension():
         mw.start_cloud(13, 10)
 
 
+def test_clouds_compare_and_hash_by_identity():
+    reps = mw.start_cloud(2, 5)
+    first = mw.EmpiricalMeasure(reps, np.full(5, 0.2))
+    second = mw.EmpiricalMeasure(reps, np.full(5, 0.2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_stationary_concentrates_for_contracting_diagonal():
     mu = mw.GeneratorMeasure.from_atoms([np.diag([2.0, 0.5])])
     cloud = mw.estimate_stationary(mu, burn_in=200, particles=2000, seed=1)

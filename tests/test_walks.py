@@ -123,6 +123,13 @@ def test_rescale_interval_scales_with_growth():
     assert 1 <= wild < 64
 
 
+def test_atom_growth_per_exterior_degree():
+    # log singular values 3, 1, -2: r = 1 is the atom's own growth, r = d is |log |det||
+    logs = np.array([3.0, 1.0, -2.0])
+    assert [walks.atom_growth(logs, r) for r in (1, 2, 3)] == [3.0, 4.0, 2.0]
+    assert walks.atom_growth(logs) == walks.atom_growth(logs, 1)
+
+
 def test_atom_growth_past_the_bound_is_refused():
     # growth 345.4 stays below the bound of 350 and walks; 368.4 would overflow
     # a unit state's squared norm after one letter, and is refused up front
@@ -466,3 +473,95 @@ def test_one_row_head_pass_makes_no_numpy_call_per_chunk(free_pair, monkeypatch)
                              rng.TAG_WALK)
     assert 0 < len(calls) <= segments * chunk
     assert len(calls) < n // chunk // 10
+
+
+def _horner_codes(table, words, marks):
+    """The codes of ``_LetterTable._steps`` built the plain way: whole-array
+    Horner per mark, joined, then transposed to steps x replicas."""
+    parts, pos = [], 0
+    for end in marks:
+        full, rest = divmod(end - pos, table.letters)
+        letters = words[:, pos:end - rest].reshape(len(words), full, table.letters)
+        codes = letters[:, :, -1].astype(np.uint16)
+        for j in range(table.letters - 2, -1, -1):
+            codes *= np.uint16(table.n_atoms)
+            codes += letters[:, :, j]
+        parts += [codes, words[:, end - rest:end] + np.uint16(table.single)]
+        pos = end
+    return np.ascontiguousarray(np.concatenate(parts, axis=1).T)
+
+
+def _rotations(n_atoms, growth=0.0):
+    angles = np.linspace(0.01, 0.02, n_atoms)
+    scale = np.diag([np.exp(growth), np.exp(-growth)])
+    return np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] @ scale for t in angles])
+
+
+# (atoms, letters per step): bit packing (2, 8), byte Horner, one letter a step, one atom
+_CODE_TABLES = {"pair": (_rotations(2), 8), "pair_wild": (_rotations(2, 50.0), 6),
+                "three": (_rotations(3), 5), "four": (_rotations(4), 4),
+                "nine": (_rotations(9), 2), "twenty": (_rotations(20), 1),
+                "one": (_rotations(1), 64)}
+
+
+@pytest.mark.parametrize("name", list(_CODE_TABLES))
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_blocked_codes_equal_whole_array_horner(name, block_rows, monkeypatch):
+    atoms, letters = _CODE_TABLES[name]
+    table = walks._LetterTable(atoms)
+    assert table.letters == letters
+    replicas, n = 7, 3 * letters + 150
+    words = np.random.default_rng(2).integers(0, len(atoms), size=(replicas, n)).astype(
+        np.uint8 if len(atoms) <= 8 else np.uint16)
+    # marks off the grid of whole steps, one a single letter after the last
+    marks = [1, letters + 1, 2 * letters + 3, n - 1, n]
+    if block_rows is not None:
+        monkeypatch.setattr(walks, "_CODE_LETTERS", block_rows * n)
+    codes, rescale, read = table._steps(words, marks)
+    expected = _horner_codes(table, words, marks)
+    assert codes.dtype == np.uint16 and codes.flags.c_contiguous
+    assert codes.tolist() == expected.tolist()
+    assert len(rescale) == len(read) == len(codes) and sum(read) == len(marks)
+
+
+def test_tables_share_codes_only_when_letters_and_interval_match(free_pair, monkeypatch):
+    calls = []
+    steps = walks._LetterTable._steps
+
+    def counting(self, words, marks):
+        calls.append(self.key)
+        return steps(self, words, marks)
+
+    monkeypatch.setattr(walks._LetterTable, "_steps", counting)
+    atoms = free_pair.atoms
+    wild = atoms * np.exp(20.0)      # same atom count and letters, shorter interval
+    assert walks._LetterTable(wild).letters == 8
+    sets = {"id": atoms, "twice": 2.0 * atoms, "wild": wild}
+    keys = {lab: walks._LetterTable(a).key for lab, a in sets.items()}
+    assert keys["id"] == keys["twice"] != keys["wild"]
+    out = walks.matrix_walk_log_norms(sets, free_pair.weights, 300, 5, 4, rng.TAG_WALK,
+                                      checkpoints=[7, 200])
+    assert sorted(calls) == sorted({keys["id"], keys["wild"]})
+    for lab, a in sets.items():
+        alone = walks.matrix_walk_log_norms({lab: a}, free_pair.weights, 300, 5, 4,
+                                            rng.TAG_WALK, checkpoints=[7, 200])[lab]
+        assert out[lab].tobytes() == alone.tobytes()
+    calls.clear()
+    mw.multidim_clt_cartan(mw.shear_pair_sl3(), n=40, samples=6, seed=3)
+    assert len(calls) == 1 and calls[0] == (2, 8, 64)   # both Cartan tables, one code array
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+def test_values_only_scan_keeps_the_values_bytes(measure, request, monkeypatch):
+    mu = request.getfixturevalue(measure)
+    monkeypatch.setattr(walks, "_SCAN_PRODUCTS", 200)
+    for rows in (1, 3):
+        starts = np.random.default_rng(rows).normal(size=(rows, mu.dim))
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        args = (mu.atoms, mu.weights, starts, 1001, 31, rng.TAG_WALK)
+        full = list(walks.chunked_walk(*args, first_replica=2))
+        lean = list(walks.chunked_walk(*args, first_replica=2, units=False))
+        assert len(full) == len(lean) > 2
+        for (lo, values, units), (lean_lo, lean_values, lean_units) in zip(full, lean):
+            assert lo == lean_lo and lean_units is None and units is not None
+            assert values.tobytes() == lean_values.tobytes()
