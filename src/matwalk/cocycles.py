@@ -86,7 +86,7 @@ def jordan_projection(g):
     return np.log(moduli)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class FlagPoint:
     """A complete flag, encoded by an orthogonal matrix whose leading columns
     span the nested subspaces."""

@@ -114,7 +114,7 @@ def lyapunov_pair(mu, n=1000, replicas=200, seed=0):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class CltReport:
     """Normalized fluctuation samples with Gaussian fit and KS distances."""
 
@@ -254,7 +254,7 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class LilReport:
     n_max: int
     window: tuple
@@ -309,7 +309,7 @@ def lil_diagnostic(mu, x, n_max, seed, lambda1, phi, checkpoint_count=1000):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class DeviationCurve:
     epsilon: float
     schedule: tuple

@@ -190,7 +190,7 @@ def delta(x, y):
     return min(1.0, abs(float(np.dot(x.rep, y.rep))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class CartanTriple:
     """Decomposition ``g = k diag(a) l`` with orthogonal ``k``, ``l``.
 

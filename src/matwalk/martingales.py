@@ -155,7 +155,7 @@ def _walk_checkpoint_sums(stream, schedule, replicas):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class AzumaReport:
     schedule: tuple
     frequencies: np.ndarray
@@ -189,7 +189,7 @@ def azuma_check(stream, eps, schedule, trials=100_000):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class WeightedSumReport:
     """Quadrature of the weighted tail series along a checkpoint schedule.
 
@@ -270,7 +270,7 @@ class TriangularArraySpec:
             raise ValueError("row sizes must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class BrownReport:
     row_sizes: tuple
     w_values: np.ndarray           # exact conditional variance sums

@@ -103,7 +103,7 @@ def check_mu(mu):
     return GeneratorMeasure(inverses, mu.weights.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class WordSample:
     """A sampled word and its left product ``b_n ... b_1`` in scaled form:
     ``matrix`` has operator norm 1 and ``log_scale`` is the log operator norm

@@ -49,10 +49,11 @@ thresholds (``_letter_rule``): a uniform is at or past the cdf entry ``c``
 exactly when its output is at or past ``ceil(c * 2**53) << 11``, so the
 words equal those ``indices_from_uniforms`` maps from the uniforms, and no
 float uniform is formed.  For ``2**b`` equal weights the letter is the top
-``b`` bits; otherwise up to eight atoms take one compare per threshold and
-more take a binary search, the split ``indices_from_uniforms`` makes.  No
-array of a whole block's outputs exists at once.  Stream indices run over
-``[0, 2**44)``; a block reaching past either end raises
+``b`` bits; otherwise up to ``_COMPARE_ATOMS`` (80) atoms take one compare
+per threshold and more take a binary search, the split
+``indices_from_uniforms`` makes.  Words of more than eight atoms are
+``uint16``.  No array of a whole block's outputs exists at once.  Stream
+indices run over ``[0, 2**44)``; a block reaching past either end raises
 ``ValueError``, since a larger index would carry into the tag bits and read
 another family.  A master seed outside ``[0, 2**64)`` or a skip that is not
 an integer raises ``ValueError`` too, where it would otherwise alias a seed
@@ -86,6 +87,9 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _HALF, _LOW = np.uint64(32), np.uint64(0xFFFFFFFF)
 _DROPPED_BITS = np.uint64(11)   # a uniform keeps the top 53 bits of its output
+# letters of up to this many atoms take one compare per cdf entry, of more a
+# binary search, the cheaper per letter from about 88 atoms on (2-vCPU Xeon, numpy 2.4)
+_COMPARE_ATOMS = 80
 
 
 def _seed(master_seed):
@@ -200,9 +204,9 @@ def indices_from_uniforms(u, weights):
     """Map uniforms to atom indices by inverse CDF over a fixed atom order."""
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0  # guard rounding in the last bin
-    if len(weights) <= 8:
-        idx = np.greater_equal(u, cdf[0]).view(np.uint8)
-        for c in cdf[1:-1]:
+    if len(weights) <= _COMPARE_ATOMS:
+        idx = np.zeros(np.shape(u), dtype=np.uint8 if len(weights) <= 8 else np.uint16)
+        for c in cdf[:-1]:
             idx += (u >= c)
         return idx
     return np.searchsorted(cdf, u, side="right").astype(np.uint16)
@@ -231,9 +235,9 @@ def _letters(words, rule, out):
     """Write the letters of raw outputs ``words`` into ``out`` by ``_letter_rule``."""
     if rule.ndim == 0:
         np.right_shift(words, rule, out=out, casting="unsafe")
-    elif out.dtype == np.uint8:
+    elif len(rule) < _COMPARE_ATOMS:
         # the split ``indices_from_uniforms`` makes: a pass per threshold is linear in
-        # the atom count, a binary search is not, and for a few atoms the passes win
+        # the atom count, a binary search is not
         out[...] = 0
         for t in rule:
             out += words >= t

@@ -270,7 +270,7 @@ def psi_at_images(psi, x_rows, images):
     return values[:len(x_rows)], values[len(x_rows):].reshape(len(images), -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class ResidualReport:
     residuals: np.ndarray
     mean_abs: float

@@ -16,12 +16,14 @@ import numpy as np
 # Cephes, the CDF is within 4e-15 relative on |z| <= 8 and the quantile
 # within 2e-15 absolute on [1e-12, 1 - 1e-12] (tests/test_stats.py).
 _SQRT1_2 = math.sqrt(0.5)
-_NDTR = np.frompyfunc(lambda z: 0.5 * math.erfc(-z * _SQRT1_2), 1, 1)
 
 
 def ndtr(z):
-    """Standard normal CDF ``P(Z <= z)``, elementwise."""
-    return np.asarray(_NDTR(np.asarray(z, dtype=float)), dtype=float)
+    """Standard normal CDF ``P(Z <= z)``, elementwise: ``0.5 * erfc(-z sqrt(1/2))``."""
+    z = np.asarray(z, dtype=float)
+    # erfc mapped over a Python list takes half the time of a frompyfunc ufunc
+    tails = map(math.erfc, (-z * _SQRT1_2).ravel().tolist())
+    return 0.5 * np.fromiter(tails, dtype=float, count=z.size).reshape(z.shape)
 
 
 def ndtri(p):
@@ -32,7 +34,7 @@ def ndtri(p):
     return np.asarray(quantile(np.asarray(p, dtype=float)), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class Ecdf:
     """Empirical CDF of a one-dimensional sample."""
 
@@ -105,7 +107,7 @@ def folded_gaussian_cdf(t, var):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class CovarianceFit:
     mean: np.ndarray
     covariance: np.ndarray

@@ -1,6 +1,8 @@
-"""Source checks that need no linter: every module uses each name it imports, and
-only ``reports`` writes CSV."""
+"""Source checks that need no linter: every module uses each name it imports,
+only ``reports`` writes CSV, and records that hold arrays compare by identity."""
 import ast
+import dataclasses
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +47,18 @@ def test_a_cold_import_loads_no_pool_and_no_statistics():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_records_holding_arrays_are_equal_and_hashed_by_identity():
+    # a generated __eq__ would compare arrays elementwise and raise, and the
+    # generated __hash__ of a frozen record would hash an array and raise
+    holding = []
+    # importing __main__ would run the command line
+    for path in (p for p in _MODULES if p.stem != "__main__"):
+        module = importlib.import_module(f"matwalk.{path.stem}")
+        for cls in vars(module).values():
+            if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                    and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))):
+                holding.append(cls)
+                assert not cls.__dataclass_params__.eq, f"{cls.__qualname__} needs eq=False"
+    assert len(holding) >= 15

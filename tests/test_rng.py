@@ -220,7 +220,7 @@ def test_library_seed_range_is_checked(free_pair):
         mw.lyapunov_top(free_pair, n=5, replicas=2, seed=2**64)
 
 
-@pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9, rng._COMPARE_ATOMS, rng._COMPARE_ATOMS + 1])
 def test_letters_at_and_below_every_cdf_entry(atoms):
     weights = _weights(atoms)
     cdf = np.cumsum(weights)
@@ -234,7 +234,7 @@ def test_letters_at_and_below_every_cdf_entry(atoms):
     assert letters[0].tolist() == expected.tolist()
 
 
-LETTER_WEIGHTS = {f"{a}{kind}": w for a in (1, 2, 3, 4, 8, 9, 20) for kind, w in [
+LETTER_WEIGHTS = {f"{a}{kind}": w for a in (1, 2, 3, 4, 8, 9, 20, 100) for kind, w in [
     ("equal", np.full(a, 1.0 / a)), ("ramp", _weights(a))]}
 LETTER_WEIGHTS.update(
     tiny=np.array([1e-300, 0.5, 0.5 - 1e-300]),
@@ -269,7 +269,8 @@ def test_equal_power_of_two_weights_take_a_shift(atoms, shift):
     assert (int(rule) if rule.ndim == 0 else None) == shift
 
 
-@pytest.mark.parametrize("name", ["2equal", "4equal", "3ramp", "9ramp", "20equal", "tiny"])
+@pytest.mark.parametrize("name", ["2equal", "4equal", "3ramp", "9ramp", "20equal", "100ramp",
+                                  "tiny"])
 def test_replica_words_equal_the_float_rule_on_drawn_uniforms(name):
     weights = LETTER_WEIGHTS[name]
     for count, skip in [(5, 3), (700, 1)]:     # the short and the re-keyed rows

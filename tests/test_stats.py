@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -103,6 +105,15 @@ def test_ndtri_inverts_ndtr():
     assert np.all(np.abs(ndtri(p) - x) <= 4.0 * EPS * (p / pdf + np.abs(x)))
     assert ndtri(0.5) == 0.0
     assert ndtr(np.array(0.3)).ndim == 0 and ndtri(np.array([[0.3]])).shape == (1, 1)
+
+
+def test_ndtr_is_the_per_element_formula_bitwise():
+    z = np.random.default_rng(12).normal(scale=10.0, size=100_000)
+    z[:6] = [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf]
+    want = [0.5 * math.erfc(-x * math.sqrt(0.5)) for x in z.tolist()]
+    assert ndtr(z).tobytes() == np.array(want).tobytes()
+    assert ndtr(z.reshape(4, -1)).tobytes() == np.array(want).tobytes()
+    assert ndtr(z.reshape(4, -1)).shape == (4, 25_000) and ndtr([]).shape == (0,)
 
 
 def test_closed_forms_match_scipy():

@@ -1,4 +1,5 @@
 import ast
+import decimal
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,79 @@ def test_extreme_atoms_stay_finite_over_long_walks():
     assert np.all(np.isfinite(logs))
     single = walks.matrix_walk_log_norms({"id": big[None]}, [1.0], n, 2, seed, rng.TAG_WALK)["id"]
     assert np.allclose(single, n * np.log(1e6), rtol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a scaled state that loses its small direction to underflow reads "
+                          "the signed log norm; no guard catches it yet")
+def test_underflowed_direction_reads_the_true_log_norm():
+    # P_n = diag(1e6, 1e-6)^k, k the letter-0 count minus the letter-1 count:
+    # log |P_n| = |k| log 1e6 exactly in the letters
+    big = np.diag([1e6, 1e-6])
+    atoms = np.array([big, np.linalg.inv(big)])
+    weights = np.array([0.5, 0.5])
+    n, replicas, seed = 20_001, 5, 8
+    words = rng.replica_words(seed, rng.TAG_WALK, replicas, n, weights)
+    k = (words == 0).sum(axis=1).astype(int) - (words == 1).sum(axis=1).astype(int)
+    logs = walks.matrix_walk_log_norms({"id": atoms}, weights, n, replicas, seed,
+                                       rng.TAG_WALK)["id"]
+    assert np.allclose(logs, np.abs(k) * np.log(1e6), rtol=1e-9, atol=0.0)
+
+
+def _exact_top_singular_value(s):
+    """Top singular value of a 2 x 2 float matrix, in 60-digit decimals."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        a, b, c, d = (decimal.Decimal(float(x)) for x in s.ravel())
+        frob, det = a * a + b * b + c * c + d * d, a * d - b * c
+        gap = max(frob * frob - 4 * det * det, decimal.Decimal(0))
+        return ((frob + gap.sqrt()) / 2).sqrt()
+
+
+def _two_by_two_states(family, count=2000):
+    """Entry-major ``(2, 2, count)`` states of one test family."""
+    g = np.random.default_rng(["random", "rank_one", "signed", "zeros", "scaled"].index(family))
+    states = g.normal(size=(2, 2, count))
+    if family == "rank_one":
+        u, v = g.normal(size=(2, 2, count))
+        states = np.einsum("in,jn->ijn", u, v) + 1e-12 * states
+    elif family == "signed":
+        # every sign pattern of the same magnitudes
+        signs = 1 - 2 * ((np.arange(count) >> np.arange(4)[:, None]) & 1)
+        states = np.abs(states) * signs.reshape(2, 2, count)
+    elif family == "zeros":
+        states[g.integers(0, 2, count), g.integers(0, 2, count), np.arange(count)] = 0.0
+        states[:, 1, :count // 4] = 0.0
+    elif family == "scaled":
+        states *= np.exp(g.uniform(-300.0, 300.0, count))
+    return np.ascontiguousarray(states)
+
+
+def _svd_top(states):
+    return np.linalg.svd(np.moveaxis(states, -1, 0), compute_uv=False)[:, 0]
+
+
+def test_one_by_one_read_out_is_the_svd_bitwise():
+    g = np.random.default_rng(5)
+    states = (g.normal(size=200_000) * np.exp(g.uniform(-300.0, 300.0, 200_000)))[None, None]
+    assert np.array_equal(walks._operator_norms(states), _svd_top(states))
+
+
+@pytest.mark.parametrize("family", ["random", "rank_one", "signed", "zeros", "scaled"])
+def test_two_by_two_read_out_is_the_top_singular_value(family):
+    states = _two_by_two_states(family)
+    got = walks._operator_norms(states)
+    spacing = np.spacing(got)
+    exact = [_exact_top_singular_value(s) for s in np.moveaxis(states, -1, 0)]
+    ulps = [float(abs(decimal.Decimal(x) - e)) / h for x, e, h in zip(got.tolist(), exact, spacing)]
+    assert max(ulps) <= 2.0
+    # LAPACK's dgesdd is itself off the exact value by up to about 7.5 ulps on these families
+    assert np.all(np.abs(got - _svd_top(states)) <= 8 * spacing)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_larger_read_outs_are_the_svd_bitwise(m):
+    states = np.ascontiguousarray(np.random.default_rng(m).normal(size=(m, m, 500)))
+    assert np.array_equal(walks._operator_norms(states), _svd_top(states))
 
 
 def test_matrix_walk_independent_of_thread_count(free_pair):
