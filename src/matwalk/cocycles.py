@@ -56,13 +56,18 @@ def multinorm_cocycle(gs, xs):
     return np.array([norm_cocycle(g, x) for g, x in zip(gs, xs)])
 
 
-def ensure_unimodular(g):
-    """Validate ``|det g - 1| <= DET_TOL`` and rescale to determinant exactly 1."""
-    g = check_group_element(g)
+def check_determinant(g):
+    """``det g`` of a square matrix; NotUnimodularError unless ``|det g - 1| <= DET_TOL``."""
     det = float(np.linalg.det(g))
     if abs(det - 1.0) > DET_TOL:
         raise NotUnimodularError(f"determinant {det!r} is not 1 within {DET_TOL}")
-    return g / det ** (1.0 / g.shape[0])
+    return det
+
+
+def ensure_unimodular(g):
+    """Validate ``|det g - 1| <= DET_TOL`` and rescale to determinant exactly 1."""
+    g = check_group_element(g)
+    return g / check_determinant(g) ** (1.0 / g.shape[0])
 
 
 def cartan_projection(g):

@@ -25,10 +25,11 @@ How a block is drawn does not change its bytes.  ``replica_uniforms`` has
 one draw engine, which yields numpy's own raw Philox4x64-10 outputs on two
 paths; ``raw=True`` returns them as they are, and otherwise each sub-block
 becomes its uniforms ``(word >> 11) * 2**-53`` in place.  Rows of more than
-``_SHORT_ROW`` (24) draws re-key one Philox per replica through the public
-``state`` setter, given a state dict of plain Python ints in which only the
-second key word changes (numpy array fields cost the setter more than the
-draw of a short row), and read ``random_raw``.  Re-keying costs about 1.5 us
+``_SHORT_ROW`` (24) draws re-key the calling thread's one Philox generator
+(made on its first long row) for every replica through the public ``state``
+setter, given a state dict of plain Python ints in which only the second
+key word changes (numpy array fields cost the setter more than the draw of
+a short row), and read ``random_raw``.  Re-keying costs about 1.5 us
 per replica, so shorter rows (one uniform per particle in
 ``advance_cloud``, one per replica in ``brown_triangular_check``) are
 evaluated in numpy for all keys at once, ``2**14`` counters at a time: ten
@@ -62,6 +63,7 @@ modulo ``2**64`` or be truncated.
 
 import math
 import numbers
+import threading
 
 import numpy as np
 
@@ -77,6 +79,7 @@ TAG_SECOND_WALK = 6   # second start point / second independent sample set
 TAG_EXTERIOR = 7      # exterior-square walk inside pair estimates
 TAG_TEST_POINTS = 8   # deterministic auxiliary point draws
 
+_per_thread = threading.local()   # holds each thread's re-keyed Philox
 _MAX_INDEX = 1 << 44
 _MASK64 = (1 << 64) - 1
 _SUB_BLOCK_UNIFORMS = 1 << 16   # draws per sub-block of ``replica_words`` and of long rows
@@ -104,6 +107,20 @@ def stream(master_seed, tag, index=0):
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([_seed(master_seed), (tag << 44) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _thread_philox():
+    """This thread's Philox for re-keyed rows, made on its first long row.
+
+    Matrix-walk blocks draw on the worker threads, so each thread keeps its
+    own; every row sets the whole state before it draws, so no state passes
+    from one row or call to the next.  Made once, since the constructor seeds
+    a ``SeedSequence`` from the operating system's entropy (about 11 us).
+    """
+    bits = getattr(_per_thread, "philox", None)
+    if bits is None:
+        bits = _per_thread.philox = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    return bits
 
 
 def _mulhilo(m, x):
@@ -175,7 +192,7 @@ def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0,
         rows = max(1, _PHILOX_COUNTERS // max(1, (discard + count + 3) // 4))
     else:
         rows = max(1, _SUB_BLOCK_UNIFORMS // count)
-        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        bits = _thread_philox()
         key = [seed, 0]
         # the 256-bit counter as it stands after ``block`` blocks of four
         # draws, with the output buffer empty
@@ -190,10 +207,10 @@ def replica_uniforms(master_seed, tag, replicas, count, first_replica=0, skip=0,
             part[:] = _philox_rows(seed, np.arange(indices.start, indices.stop,
                                                    dtype=np.uint64), skip, count)
         else:
-            for index, row in zip(indices, part):
+            for i, index in enumerate(indices):
                 key[1] = index
                 bits.state = state
-                row[...] = bits.random_raw(discard + count)[discard:]
+                part[i] = bits.random_raw(discard + count)[discard:]
         if not raw:
             part >>= _DROPPED_BITS
             np.multiply(part, 2.0**-53, out=out[lo:lo + rows])

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingularMatrixError
+from .cocycles import check_determinant
+from .errors import ConfigError, NotUnimodularError, SingularMatrixError
 from .limits import CALIBRATION_REPLICAS
 from .measures import (
     GeneratorMeasure,
@@ -351,8 +352,9 @@ def _check_measure(measure, dim, problems):
 
 
 def _walk_degrees(kind, dim):
-    """Degrees ``r`` of the walks a ``kind`` runs in dimension ``dim`` (``_WALK_DIMS``)."""
-    return list(_WALK_DIMS.get(kind, lambda d: [1])(dim))
+    """Degrees ``r`` of the walks a ``kind`` runs in dimension ``dim`` (``_WALK_DIMS``),
+    increasing; a range for ``clt_cartan``, so a huge dimension builds no list."""
+    return _WALK_DIMS.get(kind, lambda d: [1])(dim)
 
 
 def _table_bytes(kind, dim, atom_count):
@@ -370,7 +372,9 @@ def _check_growth(kind, measure, problems):
     ``MAX_ATOM_GROWTH``, which the walk itself refuses when it starts.
 
     On the r-th exterior power an atom grows by ``walks.atom_growth``, at most
-    ``r`` times its own growth ``max(|log s_max|, |log s_min|)``.
+    ``r`` times its own growth ``max(|log s_max|, |log s_min|)``.  A measure
+    is built only when its letter tables fit ``_MAX_TABLE_BYTES``, so its
+    degrees are few.
     """
     degrees = _walk_degrees(kind, measure.dim)
     if not degrees:
@@ -386,7 +390,19 @@ def _check_growth(kind, measure, problems):
                 f"{MAX_ATOM_GROWTH:g}: a scaled walk state would overflow (its own growth "
                 f"max(|log s_max|, |log s_min|) is {atom_growth(logs):.1f}; "
                 f"for kind {kind!r} in dimension {measure.dim} a growth up to "
-                f"{MAX_ATOM_GROWTH / max(degrees):g} always passes)")
+                f"{MAX_ATOM_GROWTH / degrees[-1]:g} always passes)")
+
+
+def _check_unimodular(kind, measure, problems):
+    """Name every atom of a ``clt_cartan`` measure whose determinant is not 1
+    within ``cocycles.DET_TOL``, which its walk refuses when it starts."""
+    if kind != "clt_cartan":
+        return
+    for i, atom in enumerate(measure.atoms):
+        try:
+            check_determinant(atom)
+        except NotUnimodularError as exc:
+            problems.append(f"atom {i}: {exc}; kind 'clt_cartan' needs unimodular atoms")
 
 
 def validate_config(data):
@@ -416,6 +432,7 @@ def validate_config(data):
         measure = _check_measure(top["measure"], atom_dim, problems)
         if measure is not None and kind is not None:
             _check_growth(kind, measure, problems)
+            _check_unimodular(kind, measure, problems)
     schedule = {}
     if kind is not None and top["schedule"] is not None:
         schedule = _check_schedule(kind, top["schedule"], dim, problems)

@@ -10,6 +10,11 @@ parallelize freely.  The corrector is the empirical object
 over a dual-cloud estimate; evaluation is always this exact finite sum, with
 no smoothing.  Pairings below ``DELTA_FLOOR`` are treated as exact zeros
 (the log of a denormal is meaningless downstream).
+
+``_pairings`` owns the pairing rule ``delta = min(|<f, v>|, 1)`` for psi and
+the log-regularity integral, and skips ``abs`` and the clip on a tile where
+they would change no value, as on every tile the corrector variance of a
+positive-cone measure forms.
 """
 
 import threading
@@ -183,10 +188,23 @@ class PsiFunction:
 
 
 def _pairings(reps, x_rows, out=None):
-    """|<f_j, v_i>| for cloud rows f_j against unit rows v_i, clipped to <= 1."""
+    """|<f_j, v_i>| for cloud rows f_j against unit rows v_i, clipped to <= 1,
+    and the smallest of them.
+
+    The tile's range is read first, so ``abs`` and the clip run only where they
+    change a value: ``abs`` when some pairing is at or below ``DELTA_FLOOR``
+    (above it every pairing is positive), the clip when some pairing is above 1.
+    """
     out = np.matmul(x_rows, reps.T, out=out)
-    np.abs(out, out=out)
-    return np.minimum(out, 1.0, out=out)
+    least, most = out.min(), out.max()
+    if least <= DELTA_FLOOR:
+        np.abs(out, out=out)
+        most = max(most, -least)
+        least = out.min()
+    if most > 1.0:
+        np.minimum(out, 1.0, out=out)
+        least = min(least, 1.0)
+    return out, least
 
 
 def psi_eval(psi, x):
@@ -233,8 +251,7 @@ def psi_eval_many(psi, x_rows, groups=1):
         edges = [lo + count * k // n_tiles for k in range(n_tiles + 1)]
         for a, b in zip(edges[:-1], edges[1:]):
             vals = per_thread.buf[:(b - a) * len(reps)].reshape(b - a, len(reps))
-            _pairings(reps, x_rows[a:b], out=vals)
-            if vals.min() <= DELTA_FLOOR:
+            if _pairings(reps, x_rows[a:b], out=vals)[1] <= DELTA_FLOOR:
                 i, j = np.argwhere(vals <= DELTA_FLOOR)[0]
                 raise SingularEvaluationError(
                     f"evaluation point {(a + i) % size} is orthogonal to cloud atom {clo + j}",
@@ -306,7 +323,7 @@ def log_regularity_integral(nu, y, p):
         raise ValueError("order p must exceed 1")
     if nu.dual or not isinstance(y, DualProjectivePoint):
         raise TypeError("expected a primal cloud and a dual test point")
-    vals = _pairings(nu.reps, y.rep[None, :])[0]
-    if np.any(vals <= DELTA_FLOOR):
+    vals, least = _pairings(nu.reps, y.rep[None, :])
+    if least <= DELTA_FLOOR:
         return inf
-    return float(np.einsum("i,i->", np.abs(np.log(vals)) ** (p - 1.0), nu.weights))
+    return float(np.einsum("i,i->", np.abs(np.log(vals[0])) ** (p - 1.0), nu.weights))

@@ -290,7 +290,10 @@ def test_missing_file_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
 
-def test_runtime_error_exit_code(tmp_path, capsys):
+def test_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
+    # validation refuses this atom (exit 2); without that check the walk's own
+    # NotUnimodularError is a library error met at run time
+    monkeypatch.setattr(scenarios, "_check_unimodular", lambda kind, measure, problems: None)
     cfg = write_config(tmp_path, {
         "name": "bad_determinant",
         "kind": "clt_cartan",
@@ -302,6 +305,7 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "bad_determinant" in err and "seed 3" in err
+    assert "determinant 2.0 is not 1 within 1e-08" in err
 
 
 def test_library_value_error_is_runtime_error(tmp_path, capsys, monkeypatch):
@@ -511,6 +515,14 @@ def test_python_dash_m_matwalk_lists_the_bundle():
     assert "lil_scalar" in proc.stdout
 
 
+def test_python_dash_m_matwalk_help_exits_0():
+    # the command line runs under the __main__ check, which importing skips
+    proc = subprocess.run([sys.executable, "-m", "matwalk", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+
+
 # a bundled scenario per schedule table, at a size that runs in milliseconds
 SMALL = {
     "lyapunov": ("lyapunov_free_semigroup", {"n": 20, "replicas": 4}),
@@ -595,6 +607,13 @@ BAD_INPUTS = {
     "cartan_dimension_1": ("clt_cartan", {}, {"dimension": 1,
                                               "measure": identity_measure(1)},
                            [], None, "'dimension'"),
+    # the walk degrees 1 to 2**63 - 1 are never listed: the table bound stops at r = 1
+    "cartan_dimension_2_63": ("clt_cartan", {}, {"dimension": 2**63,
+                                                 "measure": {"atoms": [[1.0]]}},
+                              [], None, f"'dimension' {2**63} with 1 atoms needs"),
+    "cartan_atom_not_unimodular": ("clt_cartan", {}, {"measure": {"atoms": [
+        [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]}}, [], None,
+        "atom 0: determinant 2.0 is not 1 within 1e-08; kind 'clt_cartan' needs unimodular"),
     "atom_singular": ("lyapunov", {}, {"measure": {"atoms": [[1, 0, 0, 0], [1, 1, 0, 1]]}},
                       [], None, "atom 0"),
     "atom_nan": ("lyapunov", {}, {"measure": {"atoms": [[float("nan"), 0.0, 0.0, 1.0]]}},

@@ -53,8 +53,7 @@ def test_records_holding_arrays_are_equal_and_hashed_by_identity():
     # a generated __eq__ would compare arrays elementwise and raise, and the
     # generated __hash__ of a frozen record would hash an array and raise
     holding = []
-    # importing __main__ would run the command line
-    for path in (p for p in _MODULES if p.stem != "__main__"):
+    for path in _MODULES:
         module = importlib.import_module(f"matwalk.{path.stem}")
         for cls in vars(module).values():
             if (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__

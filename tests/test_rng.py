@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -144,6 +146,49 @@ def test_replica_uniforms_equal_numpy_philox(seed, replicas, count, first, skip)
     block = rng.replica_uniforms(seed, rng.TAG_CLOUD, replicas, count, first, skip)
     expected = _philox_reference(seed, rng.TAG_CLOUD, replicas, count, first, skip)
     assert _digest(block) == _digest(expected)
+
+
+def _in_threads(fns):
+    """``fn()`` for every ``fn``, each on its own thread started at once."""
+    results = [None] * len(fns)
+
+    def run(i):
+        results[i] = fns[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(fns))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_a_draw_on_a_worker_thread_leaves_this_threads_next_block_unchanged():
+    # each thread re-keys its own Philox, and every row sets the whole state
+    rng.replica_uniforms(9, rng.TAG_WALK, 3, 40, 0, 5)
+    mine = rng._thread_philox()
+    [(block, theirs)] = _in_threads([lambda: (rng.replica_uniforms(4, rng.TAG_CLOUD, 2, 30, 7, 2),
+                                              rng._thread_philox())])
+    assert theirs is not mine and rng._thread_philox() is mine
+    assert _digest(block) == _digest(_philox_reference(4, rng.TAG_CLOUD, 2, 30, 7, 2))
+    following = rng.replica_uniforms(9, rng.TAG_WALK, 3, 40, 3, 5)
+    assert _digest(following) == _digest(_philox_reference(9, rng.TAG_WALK, 3, 40, 3, 5))
+
+
+def test_long_rows_drawn_on_many_threads_at_once_equal_numpy_philox():
+    # more threads than cores, switching every microsecond: a generator shared
+    # between threads would be re-keyed by one thread while another draws
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocks = _in_threads([lambda s=s: [rng.replica_uniforms(s, rng.TAG_WALK, 4, 30, 4 * k, 1)
+                                           for k in range(25)] for s in range(6)])
+    finally:
+        sys.setswitchinterval(interval)
+    for s, drawn in enumerate(blocks):
+        want = _philox_reference(s, rng.TAG_WALK, 100, 30, 0, 1)
+        assert _digest(np.concatenate(drawn)) == _digest(want), s
 
 
 @pytest.mark.parametrize("count", [1, 6, rng._SHORT_ROW])

@@ -8,7 +8,7 @@ import pytest
 
 import matwalk as mw
 from matwalk import reports, rng, walks
-from matwalk.stationary import _EVAL_ROWS, canonicalize_rows, psi_eval_many
+from matwalk.stationary import _EVAL_ROWS, _pairings, canonicalize_rows, psi_eval_many
 from matwalk.stats import mean_ci_halfwidth
 
 from conftest import gaussian_measure
@@ -341,6 +341,59 @@ def test_psi_singular_pairing_scan_order_inside_one_block():
     # is scanned over all its rows before its third (atom 4500), tiles or not
     one, two = _first_singular(100, 700)
     assert one == two == (10, "evaluation point 700 is orthogonal to cloud atom 10")
+
+
+def _tile(kind):
+    """Evaluation rows and cloud rows whose products make one kind of pairing
+    tile; row 5 against cloud row 7 is the pairing that sets the kind."""
+    gen = np.random.default_rng(12)
+    x, reps = _unit_rows(gen, 70, 3), _unit_rows(gen, 300, 3)
+    if kind not in ("mixed", "above_one_negative"):
+        x, reps = np.abs(x), np.abs(reps)
+    x[5] = [1.0, 0.0, 0.0]
+    reps[7] = {"positive": reps[7], "mixed": reps[7],
+               "above_one": [1.0 + 2.0**-50, 0.0, 0.0],
+               "above_one_negative": [-1.0 - 2.0**-50, 0.0, 0.0],
+               "negative_tiny": [-1e-301, 0.6, 0.8],
+               "negative_zero": [-0.0, 0.6, 0.8]}[kind]
+    return x, reps
+
+
+@pytest.mark.parametrize("kind", ["positive", "mixed", "above_one", "above_one_negative",
+                                  "negative_tiny", "negative_zero"])
+def test_pairings_equal_abs_then_clip(kind):
+    x, reps = _tile(kind)
+    products = x @ reps.T
+    least, most = products.min(), products.max()
+    assert {"positive": 0.0 < least and most <= 1.0,
+            "mixed": least < 0.0 and most <= 1.0,
+            "above_one": least > 0.0 and most == 1.0 + 2.0**-50,
+            # abs alone lifts this tile past 1
+            "above_one_negative": least == -1.0 - 2.0**-50 and most <= 1.0,
+            "negative_tiny": least == -1e-301,
+            # -0.0 * 1 + 0.6 * 0 + 0.8 * 0: +0.0 once summed from +0.0, as BLAS does here
+            "negative_zero": least == 0.0 and products[5, 7] == 0.0}[kind]
+    want = np.minimum(np.abs(products), 1.0)
+    for out in (None, np.empty_like(products)):
+        vals, smallest = _pairings(reps, x, out=out)
+        assert out is None or vals is out
+        assert vals.tobytes() == want.tobytes()
+        assert smallest == want.min()
+
+
+@pytest.mark.parametrize("kind", ["negative_tiny", "negative_zero"])
+def test_a_negative_small_pairing_is_singular(kind):
+    # the tile's only small pairing is a negative one: it is found after abs
+    x, reps = _tile(kind)
+    weights = np.full(len(reps), 1.0 / len(reps))
+    psi = mw.PsiFunction(mw.EmpiricalMeasure(reps=reps, weights=weights, dual=True))
+    with pytest.raises(mw.SingularEvaluationError,
+                       match="evaluation point 5 is orthogonal to cloud atom 7$") as err:
+        psi_eval_many(psi, x)
+    assert err.value.atom_index == 7
+    nu = mw.EmpiricalMeasure(reps=reps, weights=weights)
+    assert mw.log_regularity_integral(nu, mw.DualProjectivePoint(x[5]), 2.0) == np.inf
+    assert np.isfinite(mw.log_regularity_integral(nu, mw.DualProjectivePoint(x[6]), 2.0))
 
 
 def test_advance_cloud_continues_each_stream(free_pair):
