@@ -57,7 +57,15 @@ def multinorm_cocycle(gs, xs):
 
 
 def check_determinant(g):
-    """``det g`` of a square matrix; NotUnimodularError unless ``|det g - 1| <= DET_TOL``."""
+    """``det g`` of a square matrix; NotUnimodularError unless ``|det g - 1| <= DET_TOL``.
+
+    ``det g`` is formed only once ``log |det g|`` (``slogdet``, which cannot
+    overflow) is below 1: a determinant past the float range is named by its log.
+    """
+    sign, log_abs = np.linalg.slogdet(g)
+    if not abs(log_abs) < 1.0:
+        raise NotUnimodularError(f"determinant {sign:g} x e^{log_abs:.6g} is not 1 within "
+                                 f"{DET_TOL}")
     det = float(np.linalg.det(g))
     if abs(det - 1.0) > DET_TOL:
         raise NotUnimodularError(f"determinant {det!r} is not 1 within {DET_TOL}")

@@ -66,20 +66,22 @@ class LyapunovEstimate:
         return 2.0 * self.ci_halfwidth + self.pair_sum_ci_halfwidth
 
 
-def lyapunov_top(mu, n=1000, replicas=200, seed=0, tag=rng.TAG_LYAPUNOV):
+def _power_log_norms(atoms, weights, degrees, n, replicas, seed, tag, checkpoints=None):
+    """Degree ``r`` -> ``log |^r P|`` of every replica's product ``P``: ``r = 1`` walks
+    ``atoms``, ``r > 1`` their exterior powers, all on the same words."""
+    return walks.matrix_walk_log_norms(
+        {r: atoms if r == 1 else np.array([exterior_power(a, r) for a in atoms])
+         for r in degrees},
+        weights, n, replicas, seed, tag, checkpoints)
+
+
+def lyapunov_top(mu, n=1000, replicas=200, seed=0):
     """Mean of ``log |b_n ... b_1| / n`` over independent replicas."""
     if n < 1 or replicas < 1:
         raise ValueError("need n >= 1 and replicas >= 1")
-    vals = walks.matrix_walk_log_norms(
-        {"id": mu.atoms}, mu.weights, n, replicas, seed, tag
-    )["id"] / n
-    return LyapunovEstimate(
-        lambda1=float(vals.mean()),
-        ci_halfwidth=mean_ci_halfwidth(vals),
-        n=n,
-        replicas=replicas,
-        seed=seed,
-    )
+    vals = _power_log_norms(mu.atoms, mu.weights, [1], n, replicas, seed,
+                            rng.TAG_LYAPUNOV)[1] / n
+    return LyapunovEstimate(float(vals.mean()), mean_ci_halfwidth(vals), n, replicas, seed)
 
 
 def wedge_square_measure(mu):
@@ -90,28 +92,23 @@ def wedge_square_measure(mu):
 
 
 def lyapunov_pair(mu, n=1000, replicas=200, seed=0):
-    """Top exponent plus the second one, via the wedge-square walk.
+    """Top exponent plus the second one, read off the same products.
 
-    The wedge walk estimates the sum of the top two exponents; the second is
-    obtained by subtraction and the simplicity gap is reported with combined
-    half-widths.
+    One walk follows every replica's product ``P`` and its wedge square:
+    ``log |P| / n`` gives the top exponent, as ``lyapunov_top`` does, and
+    ``log |P^^2| / n`` the sum of the top two.  The second is obtained by
+    subtraction and the simplicity gap is reported with combined half-widths.
     """
     if mu.dim < 2:
         raise DimensionError("second exponent needs dimension >= 2")
-    top = lyapunov_top(mu, n=n, replicas=replicas, seed=seed, tag=rng.TAG_LYAPUNOV)
-    pair = lyapunov_top(
-        wedge_square_measure(mu), n=n, replicas=replicas, seed=seed, tag=rng.TAG_EXTERIOR
-    )
-    return LyapunovEstimate(
-        lambda1=top.lambda1,
-        ci_halfwidth=top.ci_halfwidth,
-        n=n,
-        replicas=replicas,
-        seed=seed,
-        lambda2=pair.lambda1 - top.lambda1,
-        pair_sum=pair.lambda1,
-        pair_sum_ci_halfwidth=pair.ci_halfwidth,
-    )
+    if n < 1 or replicas < 1:
+        raise ValueError("need n >= 1 and replicas >= 1")
+    logs = _power_log_norms(mu.atoms, mu.weights, [1, 2], n, replicas, seed, rng.TAG_LYAPUNOV)
+    top, pair = logs[1] / n, logs[2] / n
+    lambda1, pair_sum = float(top.mean()), float(pair.mean())
+    return LyapunovEstimate(lambda1, mean_ci_halfwidth(top), n, replicas, seed,
+                            lambda2=pair_sum - lambda1, pair_sum=pair_sum,
+                            pair_sum_ci_halfwidth=mean_ci_halfwidth(pair))
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -177,9 +174,7 @@ def clt_experiment(mu, x=None, n=1000, samples=10_000, seed=0, reference=None,
     else:
         lam_ci = 0.0
     if x is None:
-        raw = walks.matrix_walk_log_norms(
-            {"id": mu.atoms}, mu.weights, n, samples, seed, rng.TAG_WALK
-        )["id"]
+        raw = _power_log_norms(mu.atoms, mu.weights, [1], n, samples, seed, rng.TAG_WALK)[1]
     else:
         if not isinstance(x, ProjectivePoint):
             raise TypeError("start must be a ProjectivePoint or None")
@@ -334,10 +329,8 @@ def large_deviation_curve(mu, eps, schedule, replicas=10_000, seed=0, lambda1=No
     if lambda1 is None:
         lambda1 = lyapunov_top(mu, n=schedule[-1], replicas=CALIBRATION_REPLICAS,
                                seed=seed).lambda1
-    vals = walks.matrix_walk_log_norms(
-        {"id": mu.atoms}, mu.weights, schedule[-1], replicas, seed, rng.TAG_WALK,
-        checkpoints=schedule,
-    )["id"]
+    vals = _power_log_norms(mu.atoms, mu.weights, [1], schedule[-1], replicas, seed,
+                            rng.TAG_WALK, checkpoints=schedule)[1]
     ns = np.asarray(schedule, dtype=float)
     freqs = (np.abs(vals - ns[None, :] * lambda1) >= eps * ns[None, :]).mean(axis=0)
     nonzero = freqs > 0.0
@@ -380,10 +373,7 @@ def multidim_clt_cartan(mu, n=1000, samples=10_000, seed=0):
     if d < 2:
         raise DimensionError("the projection statistic needs dimension >= 2")
     atoms = np.array([ensure_unimodular(a) for a in mu.atoms])
-    atom_sets = {1: atoms}
-    for r in range(2, d):
-        atom_sets[r] = np.array([exterior_power(a, r) for a in atoms])
-    logs = walks.matrix_walk_log_norms(atom_sets, mu.weights, n, samples, seed, rng.TAG_WALK)
+    logs = _power_log_norms(atoms, mu.weights, range(1, d), n, samples, seed, rng.TAG_WALK)
     partial = np.column_stack([logs[r] for r in range(1, d)])
     kappa = np.empty((samples, d))
     kappa[:, 0] = partial[:, 0]

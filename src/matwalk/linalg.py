@@ -68,6 +68,10 @@ def _canonical_unit(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("representative must be a vector")
+    if v.size:
+        # an exact power-of-two scale takes the largest entry into [1/2, 1), so no
+        # square overflows and a tiny vector keeps its direction; the unit row is unchanged
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
     norm = np.linalg.norm(v)
     if not np.isfinite(norm) or norm == 0.0:
         raise ValueError("representative must be a nonzero finite vector")

@@ -19,6 +19,8 @@ the three scalar streams read one stream per block of 8192 replicas, a
 documented exception to "replica r reads stream r".
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,9 @@ from .stats import binomial_ci_halfwidth, gaussian_cdf, ks_statistic, ndtr, ndtr
 INCREMENT_TOL = 1e-3   # summability heuristic on the last doubling increment
 LINDEBERG_TOL = 1e-2
 _MART_BLOCK = 8192     # replicas per derived stream for scalar streams
+# past 40 standard deviations both terms of the truncated Gaussian moment are below
+# the smallest double (exp(-800) and erfc(40 / sqrt 2)), so it is exactly 0
+_TAIL_ZERO = 40.0
 
 
 def azuma_bound(n, eps, a):
@@ -216,11 +221,23 @@ class WeightedSumReport:
         return "no sign of summability"
 
 
+def max_weight_power(n_max):
+    """The largest ``p`` whose weighted tail sums up to ``n_max`` stay finite.
+
+    Every partial sum is at most ``sum_j (n_j - n_(j-1)) n_max^(p - 2) =
+    n_max^(p - 1)``, so ``(p - 1) log n_max <= log(DBL_MAX)`` keeps it, and
+    every weight ``n^(p - 2)``, below overflow; with ``n_max = 1`` any ``p`` does.
+    """
+    return math.inf if n_max <= 1 else 1.0 + math.log(sys.float_info.max) / math.log(n_max)
+
+
 def baum_katz_sums(stream, p, eps, schedule, replicas=10_000):
     """Weighted tail-sum report for a difference stream."""
-    if p <= 1.0:
-        raise ValueError("weight power p must exceed 1")
     schedule = list(schedule)
+    n_max = max(schedule, default=1)  # checkpoint_sums checks the schedule
+    if not 1.0 < p <= max_weight_power(n_max):
+        raise ValueError(f"weight power p must lie in (1, {max_weight_power(n_max):g}] "
+                         f"for checkpoints up to {n_max}")
     sums = checkpoint_sums(stream, schedule, replicas)
     ns = np.asarray(schedule, dtype=float)
     freqs = (np.abs(sums) > ns[None, :] * eps).mean(axis=0)
@@ -289,7 +306,7 @@ class BrownReport:
 
 def _gaussian_truncated_second_moment(var, a):
     """E[X^2 1_{|X| >= a}] for X ~ N(0, var), in closed form."""
-    if var == 0.0:
+    if var == 0.0 or a > _TAIL_ZERO * np.sqrt(var):
         return 0.0
     # on a one-element array, as NumPy's scalar exp can differ in the last bit
     c = np.array([a / np.sqrt(var)])

@@ -68,15 +68,17 @@ import threading
 import numpy as np
 
 # Tag registry.  Values are arbitrary but frozen: changing them changes every
-# sampled byte of every experiment.
+# sampled byte of every experiment.  A retired value is never given to another
+# family, so no new stream can repeat the bytes of an old one.
 TAG_SAMPLER = 0       # user-facing word samplers
 TAG_WALK = 1          # main trajectory / sample draws
-TAG_LYAPUNOV = 2      # independent exponent-calibration run
+TAG_LYAPUNOV = 2      # exponent runs: the calibration, and the top pair of exponents
 TAG_CLOUD = 3         # stationary-measure particle trajectories
 TAG_DUAL_CLOUD = 4    # dual-cloud particle trajectories
 TAG_MARTINGALE = 5    # scalar difference streams
 TAG_SECOND_WALK = 6   # second start point / second independent sample set
-TAG_EXTERIOR = 7      # exterior-square walk inside pair estimates
+# 7: retired; it drew a second set of words for the wedge-square walk of pair
+#    estimates, which now walk the wedge square on the words of TAG_LYAPUNOV
 TAG_TEST_POINTS = 8   # deterministic auxiliary point draws
 
 _per_thread = threading.local()   # holds each thread's re-keyed Philox

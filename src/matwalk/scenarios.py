@@ -28,6 +28,7 @@ default, so the runner reads a schedule of typed values only.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from .cocycles import check_determinant
 from .errors import ConfigError, NotUnimodularError, SingularMatrixError
 from .limits import CALIBRATION_REPLICAS
+from .martingales import max_weight_power
 from .measures import (
     GeneratorMeasure,
     free_semigroup_pair,
@@ -42,7 +44,7 @@ from .measures import (
     scalar_exponential_pair,
     shear_pair_sl3,
 )
-from .stationary import MAX_START_DIMENSION
+from .stationary import MAX_ORDER, MAX_START_DIMENSION
 from .walks import _TABLE_ROWS, BLOCK, MAX_ATOM_GROWTH, atom_growth
 
 REQUIRED = "required"  # in place of a default: the key must be given
@@ -77,9 +79,11 @@ def _integer(lo, hi=None):
     return _checker(text, lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi), int)
 
 
-def _real(above=None):
-    text = "a finite real" if above is None else f"a finite real > {above}"
-    return _checker(text, lambda v: _is_real(v) and (above is None or v > above), float)
+def _real(above=None, most=None):
+    text = ("a finite real" if above is None else f"a finite real > {above}" if most is None
+            else f"a finite real in ({above}, {most:g}]")
+    return _checker(text, lambda v: _is_real(v) and (above is None or v > above)
+                    and (most is None or v <= most), float)
 
 
 def _one_of(*choices):
@@ -116,10 +120,13 @@ _MAX_BLOCK_LETTERS = 2 * 10**8
 # A walk's letter table has up to 256 + A rows for A atoms; a row holds one m x m float
 # matrix per induced action the walk follows: <= 1 GiB.
 _MAX_TABLE_BYTES = 2**30
+# a plug-in rate may pass the largest atom growth by this much, relative: the
+# rounding of the singular values the growth is read from
+_RATE_SLACK = 1e-9
 # kind -> degrees r of the walks it runs: r = 1 is the measure's own action, r > 1 its
 # action on the r-th exterior power, m = comb(d, r); [1] if unlisted
 _WALK_DIMS = {
-    "lyapunov": lambda d: [1, 2] if d >= 2 else [1],  # the wedge-square walk
+    "lyapunov": lambda d: [1, 2] if d >= 2 else [1],  # the product and its wedge square
     "clt_cartan": lambda d: range(1, d),
     "lil": lambda d: [1] if d >= 2 else [],  # in dimension 1 a plain sum of logs
     "martingale_lab": lambda d: [],
@@ -146,11 +153,12 @@ SCHEDULES = {
         "reference_var": (_real(0), 1.0),
         "lambda1": (_real(), None),
     },
-    "clt_cartan": {"n": (_STEPS, 1000), "samples": (_integer(2, _MAX_ROWS), 10_000)},
+    # the half-width of the restricted covariance's least eigenvalue needs 4 samples
+    "clt_cartan": {"n": (_STEPS, 1000), "samples": (_integer(4, _MAX_ROWS), 10_000)},
     "stationary": {
         "burn_in": (_STEPS, 500),
         "particles": (_ROWS, 100_000),
-        "p": (_real(1), 2.0),
+        "p": (_real(1, MAX_ORDER), 2.0),  # |log delta|^(p - 1) stays finite
         "test_points": (_ROWS, 20),
     },
     "cohomological": {
@@ -393,6 +401,38 @@ def _check_growth(kind, measure, problems):
                 f"{MAX_ATOM_GROWTH / degrees[-1]:g} always passes)")
 
 
+def _check_ranges(kind, schedule, measure, problems):
+    """Refuse schedule values past the range of the kernels that read them.
+
+    ``eps n`` is a deviation threshold, so ``eps`` times the last of
+    ``n_values`` must be a double; ``baum_katz`` weights its sums by
+    ``n^(p - 2)``, so ``p`` is bounded by ``martingales.max_weight_power``;
+    and every cocycle value, so every rate, obeys ``|lambda| <= growth``, the
+    largest atom growth (``walks.atom_growth``), so a plug-in ``lambda1``
+    beyond it is no rate of the measure.
+    """
+    where = (f"schedule for kind {kind!r}" if "check" not in schedule
+             else f"schedule for {kind}/{schedule['check']}")
+    eps, ns, p = schedule.get("eps"), schedule.get("n_values"), schedule.get("p")
+    if eps is not None and ns is not None and eps * ns[-1] > sys.float_info.max:
+        problems.append(f"'eps' in {where} times the last of 'n_values' must be at most "
+                        f"{sys.float_info.max:g}, the largest double; got {eps!r} x {ns[-1]}")
+    if schedule.get("check") == "baum_katz" and p is not None and ns is not None:
+        most = max_weight_power(ns[-1])
+        if p > most:
+            problems.append(f"'p' in {where} must be at most 1 + log(DBL_MAX) / log({ns[-1]}) "
+                            f"= {most:g} for 'n_values' up to {ns[-1]}, or the weights "
+                            f"n^(p - 2) overflow; got {p!r}")
+    lam = schedule.get("lambda1")
+    if lam is None or measure is None:
+        return
+    growth = max(atom_growth(np.log(np.linalg.svd(a, compute_uv=False))) for a in measure.atoms)
+    if abs(lam) > growth * (1.0 + _RATE_SLACK):
+        problems.append(f"'lambda1' in {where} must be at most {growth:g} in absolute value, "
+                        f"the largest atom growth max(|log s_max|, |log s_min|), which bounds "
+                        f"every rate of the measure; got {lam!r}")
+
+
 def _check_unimodular(kind, measure, problems):
     """Name every atom of a ``clt_cartan`` measure whose determinant is not 1
     within ``cocycles.DET_TOL``, which its walk refuses when it starts."""
@@ -436,6 +476,7 @@ def validate_config(data):
     schedule = {}
     if kind is not None and top["schedule"] is not None:
         schedule = _check_schedule(kind, top["schedule"], dim, problems)
+        _check_ranges(kind, schedule, measure, problems)
     assertions = {}
     if top["assertions"] is not None:
         typed = _check_mapping(top["assertions"], _ASSERTIONS, "assertions", problems)

@@ -17,9 +17,10 @@ they would change no value, as on every tile the corrector variance of a
 positive-cone measure forms.
 """
 
+import sys
 import threading
 from dataclasses import dataclass
-from math import inf
+from math import floor, inf, log
 
 import numpy as np
 
@@ -29,6 +30,10 @@ from .linalg import DualProjectivePoint, ProjectivePoint, act, canonicalize_rows
 from .stats import ndtri
 
 DELTA_FLOOR = 1e-300
+# The largest order p of the log-regularity integral, rounded down to 1e-3: a
+# pairing above DELTA_FLOOR has |log delta| < -log DELTA_FLOOR, so its power
+# |log delta|^(p - 1) is finite while p - 1 <= log(DBL_MAX) / log(-log DELTA_FLOOR).
+MAX_ORDER = floor(1000.0 * (1.0 + log(sys.float_info.max) / log(-log(DELTA_FLOOR)))) / 1000.0
 DEFAULT_BURN_IN = 500
 DEFAULT_PARTICLES = 100_000
 # one irrational lattice step sqrt(prime) per coordinate of the start cloud
@@ -318,9 +323,10 @@ def log_regularity_integral(nu, y, p):
 
     Finiteness of this integral (uniformly in ``y``) is the regularity the
     corrector construction rests on; ``inf`` is a value here, not an error.
+    An order above ``MAX_ORDER`` could overflow a finite term, and is refused.
     """
-    if p <= 1.0:
-        raise ValueError("order p must exceed 1")
+    if not 1.0 < p <= MAX_ORDER:
+        raise ValueError(f"order p must lie in (1, {MAX_ORDER:g}]")
     if nu.dual or not isinstance(y, DualProjectivePoint):
         raise TypeError("expected a primal cloud and a dual test point")
     vals, least = _pairings(nu.reps, y.rep[None, :])

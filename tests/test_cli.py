@@ -31,7 +31,9 @@ REQUIRED_BUILTINS = {
 # column schemas are a public contract
 GOLDEN_HEADERS = {
     "lyapunov": "quantity,value,ci_halfwidth,n,replicas,seed",
+    "lyapunov_d1": "quantity,value,ci_halfwidth,n,replicas,seed",
     "clt": "sample_index,normalized_value",
+    "clt_gaussian_reference": "sample_index,normalized_value",
     "clt_cartan_d3": "sample_index,coord_1,coord_2,coord_3",
     "stationary_d2": "point_index,p,integral_value,y_1,y_2",
     "cohomological_d2": "point_index,residual,x_1,x_2",
@@ -48,6 +50,10 @@ GOLDEN_HEADERS = {
 COMMON_SUMMARY_KEYS = ["scenario", "kind", "master_seed", "dimension", "claim"]
 GOLDEN_SUMMARY_KEYS = {
     "lyapunov": ["lambda1", "lambda2", "pair_sum", "simplicity_gap"],
+    "lyapunov_d1": ["lambda1"],  # no second exponent in dimension one
+    "clt_gaussian_reference": ["statistic", "exponent_used", "fitted_mean", "fitted_variance",
+                               "ks_vs_fitted_gaussian", "ks_vs_reference[gaussian(var=2)]",
+                               "degenerate_limit"],
     "clt_cartan_d3": ["rate_vector", "rate_ci_halfwidths", "max_coordinate_sum",
                       "ks_vs_fitted_gaussian_max_coord", "restricted_min_eigenvalue"],
     "stationary_d2": ["particles", "finite_integrals", "integral_min", "integral_max",
@@ -344,6 +350,20 @@ def test_seed_priority_flag_config_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MATWALK_SEED", "1234")
     main(["run", env_cfg, "--out", str(tmp_path / "by_env")])
     assert "master_seed: 1234" in (tmp_path / "by_env" / "summary.txt").read_text()
+    # with no seed anywhere, the seed is 0
+    monkeypatch.delenv("MATWALK_SEED")
+    main(["run", env_cfg, "--out", str(tmp_path / "by_default")])
+    assert "master_seed: 0" in (tmp_path / "by_default" / "summary.txt").read_text()
+
+
+def test_a_start_far_from_unit_scale_runs_as_its_direction(tmp_path):
+    # the squares of 2**1023 overflow: the start point rescales exactly first
+    outs = []
+    for scale in (1.0, 2.0**1023):
+        data = small_config("clt", {"start": [scale, scale]})
+        outs.append(tmp_path / f"out_{scale:g}")
+        assert main(["run", write_config(tmp_path, data), "--out", str(outs[-1])]) == 0
+    assert filecmp.cmp(outs[0] / "report.csv", outs[1] / "report.csv", shallow=False)
 
 
 def test_clt_artifacts_include_svg(tmp_path):
@@ -359,6 +379,13 @@ def test_clt_artifacts_include_svg(tmp_path):
 
 def test_golden_headers_across_kinds(tmp_path):
     cases = {
+        "lyapunov_free_semigroup": ("lyapunov_d1", {"dimension": 1,
+                                                    "measure": {"atoms": [[2.0], [0.5]]},
+                                                    "schedule": {"n": 30, "replicas": 8}}),
+        "free_semigroup_sl2_clt": ("clt_gaussian_reference",
+                                   {"schedule": {"n": 30, "samples": 64,
+                                                 "reference": "gaussian",
+                                                 "reference_var": 2.0}}),
         "cartan_sl3_clt": ("clt_cartan_d3", {"schedule": {"n": 30, "samples": 64}}),
         "log_regularity_sl2": ("stationary_d2",
                                {"schedule": {"burn_in": 20, "particles": 200,
@@ -596,6 +623,7 @@ BAD_INPUTS = {
     "lil_missing_phi": ("lil", {"phi": None}, {}, [], None, "'phi'"),
     "start_wrong_length": ("clt", {"start": [1.0, 0.0, 0.0]}, {}, [], None, "'start'"),
     "start_zero": ("clt", {"start": [0.0, 0.0]}, {}, [], None, "'start'"),
+    "cartan_samples_3": ("clt_cartan", {"samples": 3}, {}, [], None, "'samples'"),
     "dimension_bool": ("lyapunov", {}, {"dimension": True, "measure": identity_measure(1)},
                        [], None, "'dimension'"),
     "stationary_dimension_13": ("stationary", {}, {"dimension": 13,
@@ -614,6 +642,30 @@ BAD_INPUTS = {
     "cartan_atom_not_unimodular": ("clt_cartan", {}, {"measure": {"atoms": [
         [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]}}, [], None,
         "atom 0: determinant 2.0 is not 1 within 1e-08; kind 'clt_cartan' needs unimodular"),
+    # det = 1e450: named by its log, with no overflow warning
+    "cartan_atom_determinant_overflows": ("clt_cartan", {}, {"measure": {"atoms": [
+        [1e150, 0.0, 0.0, 0.0, 1e150, 0.0, 0.0, 0.0, 1e150]]}}, [], None,
+        "atom 0: determinant 1 x e^1036.16 is not 1 within 1e-08"),
+    # bounds from the range of the kernel that reads the value
+    "stationary_p_1000": ("stationary", {"p": 1000.0}, {}, [], None,
+                          "'p' in schedule for kind 'stationary' must be a finite real in "
+                          "(1, 109.565]"),
+    "baum_katz_p_2_64": ("martingale_lab/baum_katz", {"p": 2**64}, {}, [], None,
+                         "'p' in schedule for martingale_lab/baum_katz must be at most "
+                         "1 + log(DBL_MAX) / log(16) = 257 for 'n_values' up to 16"),
+    "deviation_eps_1e308": ("large_deviation", {"eps": 1e308}, {}, [], None,
+                            "'eps' in schedule for kind 'large_deviation' times the last of "
+                            "'n_values' must be at most 1.79769e+308"),
+    "azuma_eps_1e308": ("martingale_lab/azuma", {"eps": 1e308}, {}, [], None,
+                        "'eps' in schedule for martingale_lab/azuma times the last"),
+    "baum_katz_eps_1e308": ("martingale_lab/baum_katz", {"eps": 1e308}, {}, [], None,
+                            "'eps' in schedule for martingale_lab/baum_katz times the last"),
+    "clt_lambda1_1e300": ("clt", {"lambda1": 1e300}, {}, [], None,
+                          "'lambda1' in schedule for kind 'clt' must be at most 0.481212 in "
+                          "absolute value, the largest atom growth"),
+    "lil_lambda1_minus_1e300": ("lil", {"lambda1": -1e300}, {}, [], None,
+                                "'lambda1' in schedule for kind 'lil' must be at most 1 in "
+                                "absolute value"),
     "atom_singular": ("lyapunov", {}, {"measure": {"atoms": [[1, 0, 0, 0], [1, 1, 0, 1]]}},
                       [], None, "atom 0"),
     "atom_nan": ("lyapunov", {}, {"measure": {"atoms": [[float("nan"), 0.0, 0.0, 1.0]]}},
@@ -707,7 +759,7 @@ def test_walk_block_bound_counts_one_block_of_replicas():
         assert cfg.schedule == {"n": 48_828, "replicas": replicas}
     mw.validate_config(small_config("clt", {"samples": 10**6, "n": 1000}))
     # with lambda1 given there is no calibration walk; 256 x 781250 letters is the bound
-    mw.validate_config(small_config("clt", {"samples": 2, "n": 10**7, "lambda1": 0.5}))
+    mw.validate_config(small_config("clt", {"samples": 2, "n": 10**7, "lambda1": 0.4}))
     mw.validate_config(small_config("clt", {"samples": 2, "n": 781_250}))
     mw.validate_config(small_config("lil", {"n_max": 10**7}))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import matwalk as mw
+from matwalk.cocycles import check_determinant
 
 from conftest import random_invertible
 
@@ -258,3 +259,12 @@ def test_ensure_unimodular_rescales_within_tolerance():
     assert abs(np.linalg.det(fixed) - 1.0) <= 1e-12
     with pytest.raises(mw.NotUnimodularError):
         mw.ensure_unimodular(np.diag([2.0, 0.5001]))
+
+
+@pytest.mark.parametrize("scale, det", [(1e150, "1 x e^1036.16"), (-1e150, "-1 x e^1036.16"),
+                                        (1e-200, "1 x e^-1381.55")])
+def test_a_determinant_past_the_float_range_is_named_by_its_log(scale, det):
+    # det of scale * I_3 overflows or underflows; slogdet does not, and no warning is raised
+    with pytest.raises(mw.NotUnimodularError) as exc:
+        check_determinant(scale * np.eye(3))
+    assert str(exc.value) == f"determinant {det} is not 1 within 1e-08"

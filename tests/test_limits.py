@@ -51,6 +51,35 @@ def test_lyapunov_pair_unimodular_sum_is_exactly_zero(free_pair):
     assert est.simplicity_gap > 3 * est.simplicity_gap_ci_halfwidth
 
 
+def test_lyapunov_pair_draws_its_words_once(free_pair, monkeypatch):
+    draws = []
+    words = rng.replica_words
+    monkeypatch.setattr(rng, "replica_words", lambda *a, **k: draws.append(a[1]) or words(*a, **k))
+    mw.lyapunov_pair(free_pair, n=100, replicas=32, seed=6)
+    assert draws == [rng.TAG_LYAPUNOV]
+
+
+def test_lyapunov_pair_reads_the_wedge_walk_of_the_same_products(sl3_pair):
+    # the wedge walk of the SL3 pair is random, so a second word draw would move it
+    n, replicas, seed = 200, 64, 14
+    wedge = np.array([mw.exterior_power(a, 2) for a in sl3_pair.atoms])
+    logs = walks.matrix_walk_log_norms({1: sl3_pair.atoms, 2: wedge}, sl3_pair.weights, n,
+                                       replicas, seed, rng.TAG_LYAPUNOV)
+    est = mw.lyapunov_pair(sl3_pair, n=n, replicas=replicas, seed=seed)
+    assert est.pair_sum == float((logs[2] / n).mean())
+    assert est.pair_sum_ci_halfwidth == mean_ci_halfwidth(logs[2] / n)
+    assert est.lambda2 == est.pair_sum - est.lambda1
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "rotating", "sl3_pair", "gaussian"])
+def test_lyapunov_pair_top_exponent_is_lyapunov_top(measure, request):
+    mu = (gaussian_measure(3, 4, 5) if measure == "gaussian"
+          else request.getfixturevalue(measure))
+    pair = mw.lyapunov_pair(mu, n=150, replicas=24, seed=9)
+    top = mw.lyapunov_top(mu, n=150, replicas=24, seed=9)
+    assert (pair.lambda1, pair.ci_halfwidth) == (top.lambda1, top.ci_halfwidth)
+
+
 # --- scalar fluctuation experiments ---
 
 def test_clt_deterministic_walk_is_degenerate():
@@ -192,6 +221,18 @@ def test_large_deviation_deterministic_past_transient():
 def test_large_deviation_rejects_an_empty_schedule(free_pair, lambda1):
     with pytest.raises(ValueError, match="schedule"):
         mw.large_deviation_curve(free_pair, 0.2, [], replicas=10, seed=18, lambda1=lambda1)
+
+
+def test_large_deviation_decay_rate_is_the_least_squares_slope(free_pair):
+    sched = [2**k for k in range(3, 9)]
+    curve = mw.large_deviation_curve(free_pair, 0.05, sched, replicas=2000, seed=3)
+    nonzero = curve.frequencies > 0.0
+    assert nonzero.sum() == 5
+    # slope of log frequency against n, by the normal equations
+    x, y = np.asarray(sched, dtype=float)[nonzero], np.log(curve.frequencies[nonzero])
+    slope = ((x - x.mean()) * (y - y.mean())).sum() / ((x - x.mean()) ** 2).sum()
+    assert curve.decay_rate == pytest.approx(-slope, rel=1e-12)
+    assert curve.decay_rate > 0.0
 
 
 def test_large_deviation_decay_on_free_pair(free_pair):

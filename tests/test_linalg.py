@@ -106,6 +106,22 @@ def test_projective_point_canonical_sign_and_equality():
     assert a.rep[0] == 1.0
 
 
+@pytest.mark.parametrize("scale, unit", [(2.0**1023, [1.0, 1.0]), (2.0**-530, [1.0, -1.0]),
+                                         (2.0**-1070, [1.0, 0.0]), (2.0**-1074, [1.0, 1.0])])
+def test_a_point_far_from_unit_scale_keeps_its_direction(scale, unit):
+    # an exact power-of-two rescale comes first: no square overflows or underflows
+    v = scale * np.array(unit)
+    assert mw.ProjectivePoint(v).rep.tobytes() == mw.ProjectivePoint(unit).rep.tobytes()
+
+
+def test_the_rescale_leaves_every_unit_row_as_the_plain_quotient():
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        v = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.uniform(-100, 100)
+        plain = v / np.linalg.norm(v)
+        assert np.abs(mw.ProjectivePoint(v).rep).tobytes() == np.abs(plain).tobytes()
+
+
 # first entries at, just below and just above the threshold, and -0.0 entries
 _SIGN_CASES = [[-1e-12, 1.0], [-1e-13, 1.0], [1e-13, -1.0], [-1e-11, 1.0], [-0.0, -1.0],
                [0.0, -0.6, 0.8], [-0.0, 1e-13, -1.0], [1e-13, -0.0, -0.6, 0.8]]

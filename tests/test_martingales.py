@@ -9,6 +9,7 @@ from matwalk.martingales import (
     INCREMENT_TOL,
     _gaussian_truncated_second_moment,
     _scale_segments,
+    max_weight_power,
 )
 
 
@@ -154,6 +155,36 @@ def test_brown_gaussian_rows_exact_and_gaussian():
     assert report.lindeberg_values[-1] < 1e-10
     assert not report.lindeberg_violated
     assert report.ks_vs_limit <= 0.03
+
+
+@pytest.mark.parametrize("sds", [39.0, 40.0, 40.5, 1e10, 1e150, 1e300])
+@pytest.mark.parametrize("n", [1, 20, 10**7])
+def test_lindeberg_term_past_40_sds_is_exactly_zero(sds, n):
+    # the closed form is already 0.0 from 39 standard deviations on; past 40 it is
+    # read as 0 without forming a / sqrt(var), which overflows for eps = 1e308
+    var = 1.0 / n
+    assert _gaussian_truncated_second_moment(var, sds * np.sqrt(var)) == 0.0
+    assert _gaussian_truncated_second_moment(var, 38.0 * np.sqrt(var)) > 0.0
+
+
+def test_brown_takes_any_eps():
+    report = mw.brown_triangular_check(mw.TriangularArraySpec(
+        kind="iid_gaussian", row_sizes=(20, 50), eps=1e308, replicas=100, seed=8))
+    assert np.all(report.lindeberg_values == 0.0)
+    assert not report.lindeberg_violated
+
+
+def test_baum_katz_weight_power_is_bounded_by_the_float_range():
+    stream = mw.DifferenceStream(kind="iid_bounded", seed=3)
+    most = max_weight_power(16)
+    assert most == pytest.approx(1.0 + np.log(np.finfo(float).max) / np.log(16.0))
+    # with eps tiny nearly every frequency is 1, so the sums come near 16^(p - 1)
+    report = mw.baum_katz_sums(stream, most, 1e-9, [8, 16], replicas=50)
+    assert np.all(np.isfinite(report.weighted_partial_sums))
+    for p in (np.nextafter(most, np.inf), 2.0**64):
+        with pytest.raises(ValueError, match="weight power p must lie in"):
+            mw.baum_katz_sums(stream, p, 0.5, [8, 16], replicas=50)
+    assert max_weight_power(1) == np.inf
 
 
 def test_brown_zero_rows_degenerate():

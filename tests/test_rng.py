@@ -16,6 +16,12 @@ def _weights(atoms):
     return np.arange(1, atoms + 1) / (atoms * (atoms + 1) / 2)
 
 
+def test_tag_families_are_distinct_and_never_reuse_a_retired_value():
+    tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
+    assert len(set(tags.values())) == len(tags)
+    assert 7 not in tags.values()   # the retired wedge-square walk family
+
+
 @pytest.mark.parametrize("first, replicas", [(_LAST, 2), (-1, 2), (-3, 3), (1 << 44, 1)])
 def test_replica_streams_outside_the_index_range_are_refused(first, replicas):
     # at 2**44 the index would carry into the tag bits and read another family

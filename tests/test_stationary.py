@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import matwalk as mw
-from matwalk import reports, rng, walks
+from matwalk import reports, rng, stationary, walks
 from matwalk.stationary import _EVAL_ROWS, _pairings, canonicalize_rows, psi_eval_many
 from matwalk.stats import mean_ci_halfwidth
 
@@ -548,3 +548,15 @@ def test_log_regularity_rejects_bad_order():
     cloud = uniform_circle_cloud(10)
     with pytest.raises(ValueError):
         mw.log_regularity_integral(cloud, mw.DualProjectivePoint([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match=r"order p must lie in \(1, 109\.565\]"):
+        mw.log_regularity_integral(cloud, mw.DualProjectivePoint([1.0, 0.0]), 109.566)
+
+
+def test_log_regularity_at_the_largest_order_stays_finite():
+    # a pairing just above the floor has |log delta| near 690.8, its largest value
+    assert stationary.MAX_ORDER == 109.565
+    near = canonicalize_rows(np.array([[2e-300, 1.0], [1.0, 1.0]]))
+    cloud = mw.EmpiricalMeasure(near, np.array([0.5, 0.5]))
+    value = mw.log_regularity_integral(cloud, mw.DualProjectivePoint([1.0, 0.0]),
+                                       stationary.MAX_ORDER)
+    assert np.isfinite(value) and value > 1e307
