@@ -35,6 +35,7 @@ CALIBRATION_REPLICAS = 256  # replicas of the exponent calibration walk
 LIL_SLACK = 0.3
 LIL_SLACK_LOW = 0.3
 DEGENERATE_VAR = 1e-12
+LIL_CHECKPOINTS = 1000  # most checkpoints a LIL record keeps
 
 
 @dataclass(frozen=True)
@@ -134,42 +135,54 @@ class CltReport:
     max_coordinate_sum: float | None = None
 
 
-def _fit_and_ks(normalized, reference):
+def _clt_report(raw, normalized, rate, rate_ci, n, seed, reference=None, **extras):
+    """Gaussian fit and KS distances of ``normalized``, as ``(N, m)`` columns.
+
+    A 1-D sample is one column, and its fitted mean and variance are scalars.
+    ``ks_vs_fitted_gaussian`` is the largest distance of a column to its fitted
+    marginal over the columns whose fitted variance exceeds ``DEGENERATE_VAR``,
+    and 0 when none does.  ``reference`` is a CDF for the 1-D sample.
+    """
     fit = covariance_fit(normalized)
-    if normalized.ndim == 1:
-        mean = float(fit.mean[0])
-        var = float(fit.covariance[0, 0])
-        degenerate = var <= DEGENERATE_VAR
-        ks_fit = ks_statistic(normalized, lambda t: gaussian_cdf(t, mean, var))
-        ks_ref = None if reference is None else ks_statistic(normalized, reference)
-        return np.float64(mean), np.float64(var), ks_fit, ks_ref, degenerate
-    # coordinate-wise distances for vector samples
     ks_fit = 0.0
-    for j in range(normalized.shape[1]):
-        mean_j = float(fit.mean[j])
-        var_j = float(fit.covariance[j, j])
-        if var_j <= DEGENERATE_VAR:
-            continue
-        ks_fit = max(
-            ks_fit,
-            ks_statistic(normalized[:, j], lambda t: gaussian_cdf(t, mean_j, var_j)),
-        )
-    degenerate = bool(fit.eigenvalues[0] <= DEGENERATE_VAR)
-    return fit.mean, fit.covariance, ks_fit, None, degenerate
+    for column, mean_j, var_j in zip(normalized.reshape(len(normalized), -1).T,
+                                     fit.mean.tolist(), np.diag(fit.covariance).tolist()):
+        if var_j > DEGENERATE_VAR:
+            ks_fit = max(ks_fit, ks_statistic(column, lambda t: gaussian_cdf(t, mean_j, var_j)))
+    shape = normalized.shape[1:]   # () for a 1-D sample: ``[()]`` then reads a scalar
+    return CltReport(
+        samples=normalized,
+        raw_values=raw,
+        fitted_mean=fit.mean.reshape(shape)[()],
+        fitted_covariance=fit.covariance.reshape(shape * 2)[()],
+        ks_vs_fitted_gaussian=ks_fit,
+        ks_vs_reference=None if reference is None else ks_statistic(normalized, reference),
+        n=n,
+        sample_count=len(normalized),
+        seed=seed,
+        lambda_used=rate,
+        lambda_ci_halfwidth=rate_ci,
+        degenerate=bool(fit.eigenvalues[0] <= DEGENERATE_VAR),
+        **extras,
+    )
 
 
 def clt_experiment(mu, x=None, n=1000, samples=10_000, seed=0, reference=None,
-                   lambda1=None, calibration_replicas=CALIBRATION_REPLICAS):
+                   lambda1=None):
     """Normalized samples ``(statistic - n lambda1) / sqrt(n)`` and their fit.
 
     The statistic is the cocycle at the start point ``x``, or the log operator
-    norm of the product when ``x`` is None.  ``reference`` is an optional CDF
-    callable for a second KS comparison.
+    norm of the product when ``x`` is None: the first coordinate of the
+    Cartan statistic of ``multidim_clt_cartan``, and fitted by the same rule,
+    so a fitted variance at most ``DEGENERATE_VAR`` reads KS 0.  Without
+    ``lambda1``, the exponent is calibrated on ``CALIBRATION_REPLICAS``
+    replicas.  ``reference`` is an optional CDF callable for a second KS
+    comparison.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
     if lambda1 is None:
-        cal = lyapunov_top(mu, n=n, replicas=calibration_replicas, seed=seed)
+        cal = lyapunov_top(mu, n=n, replicas=CALIBRATION_REPLICAS, seed=seed)
         lambda1, lam_ci = cal.lambda1, cal.ci_halfwidth
     else:
         lam_ci = 0.0
@@ -182,21 +195,8 @@ def clt_experiment(mu, x=None, n=1000, samples=10_000, seed=0, reference=None,
             mu.atoms, mu.weights, x.rep, n, samples, seed, rng.TAG_WALK
         )
     normalized = (raw - n * lambda1) / np.sqrt(n)
-    mean, cov, ks_fit, ks_ref, degenerate = _fit_and_ks(normalized, reference)
-    return CltReport(
-        samples=normalized,
-        raw_values=raw,
-        fitted_mean=mean,
-        fitted_covariance=cov,
-        ks_vs_fitted_gaussian=ks_fit,
-        ks_vs_reference=ks_ref,
-        n=n,
-        sample_count=samples,
-        seed=seed,
-        lambda_used=np.float64(lambda1),
-        lambda_ci_halfwidth=np.float64(lam_ci),
-        degenerate=degenerate,
-    )
+    return _clt_report(raw, normalized, np.float64(lambda1), np.float64(lam_ci), n, seed,
+                       reference)
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,12 @@ class LilReport:
         return self.max_normalized >= 1.0 - LIL_SLACK_LOW
 
 
-def lil_diagnostic(mu, x, n_max, seed, lambda1, phi, checkpoint_count=1000):
+def lil_diagnostic(mu, x, n_max, seed, lambda1, phi):
     """Single-trajectory iterated-logarithm record.
 
     Tracks ``(S_n - n lambda1) / sqrt(2 phi n log log n)`` over the window
-    ``[n_max / 10, n_max]`` and reports its extrema.  Qualitative by design:
+    ``[n_max / 10, n_max]`` and reports its extrema, with its values at up to
+    ``LIL_CHECKPOINTS`` evenly spaced checkpoints.  Qualitative by design:
     the expected band is ``[-1, 1]`` but the approach is log-log slow, hence
     the generous slacks.
     """
@@ -290,7 +291,7 @@ def lil_diagnostic(mu, x, n_max, seed, lambda1, phi, checkpoint_count=1000):
     window = slice(lo - 1, n_max)
     scale = np.sqrt(2.0 * phi * ns[window] * np.log(np.log(ns[window])))
     normalized = (sums[window] - ns[window] * lambda1) / scale
-    cps = np.unique(np.linspace(lo, n_max, min(checkpoint_count, n_max - lo + 1)).astype(int))
+    cps = np.unique(np.linspace(lo, n_max, min(LIL_CHECKPOINTS, n_max - lo + 1)).astype(int))
     return LilReport(
         n_max=n_max,
         window=(lo, n_max),
@@ -384,8 +385,6 @@ def multidim_clt_cartan(mu, n=1000, samples=10_000, seed=0):
 
     lam = kappa.mean(axis=0) / n
     normalized = (kappa - n * lam) / np.sqrt(n)
-    mean, cov, ks_fit, _, degenerate = _fit_and_ks(normalized, None)
-
     basis = _helmert_basis(d)
     projected = normalized @ basis
     restricted = covariance_fit(projected)
@@ -395,19 +394,8 @@ def multidim_clt_cartan(mu, n=1000, samples=10_000, seed=0):
     min_eig_ci = variance_ci_halfwidth(quad)
 
     lam_ci = np.array([mean_ci_halfwidth(kappa[:, j]) / n for j in range(d)])
-    return CltReport(
-        samples=normalized,
-        raw_values=kappa,
-        fitted_mean=mean,
-        fitted_covariance=cov,
-        ks_vs_fitted_gaussian=ks_fit,
-        ks_vs_reference=None,
-        n=n,
-        sample_count=samples,
-        seed=seed,
-        lambda_used=lam,
-        lambda_ci_halfwidth=lam_ci,
-        degenerate=degenerate,
+    return _clt_report(
+        kappa, normalized, lam, lam_ci, n, seed,
         restricted_covariance=restricted.covariance,
         restricted_min_eigenvalue=float(eigvals[0]),
         restricted_min_eigenvalue_ci=min_eig_ci,

@@ -51,10 +51,9 @@ exactly when its output is at or past ``ceil(c * 2**53) << 11``, so the
 words equal those ``indices_from_uniforms`` maps from the uniforms, and no
 float uniform is formed.  For ``2**b`` equal weights the letter is the top
 ``b`` bits; otherwise up to ``_COMPARE_ATOMS`` (80) atoms take one compare
-per threshold and more take a binary search, the split
-``indices_from_uniforms`` makes.  Words of more than eight atoms are
-``uint16``.  No array of a whole block's outputs exists at once.  Stream
-indices run over ``[0, 2**44)``; a block reaching past either end raises
+per threshold and more take a binary search.  Words of more than eight
+atoms are ``uint16``.  No array of a whole block's outputs exists at once.
+Stream indices run over ``[0, 2**44)``; a block reaching past either end raises
 ``ValueError``, since a larger index would carry into the tag bits and read
 another family.  A master seed outside ``[0, 2**64)`` or a skip that is not
 an integer raises ``ValueError`` too, where it would otherwise alias a seed
@@ -223,12 +222,8 @@ def indices_from_uniforms(u, weights):
     """Map uniforms to atom indices by inverse CDF over a fixed atom order."""
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0  # guard rounding in the last bin
-    if len(weights) <= _COMPARE_ATOMS:
-        idx = np.zeros(np.shape(u), dtype=np.uint8 if len(weights) <= 8 else np.uint16)
-        for c in cdf[:-1]:
-            idx += (u >= c)
-        return idx
-    return np.searchsorted(cdf, u, side="right").astype(np.uint16)
+    return np.searchsorted(cdf, u, side="right").astype(
+        np.uint8 if len(weights) <= 8 else np.uint16)
 
 
 def _letter_rule(weights):
@@ -255,8 +250,7 @@ def _letters(words, rule, out):
     if rule.ndim == 0:
         np.right_shift(words, rule, out=out, casting="unsafe")
     elif len(rule) < _COMPARE_ATOMS:
-        # the split ``indices_from_uniforms`` makes: a pass per threshold is linear in
-        # the atom count, a binary search is not
+        # a pass per threshold is linear in the atom count, a binary search is not
         out[...] = 0
         for t in rule:
             out += words >= t

@@ -377,6 +377,20 @@ def test_clt_artifacts_include_svg(tmp_path):
     assert 'width="800" height="600"' in svg
 
 
+def test_degenerate_clt_run_reads_ks_zero(tmp_path):
+    # one identity atom: every sample is the same, the fit is a point mass, and
+    # the histogram's data range is one point
+    out = tmp_path / "out"
+    config = write_config(tmp_path, small_config("clt", measure=identity_measure(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", config, "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "ks_vs_fitted_gaussian: 0" in summary
+    assert "degenerate_limit: true" in summary
+    assert (out / "histogram.svg").read_text().rstrip().endswith("</svg>")
+
+
 def test_golden_headers_across_kinds(tmp_path):
     cases = {
         "lyapunov_free_semigroup": ("lyapunov_d1", {"dimension": 1,
@@ -472,17 +486,23 @@ def test_runs_without_scipy_or_yaml_loaded(tmp_path):
         assert (tmp_path / name / "report.csv").is_file()
 
 
+TOP_LEVEL_LIST = b"- name: a list\n"   # valid YAML, but not a mapping
+
+
 @pytest.mark.parametrize("text", [
     b"name: [unclosed\n",
     b"name: \xff\xfe\n",            # not UTF-8
     b"\x80\x81\x82 binary\n",        # not UTF-8, from the first byte
     b"master_seed: 2001-13-45\n",    # a date that does not exist
+    TOP_LEVEL_LIST,
 ])
 def test_invalid_yaml_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "broken.yaml"
     path.write_bytes(text)
     assert main(["run", str(path)]) == 2
-    assert "not valid YAML" in capsys.readouterr().err
+    expected = ("scenario file must hold a mapping" if text == TOP_LEVEL_LIST
+                else "not valid YAML")
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub", [None, "sub"])
@@ -686,6 +706,10 @@ BAD_INPUTS = {
     "seed_env_text": ("clt", {}, {"master_seed": None}, [], "abc", "MATWALK_SEED"),
     "threads_zero": ("lyapunov", {}, {}, ["--threads", "0"], None, "--threads"),
     "threads_negative": ("lyapunov", {}, {}, ["--threads", "-2"], None, "--threads"),
+    "threads_text": ("lyapunov", {}, {}, ["--threads", "x"], None,
+                     "--threads: must be a positive integer, got 'x'"),
+    "atoms_empty": ("lyapunov", {}, {"measure": {"atoms": []}}, [], None,
+                    "'measure.atoms' must be a nonempty list"),
 }
 
 

@@ -89,6 +89,20 @@ def test_clt_deterministic_walk_is_degenerate():
     assert float(rep.fitted_covariance) <= 1e-12
 
 
+@pytest.mark.parametrize("atoms", [[np.eye(2)], [rotation(0.9), rotation(2.0)]],
+                         ids=["identity", "rotations"])
+def test_degenerate_scalar_fit_reads_ks_zero(atoms):
+    # log |P| is the first Cartan coordinate, so both reports leave a coordinate
+    # of fitted variance at most DEGENERATE_VAR out of the KS distance
+    mu = mw.GeneratorMeasure.from_atoms(atoms)
+    scalar = mw.clt_experiment(mu, n=100, samples=500, seed=1)
+    cartan = mw.multidim_clt_cartan(mu, n=100, samples=500, seed=1)
+    for rep in (scalar, cartan):
+        assert rep.degenerate
+        assert rep.ks_vs_fitted_gaussian == 0.0
+    assert type(scalar.fitted_mean) is type(scalar.fitted_covariance) is np.float64
+
+
 def test_clt_scalar_reduction_matches_standard_normal(scalar_pair):
     rep = mw.clt_experiment(scalar_pair, n=400, samples=4000, seed=7, lambda1=0.0,
                             reference=lambda t: mw.gaussian_cdf(t, 0.0, 1.0))

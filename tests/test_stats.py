@@ -74,6 +74,18 @@ def test_ks_two_sample():
     assert mw.ks_two_sample([0.0, 2.0], [1.0, 3.0]) == pytest.approx(0.5)
 
 
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=30),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=30),
+       st.sampled_from([1.0, 0.1, 1e-3]))
+def test_ks_two_sample_is_ks_statistic_against_a_step_reference(a, b, scale):
+    # small integers, scaled, give ties within and across the samples
+    a, b = np.array(a) * scale, np.array(b) * scale
+    ea, eb = mw.Ecdf(a), mw.Ecdf(b)
+    grid = np.concatenate([a, b])
+    sup = float(np.abs(ea(grid) - eb(grid)).max())   # the sup over both samples' points
+    assert mw.ks_two_sample(a, b) == mw.ks_statistic(a, eb) == sup
+
+
 def test_gaussian_cdf_reference_values():
     for t, ref in NCDF_REFERENCE:
         assert mw.gaussian_cdf(t) == pytest.approx(ref, abs=1e-12)
