@@ -67,11 +67,12 @@ def main(argv=None):
     except OSError as exc:  # the config file cannot be read
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MatwalkError, ValueError) as exc:
-        # a library ValueError is a bad value met at run time, not a crash
+    except (MatwalkError, ValueError, MemoryError) as exc:
+        # a library ValueError is a bad value met at run time, and a MemoryError
+        # a run larger than this machine, not a crash
         seed = resolve_seed(config, args.seed)
-        print(f"runtime error in scenario {config.name!r} (seed {seed}): {exc}",
-              file=sys.stderr)
+        print(f"runtime error in scenario {config.name!r} (seed {seed}): "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     print(f"wrote {out}")
     return 0

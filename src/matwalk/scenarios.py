@@ -45,7 +45,7 @@ from .measures import (
     shear_pair_sl3,
 )
 from .stationary import MAX_ORDER, MAX_START_DIMENSION
-from .walks import _TABLE_ROWS, BLOCK, MAX_ATOM_GROWTH, atom_growth
+from .walks import _TABLE_ROWS, MAX_ATOM_GROWTH, atom_growth
 
 REQUIRED = "required"  # in place of a default: the key must be given
 
@@ -114,12 +114,12 @@ _MAX_STEPS = 10**7
 _ROWS = _integer(1, _MAX_ROWS)
 _STEPS = _integer(1, _MAX_STEPS)
 _STEP_LIST = _increasing(_MAX_STEPS)
-# A walk block holds min(replicas, walks.BLOCK) words of n one-byte letters,
-# plus table codes of at most 4 bytes a letter: 2e8 letters is about 1 GB.
-_MAX_BLOCK_LETTERS = 2 * 10**8
 # A walk's letter table has up to 256 + A rows for A atoms; a row holds one m x m float
 # matrix per induced action the walk follows: <= 1 GiB.
 _MAX_TABLE_BYTES = 2**30
+# Replicas x checkpoints of the partial sums or log norms a schedule reads: a run
+# holds about three such float arrays at once, within the 1 GiB above.
+_MAX_CHECKPOINT_VALUES = 2**25
 # a plug-in rate may pass the largest atom growth by this much, relative: the
 # rounding of the singular values the growth is read from
 _RATE_SLACK = 1e-9
@@ -130,16 +130,6 @@ _WALK_DIMS = {
     "clt_cartan": lambda d: range(1, d),
     "lil": lambda d: [1] if d >= 2 else [],  # in dimension 1 a plain sum of logs
     "martingale_lab": lambda d: [],
-}
-# kind -> (replica key, step key) of every walk it runs; the replicas of the
-# exponent calibration, which runs unless the schedule gives lambda1, are a count
-_WALKS = {
-    "lyapunov": [("replicas", "n")],
-    "clt": [("samples", "n"), (CALIBRATION_REPLICAS, "n")],
-    "clt_cartan": [("samples", "n")],
-    "stationary": [("particles", "burn_in")],
-    "cohomological": [("particles", "burn_in"), ("calibration_replicas", "calibration_n")],
-    "large_deviation": [("replicas", "n_values"), (CALIBRATION_REPLICAS, "n_values")],
 }
 
 # kind, or martingale_lab/<check>  ->  schedule key  ->  (checker, default)
@@ -290,28 +280,21 @@ def _check_schedule(kind, schedule, dim, problems):
         if key not in SCHEDULES:
             problems.append(f"'check' in {where} must be {_CHECK.text}, got {check!r}")
             return {}
+        where = f"schedule for {key}"
         rest = {k: v for k, v in schedule.items() if k != "check"}
-        return {"check": check, **_check_mapping(rest, SCHEDULES[key], f"schedule for {key}",
-                                                 problems)}
-    typed = _check_mapping(schedule, SCHEDULES[kind], where, problems)
+        typed = {"check": check, **_check_mapping(rest, SCHEDULES[key], where, problems)}
+    else:
+        typed = _check_mapping(schedule, SCHEDULES[kind], where, problems)
     start = typed.get("start")
     if start is not None and dim is not None and len(start) != dim:
         problems.append(f"'start' in {where} must have `dimension` = {dim} entries, "
                         f"got {len(start)}")
-    for rows, steps in _WALKS.get(kind, ()):
-        if isinstance(rows, str):
-            count, walk = typed[rows], f"{rows!r} and {steps!r}"
-        else:  # the exponent calibration
-            count = rows if typed.get("lambda1") is None else None
-            walk = f"{steps!r} and the {rows} replicas of the exponent calibration"
-        if count is None or typed[steps] is None:
-            continue
-        n = typed[steps][-1] if steps == "n_values" else typed[steps]
-        letters = min(count, BLOCK) * n
-        if letters > _MAX_BLOCK_LETTERS:
-            problems.append(f"{walk} in {where} ask for {letters} letters "
-                            f"per walk block, min({rows}, {BLOCK}) x {n}; "
-                            f"at most {_MAX_BLOCK_LETTERS} are allowed")
+    rows = "trials" if "trials" in typed else "replicas"
+    count, ns = typed.get(rows), typed.get("n_values")
+    if count is not None and ns is not None and count * len(ns) > _MAX_CHECKPOINT_VALUES:
+        problems.append(f"{rows!r} and 'n_values' in {where} ask for {count} x {len(ns)} "
+                        f"= {count * len(ns)} checkpoint values; at most "
+                        f"{_MAX_CHECKPOINT_VALUES} are allowed")
     return typed
 
 

@@ -50,9 +50,11 @@ and adds them up in atom order in ``atom_average``.
 table.  Every word comes from ``rng.replica_words``: replica ``r`` reads stream
 ``r``, from letter ``skip`` on, so results are a pure function of
 ``(measure, seed, tag)`` and a walk can continue where an earlier one
-stopped.  Replicas are split into fixed blocks.  Vector-walk blocks run in
-order on the calling thread; matrix-walk blocks are spread over a pool of
-worker threads, which changes wall time only.
+stopped.  Replicas are split into blocks of ``BLOCK`` replicas, or of fewer
+when their words would hold more than ``_BLOCK_LETTERS`` letters, so a walk
+of any length bounds its own working set.  Vector-walk blocks run in order on
+the calling thread; matrix-walk blocks are spread over a pool of worker
+threads, which changes wall time only.
 """
 
 import math
@@ -61,8 +63,10 @@ import numpy as np
 
 from . import rng
 
-BLOCK = 4096    # replicas per scheduling block (fixed: part of no contract,
-                # results do not depend on it, only wall time does)
+BLOCK = 4096    # replicas per scheduling block, at most (part of no contract:
+                # results do not depend on it, only wall time and memory do)
+# letters one block's words hold, at most: about 1 GB of words and table codes
+_BLOCK_LETTERS = 2 * 10**8
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
@@ -78,8 +82,11 @@ def set_thread_count(k):
     _THREADS = max(1, int(k))
 
 
-def _blocks(total):
-    return [(start, min(BLOCK, total - start)) for start in range(0, total, BLOCK)]
+def _blocks(total, n):
+    """``(first, count)`` blocks of ``total`` replicas walking ``n`` letters:
+    ``BLOCK`` replicas, or fewer when their words would pass ``_BLOCK_LETTERS``."""
+    size = min(BLOCK, max(1, _BLOCK_LETTERS // n))
+    return [(start, min(size, total - start)) for start in range(0, total, size)]
 
 
 def _run_blocks(fn, blocks):
@@ -339,7 +346,7 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
         values = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return values, v / np.linalg.norm(v, axis=1)[:, None]
 
-    parts = [run_block(*b) for b in _blocks(replicas)]
+    parts = [run_block(*b) for b in _blocks(replicas, n)]
     values = np.concatenate([p[0] for p in parts])
     finals = np.concatenate([p[1] for p in parts])
     return values, finals
@@ -368,7 +375,7 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
             out[lab] = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return out
 
-    parts = _run_blocks(run_block, _blocks(replicas))
+    parts = _run_blocks(run_block, _blocks(replicas, n))
     return {lab: np.concatenate([p[lab] for p in parts]) for lab in tables}
 
 
@@ -413,7 +420,9 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
 
     Row ``r`` walks stream ``first_replica + r`` from the unit row
     ``starts[r]``.  The time axis is taken in segments of whole chunks that
-    hold about ``2^18`` letter-replica products (at least one chunk per row);
+    hold about ``2^18`` letter-replica products, and in dimension ``d >= 4``
+    about ``9 x 2^18 / d^2``, so no segment holds more matrix entries than a
+    ``3 x 3`` one (at least one chunk per row);
     each segment yields ``(lo, values, units)``, where ``values[r, k]`` is
     ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit row of that
     vector.  With ``units=False`` only the last unit row of a segment is
@@ -427,7 +436,8 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
     u = np.array(starts, dtype=float)
     rows = len(u)
     base = np.zeros(rows)
-    segment = max(chunk, _SCAN_PRODUCTS // rows // chunk * chunk)
+    products = min(_SCAN_PRODUCTS, 9 * _SCAN_PRODUCTS // (d * d))
+    segment = max(chunk, products // rows // chunk * chunk)
     for lo in range(0, n, segment):
         length = min(segment, n - lo)
         heads_per_row = -(-length // chunk)

@@ -334,6 +334,31 @@ def test_library_value_error_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert "refused_walk" in err and "seed 4" in err and "walk refused" in err
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000, 1000)"),
+    MemoryError(),
+])
+def test_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch, error):
+    # a walk larger than the machine: exit 3 with the scenario and seed, no traceback
+    def exhaust(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(walks, "vector_walk", exhaust)
+    cfg = write_config(tmp_path, {
+        "name": "huge_walk",
+        "kind": "clt",
+        "dimension": 2,
+        "master_seed": 5,
+        "measure": {"atoms": [[2.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0]]},
+        "schedule": {"n": 20, "samples": 16, "start": [1, 0]},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "huge_walk" in err and "seed 5" in err
+    assert (str(error) or "MemoryError") in err
+
+
 def test_seed_priority_flag_config_env(tmp_path, monkeypatch):
     cfg = minimal_lyapunov(tmp_path)
     main(["run", cfg, "--out", str(tmp_path / "by_config")])
@@ -748,21 +773,16 @@ TOO_LARGE = {
     "n_max": ("lil", {"n_max": 10**7 + 1}, "'n_max'"),
     "n_values": ("martingale_lab/baum_katz", {"n_values": [8, 10**7 + 1]}, "'n_values'"),
     "row_sizes_2_70": ("martingale_lab/brown", {"row_sizes": [20, 2**70]}, "'row_sizes'"),
-    "lyapunov_block": ("lyapunov", {"replicas": 10**6, "n": 48_829}, "'replicas' and 'n'"),
-    "clt_block": ("clt", {"samples": 4096, "n": 10**5}, "'samples' and 'n'"),
-    "stationary_block": ("stationary", {"particles": 5000, "burn_in": 10**5},
-                         "'particles' and 'burn_in'"),
-    "calibration_block": ("cohomological", {"calibration_replicas": 4096,
-                                            "calibration_n": 10**5},
-                          "'calibration_replicas' and 'calibration_n'"),
-    "deviation_block": ("large_deviation", {"replicas": 8192, "n_values": [8, 10**5]},
-                        "'replicas' and 'n_values'"),
-    # 256 calibration replicas x 10**7 letters: lambda1 is estimated first
-    "clt_calibration": ("clt", {"samples": 2, "n": 10**7},
-                        "'n' and the 256 replicas of the exponent calibration"),
-    "deviation_calibration": ("large_deviation", {"eps": 0.1, "n_values": [10**7],
-                                                  "replicas": 1},
-                              "'n_values' and the 256 replicas of the exponent calibration"),
+    # replicas x checkpoints past 2**25 values: 1e6 x 1000 would be 7.45 GiB of sums
+    "azuma_checkpoints": ("martingale_lab/azuma",
+                          {"trials": 10**6, "n_values": list(range(1, 1001))},
+                          "'trials' and 'n_values'"),
+    "baum_katz_checkpoints": ("martingale_lab/baum_katz",
+                              {"replicas": 10**6, "n_values": list(range(1, 35))},
+                              "'replicas' and 'n_values'"),
+    "deviation_checkpoints": ("large_deviation",
+                              {"replicas": 10**6, "n_values": list(range(1, 1001))},
+                              "'replicas' and 'n_values'"),
 }
 
 
@@ -777,15 +797,71 @@ def test_schedule_upper_bounds_are_config_errors(case):
 
 
 def test_walk_block_bound_counts_one_block_of_replicas():
-    # min(replicas, 4096) x n up to 2e8 letters passes: 4096 x 48828 < 2e8 < 4096 x 48829
+    # a walk block holds min(replicas, 4096) x n letters while that is at most
+    # 2e8 (walks._blocks), as 4096 x 48828 < 2e8 is; past it the block takes
+    # fewer replicas, so validation bounds each key alone
     for replicas in (4096, 10**6):
         cfg = mw.validate_config(small_config("lyapunov", {"replicas": replicas, "n": 48_828}))
         assert cfg.schedule == {"n": 48_828, "replicas": replicas}
     mw.validate_config(small_config("clt", {"samples": 10**6, "n": 1000}))
-    # with lambda1 given there is no calibration walk; 256 x 781250 letters is the bound
+    # with lambda1 given there is no calibration walk; without it the 256
+    # calibration replicas of 781250 letters fill one block of 2e8 letters
     mw.validate_config(small_config("clt", {"samples": 2, "n": 10**7, "lambda1": 0.4}))
     mw.validate_config(small_config("clt", {"samples": 2, "n": 781_250}))
     mw.validate_config(small_config("lil", {"n_max": 10**7}))
+
+
+# (table, schedule changes): more than 2e8 letters in a block of min(replicas,
+# 4096) replicas, which a walk now splits into smaller blocks
+LONG_WALKS = {
+    "lyapunov_block": ("lyapunov", {"replicas": 10**6, "n": 48_829}),
+    "clt_block": ("clt", {"samples": 4096, "n": 10**5}),
+    "stationary_block": ("stationary", {"particles": 5000, "burn_in": 10**5}),
+    "calibration_block": ("cohomological", {"calibration_replicas": 4096,
+                                            "calibration_n": 10**5}),
+    "deviation_block": ("large_deviation", {"replicas": 8192, "n_values": [8, 10**5]}),
+    # 256 calibration replicas x 10**7 letters: lambda1 is estimated first
+    "clt_calibration": ("clt", {"samples": 2, "n": 10**7}),
+    "deviation_calibration": ("large_deviation", {"eps": 0.1, "n_values": [10**7],
+                                                  "replicas": 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_WALKS))
+def test_long_walks_validate(case):
+    # validation only: none of these is ever run
+    table, schedule = LONG_WALKS[case]
+    cfg = mw.validate_config(small_config(table, schedule))
+    assert {k: cfg.schedule[k] for k in schedule} == {
+        k: tuple(v) if isinstance(v, list) else v for k, v in schedule.items()}
+
+
+@pytest.mark.parametrize("table, rows", [("martingale_lab/azuma", "trials"),
+                                         ("martingale_lab/baum_katz", "replicas"),
+                                         ("large_deviation", "replicas")])
+def test_checkpoint_values_bound_is_inclusive(table, rows):
+    # validation only: 2**15 replicas x 1024 checkpoints is exactly the bound
+    ns = list(range(1, 1025))
+    assert mw.validate_config(small_config(table, {rows: 2**15, "n_values": ns}))
+    with pytest.raises(mw.ConfigError) as exc:
+        mw.validate_config(small_config(table, {rows: 2**15, "n_values": ns + [1025]}))
+    [problem] = exc.value.problems
+    assert f"'{rows}' and 'n_values'" in problem
+    assert "32768 x 1025 = 33587200 checkpoint values; at most 33554432" in problem
+
+
+def test_checkpoint_values_bound_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # the run is replaced, so no walk or sum is ever formed
+    monkeypatch.setattr("matwalk.cli.run_scenario",
+                        lambda *a, **k: pytest.fail("the config was run"))
+    data = small_config("martingale_lab/azuma",
+                        {"trials": 10**6, "n_values": list(range(1, 1001))})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "'trials' and 'n_values'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table, dim, atoms, passes", [

@@ -1,9 +1,14 @@
 import ast
 import decimal
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import matwalk as mw
 from matwalk import rng, walks
@@ -454,6 +459,111 @@ def test_matrix_walk_independent_of_thread_count(free_pair):
     walks.set_thread_count(1)
     for lab in sets:
         assert one[lab].tobytes() == four[lab].tobytes()
+
+
+def _fixed_blocks(total):
+    """Blocks of 4096 replicas whatever the walk's length."""
+    return [(first, min(4096, total - first)) for first in range(0, total, 4096)]
+
+
+@given(st.integers(1, 10**6).flatmap(lambda total: st.tuples(
+    st.just(total), st.integers(1, 2 * 10**8 // min(total, 4096)))))
+def test_walks_within_the_letter_budget_keep_fixed_blocks(case):
+    # min(total, 4096) x n <= 2e8: the blocks a walk took before it sized them
+    total, n = case
+    assert walks._blocks(total, n) == _fixed_blocks(total)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**7))
+def test_blocks_cover_the_replicas_within_the_letter_budget(total, n):
+    blocks = walks._blocks(total, n)
+    firsts, counts = zip(*blocks)
+    assert list(firsts) == np.cumsum((0,) + counts[:-1]).tolist()
+    assert sum(counts) == total
+    assert max(counts) <= walks.BLOCK
+    assert max(counts) * n <= walks._BLOCK_LETTERS
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_letter_budget_changes_no_byte(free_pair, monkeypatch, threads):
+    # a budget of 5 walks of n letters cuts 37 replicas into 8 blocks, whose
+    # words never pass it; every value and final unit row keeps its bytes
+    n, replicas, seed, cps = 120, 37, 9, [7, 60, 119]
+    starts = np.random.default_rng(3).normal(size=(replicas, 2))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    sets = {1: free_pair.atoms, 2: np.array([mw.exterior_square(a) for a in free_pair.atoms])}
+
+    def run():
+        return (walks.vector_walk(free_pair.atoms, free_pair.weights, np.array([1.0, 0.0]),
+                                  n, replicas, seed, rng.TAG_WALK, checkpoints=cps),
+                walks.vector_walk(free_pair.atoms, free_pair.weights, starts, n, replicas,
+                                  seed, rng.TAG_WALK),
+                walks.matrix_walk_log_norms(sets, free_pair.weights, n, replicas, seed,
+                                            rng.TAG_WALK, checkpoints=cps))
+
+    default = run()
+    letters = []
+    words = rng.replica_words
+    monkeypatch.setattr(rng, "replica_words", lambda seed, tag, count, n, *a, **k:
+                        letters.append(count * n) or words(seed, tag, count, n, *a, **k))
+    monkeypatch.setattr(walks, "_BLOCK_LETTERS", 5 * n + 3)
+    walks.set_thread_count(threads)
+    try:
+        small = run()
+    finally:
+        walks.set_thread_count(1)
+    assert len(letters) == 3 * 8 and max(letters) <= walks._BLOCK_LETTERS
+    for (values, finals), (small_values, small_finals) in zip(default[:2], small[:2]):
+        assert values.tobytes() == small_values.tobytes()
+        assert finals.tobytes() == small_finals.tobytes()
+    for degree in sets:
+        assert default[2][degree].tobytes() == small[2][degree].tobytes()
+
+
+# the first segment of a 300k-letter scan in dimension 60 under a 2 GB address-space
+# limit beyond what the interpreter holds after its imports; 2^18 products of 60 x 60
+# entries would ask for 7 GiB
+LARGE_SCAN = """
+import json, resource, sys
+import numpy as np
+from matwalk import rng, walks
+
+with open("/proc/self/status") as status:
+    held = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (held + 2 * 10**9, held + 2 * 10**9))
+d = 60
+atoms = np.eye(d) + 0.02 * np.random.default_rng(0).normal(size=(2, d, d))
+lo, values, units = next(walks.chunked_walk(atoms, [0.5, 0.5], np.eye(d)[:1], 300_000, 1,
+                                            rng.TAG_WALK))
+json.dump({"lo": lo, "length": values.shape[1], "units": list(units.shape),
+           "chunk": walks.rescale_interval(atoms), "finite": bool(np.isfinite(values).all())},
+          sys.stdout)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux /proc")
+def test_large_dimension_scan_segments_bound_their_entries():
+    proc = subprocess.run([sys.executable, "-c", LARGE_SCAN], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    # 9 x 2^18 / 60^2 = 655 products, in whole chunks of 64 letters
+    assert out == {"lo": 0, "length": 640, "units": [1, 640, 60], "chunk": 64, "finite": True}
+
+
+@pytest.mark.parametrize("d, products", [(1, 1 << 18), (2, 1 << 18), (3, 1 << 18),
+                                         (4, 9 * (1 << 18) // 16), (7, 9 * (1 << 18) // 49)])
+def test_scan_segments_hold_at_most_the_entries_of_a_3x3_segment(d, products, monkeypatch):
+    # dimensions up to 3 keep 2^18 products a segment; larger ones take fewer
+    seen = []
+    words = rng.replica_words
+    monkeypatch.setattr(rng, "replica_words", lambda seed, tag, count, n, *a, **k:
+                        seen.append(n) or words(seed, tag, count, n, *a, **k))
+    atoms = np.eye(d)[None] * np.array([1.0, -1.0])[:, None, None]
+    rows = 3
+    next(walks.chunked_walk(atoms, [0.5, 0.5], np.eye(d)[:1].repeat(rows, 0), 10**6, 1,
+                            rng.TAG_WALK, units=False))
+    assert seen == [products // rows // 64 * 64]
 
 
 @pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
