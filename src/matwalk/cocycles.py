@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotUnimodularError
-from .linalg import DualProjectivePoint, ProjectivePoint, check_group_element
+from .linalg import DualProjectivePoint, ProjectivePoint, atom_growth, check_group_element
 
 DET_TOL = 1e-8          # |det - 1| accepted (input is then rescaled to det 1)
 FLAG_ORTHO_TOL = 1e-10
@@ -37,11 +37,10 @@ def sup_norm(g):
     """Largest absolute cocycle value over all points: ``log max(|g|, |g^-1|)``.
 
     The cocycle ranges over ``[-log|g^{-1}|, log|g|]``, so the sup of its
-    absolute value is the log of the size gauge.
+    absolute value is the log of the size gauge: the growth
+    ``max(|log s_max|, |log s_min|)`` of ``linalg.atom_growth``.
     """
-    g = check_group_element(g)
-    s = np.linalg.svd(g, compute_uv=False)
-    return float(max(np.log(s[0]), -np.log(s[-1])))
+    return atom_growth(check_group_element(g))
 
 
 def drift(mu, x):

@@ -68,12 +68,10 @@ class LyapunovEstimate:
 
 
 def _power_log_norms(atoms, weights, degrees, n, replicas, seed, tag, checkpoints=None):
-    """Degree ``r`` -> ``log |^r P|`` of every replica's product ``P``: ``r = 1`` walks
-    ``atoms``, ``r > 1`` their exterior powers, all on the same words."""
-    return walks.matrix_walk_log_norms(
-        {r: atoms if r == 1 else np.array([exterior_power(a, r) for a in atoms])
-         for r in degrees},
-        weights, n, replicas, seed, tag, checkpoints)
+    """Degree ``r`` -> ``log |^r P|`` of every replica's product ``P``: each degree
+    walks the ``r``-th exterior powers of ``atoms``, all on the same words."""
+    return walks.matrix_walk_log_norms({r: exterior_power(atoms, r) for r in degrees},
+                                       weights, n, replicas, seed, tag, checkpoints)
 
 
 def lyapunov_top(mu, n=1000, replicas=200, seed=0):
@@ -87,9 +85,7 @@ def lyapunov_top(mu, n=1000, replicas=200, seed=0):
 
 def wedge_square_measure(mu):
     """The driving measure of the induced walk on wedge-squares."""
-    return GeneratorMeasure(
-        np.array([exterior_power(a, 2) for a in mu.atoms]), mu.weights.copy()
-    )
+    return GeneratorMeasure(exterior_power(mu.atoms, 2), mu.weights.copy())
 
 
 def lyapunov_pair(mu, n=1000, replicas=200, seed=0):

@@ -14,7 +14,6 @@ for anything else are rejected at load time.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import DegenerateGapError, DimensionError, SingularMatrixError
 SINGULAR_TOL = 1e-12   # relative: smallest singular value vs operator norm
 GAP_TOL = 1e-9         # first_gap above 1 - GAP_TOL means no density point
 CANONICAL_ZERO = 1e-12  # coordinate threshold for the canonical sign rule
+_MINOR_ENTRIES = 1 << 24  # gathered minor entries per determinant call (128 MB), or one matrix's
 
 
 def check_group_element(g):
@@ -136,34 +136,47 @@ def operator_norm(g):
 
 
 def exterior_power(g, r):
-    """Matrix of the induced action on the r-th exterior power.
+    """Matrix of the induced action on the r-th exterior power, for one matrix
+    ``(d, d)`` or a stack ``(..., d, d)``.
 
     Basis: ``e_{i1} ^ ... ^ e_{ir}`` with ``i1 < ... < ir`` in lexicographic
     order, which is orthonormal for the induced inner product.  Entries are
-    the r x r minors of ``g``.
+    the r x r minors of ``g``, from one batched determinant over the gathered
+    blocks of as many matrices as ``_MINOR_ENTRIES`` holds; ``r = 1`` is a
+    copy, as a 1 x 1 determinant turns ``-0.0`` into ``0.0``.
     """
     g = np.asarray(g, dtype=float)
-    d = g.shape[0]
+    d = g.shape[-1]
     if not 1 <= r <= d:
         raise DimensionError(f"exterior power {r} undefined for dimension {d}")
     if r == 1:
         return g.copy()
-    rows = list(combinations(range(d), r))
-    m = comb(d, r)
-    out = np.empty((m, m))
-    for a, ii in enumerate(rows):
-        sub = g[np.ix_(ii, range(d))]
-        for b, jj in enumerate(rows):
-            out[a, b] = np.linalg.det(sub[:, jj])
-    return out
+    idx = np.array(list(combinations(range(d), r)))
+    flat = g.reshape(-1, d, d)
+    per = max(1, _MINOR_ENTRIES // (len(idx) * r) ** 2)
+    # block (a, b) of a matrix holds its rows idx[a] and columns idx[b]
+    minors = [np.linalg.det(flat[i:i + per][:, idx[:, None, :, None], idx[None, :, None, :]])
+              for i in range(0, len(flat), per)]
+    return np.concatenate(minors).reshape(g.shape[:-2] + minors[0].shape[1:])
 
 
 def exterior_square(g):
     """Induced action on wedge-squares; requires dimension at least 2."""
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] < 2:
-        raise DimensionError("exterior square needs dimension >= 2")
     return exterior_power(g, 2)
+
+
+def atom_growth(atoms, r=1):
+    """How far one letter of an atom moves a log norm on its ``r``-th exterior power.
+
+    ``atoms`` is one matrix (a float is returned) or a stack ``(..., d, d)``
+    (an array), read by one batched SVD.  The growth is ``max(|sum of the top r
+    log singular values|, |sum of the bottom r|)``, for ``r = 1`` the atom's own
+    ``max(|log s_max|, |log s_min|)``.  A walk refuses an atom whose growth on
+    the walk it runs is above ``walks.MAX_ATOM_GROWTH``.
+    """
+    logs = np.log(np.linalg.svd(np.asarray(atoms, dtype=float), compute_uv=False))
+    growth = np.maximum(np.abs(logs[..., :r].sum(-1)), np.abs(logs[..., -r:].sum(-1)))
+    return float(growth) if growth.ndim == 0 else growth
 
 
 def wedge_norm(v, w):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, walks
-from .cocycles import sup_norm
+from .linalg import atom_growth
 from .stats import binomial_ci_halfwidth, gaussian_cdf, ks_statistic, ndtr, ndtri
 
 INCREMENT_TOL = 1e-3   # summability heuristic on the last doubling increment
@@ -83,7 +83,7 @@ class DifferenceStream:
         if self.kind == "iid_bounded":
             return float(np.abs(np.asarray(self.values)).max())
         if self.kind == "walk_induced":
-            return max(sup_norm(a) for a in self.measure.atoms) * 2.0
+            return float(atom_growth(self.measure.atoms).max()) * 2.0
         raise ValueError(f"{self.kind} stream is not uniformly bounded")
 
 

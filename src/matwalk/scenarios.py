@@ -36,6 +36,7 @@ import numpy as np
 from .cocycles import check_determinant
 from .errors import ConfigError, NotUnimodularError, SingularMatrixError
 from .limits import CALIBRATION_REPLICAS
+from .linalg import atom_growth
 from .martingales import max_weight_power
 from .measures import (
     GeneratorMeasure,
@@ -45,7 +46,7 @@ from .measures import (
     shear_pair_sl3,
 )
 from .stationary import MAX_ORDER, MAX_START_DIMENSION
-from .walks import _TABLE_ROWS, MAX_ATOM_GROWTH, atom_growth
+from .walks import _TABLE_ROWS, GROWTH_ROUNDING, MAX_ATOM_GROWTH
 
 REQUIRED = "required"  # in place of a default: the key must be given
 
@@ -120,9 +121,6 @@ _MAX_TABLE_BYTES = 2**30
 # Replicas x checkpoints of the partial sums or log norms a schedule reads: a run
 # holds about three such float arrays at once, within the 1 GiB above.
 _MAX_CHECKPOINT_VALUES = 2**25
-# a plug-in rate may pass the largest atom growth by this much, relative: the
-# rounding of the singular values the growth is read from
-_RATE_SLACK = 1e-9
 # kind -> degrees r of the walks it runs: r = 1 is the measure's own action, r > 1 its
 # action on the r-th exterior power, m = comb(d, r); [1] if unlisted
 _WALK_DIMS = {
@@ -362,24 +360,23 @@ def _check_growth(kind, measure, problems):
     """Name every atom that one letter of a walk of ``kind`` would grow past
     ``MAX_ATOM_GROWTH``, which the walk itself refuses when it starts.
 
-    On the r-th exterior power an atom grows by ``walks.atom_growth``, at most
-    ``r`` times its own growth ``max(|log s_max|, |log s_min|)``.  A measure
-    is built only when its letter tables fit ``_MAX_TABLE_BYTES``, so its
-    degrees are few.
+    On the r-th exterior power an atom grows by ``linalg.atom_growth(atom, r)``,
+    at most ``r`` times its own growth ``max(|log s_max|, |log s_min|)``.  A
+    measure is built only when its letter tables fit ``_MAX_TABLE_BYTES``, so
+    its degrees are few.
     """
     degrees = _walk_degrees(kind, measure.dim)
     if not degrees:
         return
-    for i, atom in enumerate(measure.atoms):
-        logs = np.log(np.linalg.svd(atom, compute_uv=False))
-        growth = {r: atom_growth(logs, r) for r in degrees}
-        worst = max(growth, key=growth.get)
-        if growth[worst] > MAX_ATOM_GROWTH:
-            where = "its own walk" if worst == 1 else f"its exterior power {worst}"
-            problems.append(
-                f"atom {i} grows by {growth[worst]:.1f} per letter on {where}, above "
-                f"{MAX_ATOM_GROWTH:g}: a scaled walk state would overflow (its own growth "
-                f"max(|log s_max|, |log s_min|) is {atom_growth(logs):.1f}; "
+    # (degree, atom); degrees start at 1, the atom's own walk
+    growth = np.array([atom_growth(measure.atoms, r) for r in degrees])
+    for i in np.flatnonzero(growth.max(axis=0) > MAX_ATOM_GROWTH):
+        worst = degrees[growth[:, i].argmax()]
+        where = "its own walk" if worst == 1 else f"its exterior power {worst}"
+        problems.append(
+            f"atom {i} grows by {growth[:, i].max():.1f} per letter on {where}, above "
+            f"{MAX_ATOM_GROWTH:g}: a scaled walk state would overflow (its own growth "
+            f"max(|log s_max|, |log s_min|) is {growth[0, i]:.1f}; "
                 f"for kind {kind!r} in dimension {measure.dim} a growth up to "
                 f"{MAX_ATOM_GROWTH / degrees[-1]:g} always passes)")
 
@@ -391,8 +388,8 @@ def _check_ranges(kind, schedule, measure, problems):
     ``n_values`` must be a double; ``baum_katz`` weights its sums by
     ``n^(p - 2)``, so ``p`` is bounded by ``martingales.max_weight_power``;
     and every cocycle value, so every rate, obeys ``|lambda| <= growth``, the
-    largest atom growth (``walks.atom_growth``), so a plug-in ``lambda1``
-    beyond it is no rate of the measure.
+    largest atom growth (``linalg.atom_growth``), so a plug-in ``lambda1``
+    beyond it (and its rounding, ``walks.GROWTH_ROUNDING``) is no rate.
     """
     where = (f"schedule for kind {kind!r}" if "check" not in schedule
              else f"schedule for {kind}/{schedule['check']}")
@@ -409,8 +406,8 @@ def _check_ranges(kind, schedule, measure, problems):
     lam = schedule.get("lambda1")
     if lam is None or measure is None:
         return
-    growth = max(atom_growth(np.log(np.linalg.svd(a, compute_uv=False))) for a in measure.atoms)
-    if abs(lam) > growth * (1.0 + _RATE_SLACK):
+    growth = float(atom_growth(measure.atoms).max())
+    if abs(lam) > growth * (1.0 + GROWTH_ROUNDING):
         problems.append(f"'lambda1' in {where} must be at most {growth:g} in absolute value, "
                         f"the largest atom growth max(|log s_max|, |log s_min|), which bounds "
                         f"every rate of the measure; got {lam!r}")
@@ -545,7 +542,7 @@ def bundled_scenarios():
                      "row_sizes": [100, 300, 1000], "eps": 0.25,
                      "replicas": 4000}, {}),
             _config("large_deviation_sl2", "large_deviation", pair,
-                    {"eps": 0.2, "n_values": [2**k for k in range(4, 11)],
+                    {"eps": 0.05, "n_values": [2**k for k in range(4, 11)],
                      "replicas": 4000}, strong),
             _config("lil_scalar", "lil", scalar,
                     {"n_max": 200_000, "phi": 1.0, "lambda1": 0.0}, {}),

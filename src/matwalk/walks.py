@@ -54,7 +54,8 @@ stopped.  Replicas are split into blocks of ``BLOCK`` replicas, or of fewer
 when their words would hold more than ``_BLOCK_LETTERS`` letters, so a walk
 of any length bounds its own working set.  Vector-walk blocks run in order on
 the calling thread; matrix-walk blocks are spread over a pool of worker
-threads, which changes wall time only.
+threads, which changes wall time only, and the blocks that run at once share
+the budget: at ``k`` threads each holds at most ``_BLOCK_LETTERS // k``.
 """
 
 import math
@@ -62,6 +63,7 @@ import math
 import numpy as np
 
 from . import rng
+from .linalg import atom_growth
 
 BLOCK = 4096    # replicas per scheduling block, at most (part of no contract:
                 # results do not depend on it, only wall time and memory do)
@@ -74,6 +76,9 @@ _HEAD_BLOCK = 512         # chunk ends a one-row head pass holds as Python float
 _THREADS = 1
 # below log(DBL_MAX) / 2 ~ 354.9, past which one letter overflows a unit state's squared norm
 MAX_ATOM_GROWTH = 350.0
+# relative: the growth of the matrices a walk steps with (an exterior power, a transpose)
+# rounds apart from the sums of the atom's log singular values that validation reads
+GROWTH_ROUNDING = 1e-9
 
 
 def set_thread_count(k):
@@ -82,10 +87,11 @@ def set_thread_count(k):
     _THREADS = max(1, int(k))
 
 
-def _blocks(total, n):
+def _blocks(total, n, at_once=1):
     """``(first, count)`` blocks of ``total`` replicas walking ``n`` letters:
-    ``BLOCK`` replicas, or fewer when their words would pass ``_BLOCK_LETTERS``."""
-    size = min(BLOCK, max(1, _BLOCK_LETTERS // n))
+    ``BLOCK`` replicas, or fewer when the words of ``at_once`` blocks, which
+    share the budget, would pass ``_BLOCK_LETTERS``."""
+    size = min(BLOCK, max(1, _BLOCK_LETTERS // at_once // n))
     return [(start, min(size, total - start)) for start in range(0, total, size)]
 
 
@@ -99,34 +105,23 @@ def _run_blocks(fn, blocks):
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def atom_growth(log_s, r=1):
-    """How far one letter of an atom moves a log norm on its ``r``-th exterior power.
-
-    ``log_s`` holds the atom's log singular values, largest first; the growth is
-    ``max(|sum of the top r|, |sum of the bottom r|)``, for ``r = 1`` the atom's own
-    ``max(|log s_max|, |log s_min|)``.  A walk refuses an atom whose growth on the
-    walk it runs is above ``MAX_ATOM_GROWTH``.
-    """
-    return max(abs(log_s[:r].sum()), abs(log_s[-r:].sum()))
-
-
 def rescale_interval(atoms):
     """Steps between rescalings so scaled entries stay far from overflow.
 
-    Raises ``ValueError`` for an atom whose growth ``max(|log s_max|, |log s_min|)``
-    (``atom_growth``) is above ``MAX_ATOM_GROWTH``: one letter would take a unit
-    state out of range.
+    Raises ``ValueError`` for the first atom whose growth ``max(|log s_max|,
+    |log s_min|)`` (``linalg.atom_growth``) is above ``MAX_ATOM_GROWTH`` by more
+    than ``GROWTH_ROUNDING``: one letter would take a unit state out of range.
     """
-    growth = 0.0
-    for i, a in enumerate(atoms):
-        g = atom_growth(np.log(np.linalg.svd(a, compute_uv=False)))
-        if g > MAX_ATOM_GROWTH:
-            raise ValueError(f"atom {i} has growth max(|log s_max|, |log s_min|) = {g:.1f}, "
-                             f"above {MAX_ATOM_GROWTH:g}: a scaled state would overflow")
-        growth = max(growth, g)
-    if growth <= 0.0:
+    growth = atom_growth(atoms)
+    past = np.flatnonzero(growth > MAX_ATOM_GROWTH * (1.0 + GROWTH_ROUNDING))
+    if past.size:
+        i = past[0]
+        raise ValueError(f"atom {i} has growth max(|log s_max|, |log s_min|) = {growth[i]:.1f}, "
+                         f"above {MAX_ATOM_GROWTH:g}: a scaled state would overflow")
+    top = growth.max()
+    if top <= 0.0:
         return 64
-    return int(np.clip(300.0 / growth, 1, 64))
+    return int(np.clip(300.0 / top, 1, 64))
 
 
 def letters_per_step(n_atoms, interval):
@@ -375,7 +370,7 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
             out[lab] = logs[:, 0] if cps is None else logs[:, :len(cps)]
         return out
 
-    parts = _run_blocks(run_block, _blocks(replicas, n))
+    parts = _run_blocks(run_block, _blocks(replicas, n, _THREADS))
     return {lab: np.concatenate([p[lab] for p in parts]) for lab in tables}
 
 

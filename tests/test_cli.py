@@ -106,6 +106,17 @@ def test_bundle_is_complete_and_valid(monkeypatch):
     assert checked == []
 
 
+@pytest.mark.parametrize("seed", [11, 20260810])
+def test_bundled_deviation_curve_has_a_decay_rate(tmp_path, seed):
+    # the bundled eps leaves at least three nonzero frequencies, so the least-squares
+    # fit of the decay rate runs, at the manifest's seed and at the master seed
+    cfg = mw.bundled_scenarios()["large_deviation_sl2"]
+    out = mw.run_scenario(cfg, out_dir=tmp_path / "out", seed=seed)
+    lines = (out / "summary.txt").read_text().splitlines()
+    rate = next(line.split(": ", 1)[1] for line in lines if line.startswith("decay_rate: "))
+    assert float(rate) > 0.0
+
+
 def test_list_prints_bundle(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -249,12 +260,8 @@ def test_clt_atom_growth_bound_at_load(log_scale, passes):
         "'clt' in dimension 2 a growth up to 350 always passes)"]
 
 
-@pytest.mark.parametrize("kind, dim", [("lyapunov", 2), ("lyapunov", 3), ("lyapunov", 4),
-                                       ("clt", 2), ("clt", 3)])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_a_config_that_validates_passes_every_walk_check(kind, dim, sign):
-    # atoms scaled to just below the bound on their worst walk: the load check
-    # lets them through, and so does each walk's own check on its atoms
+def _atoms_below_the_bound(kind, dim, sign):
+    """Four atoms scaled to just below the bound on their worst walk."""
     degrees = scenarios._walk_degrees(kind, dim)
     atoms = []
     for seed in range(4):
@@ -263,11 +270,30 @@ def test_a_config_that_validates_passes_every_walk_check(kind, dim, sign):
         c = min((349.9 - (logs[:r].sum() if sign > 0 else -logs[-r:].sum())) / r
                 for r in degrees)
         atoms.append(_scaled_atom(dim, sign * c, seed))
+    return atoms
+
+
+# validation reads a wedge growth of exactly 350.0 off this atom's singular values; the
+# SVD of its wedge square, which the walk steps with, reads 350.00000000000006
+_AT_THE_BOUND = np.array([[1.1891200098162111e+75, -1.3387892482119902e+76],
+                          [-7.452600952760659e+75, -7.858487178709718e+74]])
+
+
+@pytest.mark.parametrize("sign, kind, dim, atoms", [
+    *(pytest.param(sign, kind, dim, None, id=f"{sign}-{kind}-{dim}")
+      for sign in (-1.0, 1.0)
+      for kind, dim in [("clt", 2), ("clt", 3), ("lyapunov", 2), ("lyapunov", 3),
+                        ("lyapunov", 4)]),
+    pytest.param(1.0, "lyapunov", 2, [_AT_THE_BOUND], id="1.0-lyapunov-2-at_the_bound")])
+def test_a_config_that_validates_passes_every_walk_check(sign, kind, dim, atoms):
+    # the load check lets the atoms through, and so does each walk's own check on
+    # the matrices it steps with
+    atoms = _atoms_below_the_bound(kind, dim, sign) if atoms is None else atoms
     data = small_config(kind, dimension=dim,
                         measure={"atoms": [a.ravel().tolist() for a in atoms]})
     mu = mw.validate_config(data).measure
-    for r in degrees:
-        walks.rescale_interval(np.array([mw.exterior_power(a, r) for a in mu.atoms]))
+    for r in scenarios._walk_degrees(kind, dim):
+        walks.rescale_interval(mw.exterior_power(mu.atoms, r))
     data["measure"]["atoms"][0] = (atoms[0] * np.exp(sign * 0.2)).ravel().tolist()
     with pytest.raises(mw.ConfigError, match=r"atom 0 grows by 350\.[1-5] per letter"):
         mw.validate_config(data)

@@ -10,6 +10,7 @@ Each case runs through ``matwalk run`` in this process and must:
 
 * exit 0, 2 or 3, with no traceback and no ``RuntimeWarning``;
 * make no output directory when it exits 2;
+* on exit 3, name no refusal that validation owns (``OWNED_REFUSALS``);
 * on exit 0, write no non-finite number into an artifact, apart from the
   ``inf`` integral of ``stationary``, which the README documents ("an atom
   sits on y").
@@ -57,6 +58,8 @@ WEIGHTS = [[1.0], [0.0, 1.0], [-0.5, 1.5], [0.5, 0.5 + 1e-6], [0.25, 0.75], "x"]
 BASE = {"stationary": {"test_points": 10}}
 # the one non-finite value an artifact may hold: (kind, file, column)
 DOCUMENTED = {("stationary", "report.csv", "integral_value"): {"inf"}}
+# a walk's growth refusal and a determinant refusal: validation names both at load
+OWNED_REFUSALS = ("a scaled state would overflow", "is not 1 within")
 NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:nan|inf)(?![\w])", re.IGNORECASE)
 
 
@@ -157,6 +160,10 @@ def test_fuzzed_config_keeps_the_exit_code_contract(tmp_path, monkeypatch, data)
     assert runtime == [], f"RuntimeWarning {runtime}\n{replay}"
     if code == 2:
         assert not out.exists(), f"exit 2 made {out}\n{replay}"
+    if code == 3:
+        # validation owns these refusals: a config it passes never meets them in a walk
+        for owned in OWNED_REFUSALS:
+            assert owned not in err.getvalue(), f"exit 3 past validation\n{replay}"
     if code == 0:
         kind = data["kind"]
         assert _non_finite_cells(out, kind) == [], f"non-finite artifact values\n{replay}"

@@ -1,10 +1,14 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import matwalk as mw
-from matwalk.linalg import CANONICAL_ZERO, canonicalize_rows, check_group_element
+from matwalk import linalg
+from matwalk.linalg import CANONICAL_ZERO, atom_growth, canonicalize_rows, check_group_element
 
 from conftest import random_invertible
 
@@ -94,6 +98,101 @@ def test_wedge_square_norm_bounded_by_square():
     for _ in range(50):
         g = random_invertible(rng, int(rng.integers(2, 5)))
         assert mw.operator_norm(mw.exterior_square(g)) <= mw.operator_norm(g) ** 2 * (1 + 1e-12)
+
+
+def _minors_one_by_one(g, r):
+    """The r x r minors of one matrix, one ``np.linalg.det`` each: the reference
+    the batched ``exterior_power`` must equal bitwise."""
+    rows = list(combinations(range(g.shape[0]), r))
+    out = np.empty((len(rows), len(rows)))
+    for a, ii in enumerate(rows):
+        sub = g[np.ix_(ii, range(g.shape[0]))]
+        for b, jj in enumerate(rows):
+            out[a, b] = np.linalg.det(sub[:, jj])
+    return out
+
+
+_STRUCTURED = [SHEAR, np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, -3.0, 1.0]]),
+               rotation(1.2), np.diag([1e6, 1e-6]), np.zeros((3, 3)), -np.eye(4)]
+
+
+@pytest.mark.parametrize("d, r", [(3, 2), (4, 2), (6, 3), (5, 5), (10, 5), (16, 2)])
+def test_exterior_power_is_the_minors_one_by_one_bitwise(d, r):
+    rng = np.random.default_rng(d * 100 + r)
+    g = rng.normal(size=(d, d))
+    one = mw.exterior_power(g, r)
+    assert one.tobytes() == _minors_one_by_one(g, r).tobytes()
+    # the reference takes a second a matrix at d = 10: larger stacks repeat g
+    stack = rng.normal(size=(2, 2, d, d)) if d <= 6 else np.array([[g, g]])
+    batched = mw.exterior_power(stack, r)
+    assert batched.shape == stack.shape[:-2] + (comb(d, r),) * 2
+    for index in np.ndindex(stack.shape[:-2]):
+        want = _minors_one_by_one(stack[index], r) if d <= 6 else one
+        assert batched[index].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("g", _STRUCTURED, ids=["shear", "shear3", "rotation", "diag",
+                                                "zero", "minus_identity"])
+def test_exterior_power_of_structured_matrices_is_the_minors_one_by_one(g):
+    for r in range(2, g.shape[0] + 1):
+        one = mw.exterior_power(g, r)
+        assert one.tobytes() == _minors_one_by_one(g, r).tobytes()
+        assert mw.exterior_power(np.array([g, 2.0 * g]), r)[0].tobytes() == one.tobytes()
+
+
+def test_a_stack_is_taken_as_many_matrices_at_a_time_as_the_bound_holds(monkeypatch):
+    # 6 x 6 blocks of 2 x 2 entries: a bound of two matrices takes 7 atoms in 4 calls
+    stack = np.random.default_rng(5).normal(size=(7, 4, 4))
+    whole = mw.exterior_power(stack, 2)
+    sizes = []
+    det = np.linalg.det
+    monkeypatch.setattr(linalg, "_MINOR_ENTRIES", 2 * 6 * 6 * 2 * 2)
+    monkeypatch.setattr(np.linalg, "det", lambda a: sizes.append(len(a)) or det(a))
+    assert mw.exterior_power(stack, 2).tobytes() == whole.tobytes()
+    assert sizes == [2, 2, 2, 1]
+
+
+def test_first_exterior_power_is_a_copy_keeping_negative_zeros():
+    g = -np.eye(4)
+    out = mw.exterior_power(g, 1)
+    assert out is not g and out.tobytes() == g.tobytes()
+    assert np.signbit(out[0, 1])  # a 1 x 1 determinant would give +0.0
+    assert mw.exterior_power(g[None], 1).tobytes() == g.tobytes()
+
+
+def test_exterior_power_reads_the_dimension_off_the_last_axis():
+    stack = np.array([np.eye(3)] * 5)
+    assert mw.exterior_square(stack).shape == (5, 3, 3)
+    with pytest.raises(mw.DimensionError):
+        mw.exterior_power(stack, 4)
+    with pytest.raises(mw.DimensionError):
+        mw.exterior_square(np.ones((5, 1, 1)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_atom_growth_of_a_stack_is_the_growth_of_each_atom(d):
+    rng = np.random.default_rng(d)
+    stack = np.array([random_invertible(rng, d) * np.exp(rng.normal(scale=50.0))
+                      for _ in range(7)])
+    for r in range(1, d + 1):
+        batched = atom_growth(stack, r)
+        assert batched.shape == (7,)
+        each = [atom_growth(a, r) for a in stack]
+        assert all(type(value) is float for value in each)
+        assert batched.tobytes() == np.array(each).tobytes()
+        # the growth on degree r is the log norm of the r-th exterior power or of its
+        # inverse, whichever is larger
+        powers = mw.exterior_power(stack, r)
+        logs = np.log(np.linalg.svd(powers, compute_uv=False))
+        assert batched == pytest.approx(np.maximum(logs[:, 0], -logs[:, -1]), rel=1e-9)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.floats(-300.0, 300.0))
+def test_sup_norm_is_the_atom_growth_bitwise(seed, d, log_scale):
+    g = random_invertible(np.random.default_rng(seed), d) * np.exp(log_scale)
+    s = np.linalg.svd(g, compute_uv=False)
+    growth = atom_growth(g)
+    assert mw.sup_norm(g) == growth == max(np.log(s[0]), -np.log(s[-1]))
 
 
 # --- projective points and distances ---

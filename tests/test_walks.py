@@ -131,9 +131,9 @@ def test_rescale_interval_scales_with_growth():
 
 def test_atom_growth_per_exterior_degree():
     # log singular values 3, 1, -2: r = 1 is the atom's own growth, r = d is |log |det||
-    logs = np.array([3.0, 1.0, -2.0])
-    assert [walks.atom_growth(logs, r) for r in (1, 2, 3)] == [3.0, 4.0, 2.0]
-    assert walks.atom_growth(logs) == walks.atom_growth(logs, 1)
+    atom = np.diag(np.exp([3.0, 1.0, -2.0]))
+    assert [walks.atom_growth(atom, r) for r in (1, 2, 3)] == [3.0, 4.0, 2.0]
+    assert walks.atom_growth(atom) == walks.atom_growth(atom, 1)
 
 
 def test_atom_growth_past_the_bound_is_refused():
@@ -487,7 +487,9 @@ def test_blocks_cover_the_replicas_within_the_letter_budget(total, n):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_letter_budget_changes_no_byte(free_pair, monkeypatch, threads):
     # a budget of 5 walks of n letters cuts 37 replicas into 8 blocks, whose
-    # words never pass it; every value and final unit row keeps its bytes
+    # words never pass it; the matrix walk's blocks run `threads` at once and
+    # share it, so at 2 threads they take 2 walks each, in 19 blocks; every
+    # value and final unit row keeps its bytes
     n, replicas, seed, cps = 120, 37, 9, [7, 60, 119]
     starts = np.random.default_rng(3).normal(size=(replicas, 2))
     starts /= np.linalg.norm(starts, axis=1)[:, None]
@@ -512,7 +514,10 @@ def test_letter_budget_changes_no_byte(free_pair, monkeypatch, threads):
         small = run()
     finally:
         walks.set_thread_count(1)
-    assert len(letters) == 3 * 8 and max(letters) <= walks._BLOCK_LETTERS
+    vector, matrix = letters[:2 * 8], letters[2 * 8:]
+    assert len(vector) == 2 * 8 and max(vector) <= walks._BLOCK_LETTERS
+    assert len(matrix) == {1: 8, 2: 19}[threads]
+    assert max(matrix) <= walks._BLOCK_LETTERS // threads
     for (values, finals), (small_values, small_finals) in zip(default[:2], small[:2]):
         assert values.tobytes() == small_values.tobytes()
         assert finals.tobytes() == small_finals.tobytes()
