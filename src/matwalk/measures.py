@@ -147,9 +147,10 @@ def sample_word(sampler, n):
     d = sampler.measure.dim
     if n == 0:
         return WordSample(indices=indices, matrix=np.eye(d))
-    table = walks._LetterTable(sampler.measure.atoms)
-    logs, state = table.walk(indices[None], np.eye(d)[None], [n])
-    matrix = state[0] / np.linalg.norm(state[0], 2)
+    [logs], [state] = walks._walk_block(walks._tables([sampler.measure.atoms]),
+                                        [np.eye(d).reshape(d, d, 1)], None, n,
+                                        lambda lo, hi: indices[None, lo:hi])
+    matrix = state[..., 0] / np.linalg.norm(state[..., 0], 2)
     return WordSample(indices=indices, matrix=matrix, log_scale=float(logs[0, 0]))
 
 

@@ -4,8 +4,8 @@ Long products are never multiplied out.  Replica walks step through a
 *letter table*: the products of ``L`` consecutive atoms, one row per word of
 ``L`` letters, so a single gather and a single batched product advance every
 replica by ``L`` letters.  ``L`` is the largest value with ``A^L <= 256`` for
-``A`` atoms and ``L <= rescale_interval(atoms)``, so a table row never holds
-a product of more letters than a scaled state may absorb.  States are
+``A`` atoms and ``L <= rescale_interval`` of every table of the walk, so no
+row holds a product of more letters than a scaled state may absorb.  States are
 rescaled at least every ``rescale_interval`` letters (Benettin, Galgani,
 Giorgilli and Strelcyn, Meccanica 15, 1980); scalar cocycle values add up
 the logs of the scales, and log operator norms of products are read off
@@ -23,8 +23,7 @@ builds the codes of a block of rows of words about ``2^18`` letters at a time
 into the step-major ``uint16`` array the steps read: eight letters of a pair
 of atoms are one byte (``np.packbits``), other whole steps take a Horner
 scheme in bytes (codes stay below ``A^L <= 256``), steps of one letter copy
-it, and a single atom has code 0 only.  Tables with equal ``(A, L,
-interval)``, such as the Cartan walk's two tables, share one code array.
+it, and a single atom has code 0 only.  The tables of a walk share one code array.
 
 A single trajectory is read at every step from chunked prefix products: the
 word is cut into chunks of ``rescale_interval`` letters, the running product
@@ -39,25 +38,25 @@ States and letter tables are *entry-major*, replicas last: vectors ``(d, N)``,
 matrices ``(d, d, N)``.  Every batched product is then ``d`` entry-wise
 multiply-adds over contiguous length-``N`` arrays (``_product``), never a
 BLAS call, which would run one tiny gemm per replica.  The layout stays
-inside this module: every function other modules call takes and returns
-points as replica rows ``(N, d)``.
+inside this module: every public function takes and returns points as
+replica rows ``(N, d)``.
 
 The average over atoms ``sum_a w_a f(a x)`` behind the drift, the corrector
 equation and the corrected variance takes its images from ``atom_images``
 and adds them up in atom order in ``atom_average``.
 
-``measures.sample_word`` reads its scaled product off the same letter
-table.  Every word comes from ``rng.replica_words``: replica ``r`` reads stream
-``r``, from letter ``skip`` on, so results are a pure function of
-``(measure, seed, tag)`` and a walk can continue where an earlier one
-stopped.  Replicas are split into blocks of ``BLOCK`` replicas, or of fewer
-when their words would hold more than ``_BLOCK_LETTERS`` letters, so a walk
-of any length bounds its own working set.  Vector-walk blocks run in order on
-the calling thread; matrix-walk blocks are spread over a pool of worker
-threads, which changes wall time only, and the blocks that run at once share
-the budget: at ``k`` threads each holds at most ``_BLOCK_LETTERS // k``.
+``measures.sample_word`` walks in the same block body (``_walk_block``).
+Every word comes from ``rng.replica_words``: replica ``r`` reads stream ``r``,
+from letter ``skip`` on, so results are a pure function of ``(measure, seed,
+tag)`` and a walk can continue where an earlier one stopped.  Replicas walk in
+blocks of ``BLOCK`` whatever the walk's length or thread count, and a block
+takes its words ``_SEGMENT`` letters per row at a time, cut between two whole
+steps of the uncut walk, so a walk of any length bounds its working set and
+reads the uncut walk's values.  Vector-walk blocks run in order on the calling
+thread; matrix-walk blocks run on a pool of worker threads (wall time only).
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -65,10 +64,9 @@ import numpy as np
 from . import rng
 from .linalg import atom_growth
 
-BLOCK = 4096    # replicas per scheduling block, at most (part of no contract:
-                # results do not depend on it, only wall time and memory do)
-# letters one block's words hold, at most: about 1 GB of words and table codes
-_BLOCK_LETTERS = 2 * 10**8
+BLOCK = 4096    # replicas per block: bytes depend on it only where einsum rounds a block
+                # of one replica apart, which ``_blocks`` never leaves beside wider ones
+_SEGMENT = 1 << 13       # letters per row a block draws at once: 32 MB of words at BLOCK rows
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
@@ -87,12 +85,14 @@ def set_thread_count(k):
     _THREADS = max(1, int(k))
 
 
-def _blocks(total, n, at_once=1):
-    """``(first, count)`` blocks of ``total`` replicas walking ``n`` letters:
-    ``BLOCK`` replicas, or fewer when the words of ``at_once`` blocks, which
-    share the budget, would pass ``_BLOCK_LETTERS``."""
-    size = min(BLOCK, max(1, _BLOCK_LETTERS // at_once // n))
-    return [(start, min(size, total - start)) for start in range(0, total, size)]
+def _blocks(total):
+    """``(first, count)`` blocks of ``BLOCK`` replicas.  einsum rounds a block of
+    one replica apart from wider ones, so a last block of one takes a replica of
+    the block before it."""
+    blocks = [(first, min(BLOCK, total - first)) for first in range(0, total, BLOCK)]
+    if len(blocks) > 1 and blocks[-1][1] == 1:
+        blocks[-2:] = [(total - BLOCK - 1, BLOCK - 1), (total - 2, 2)]
+    return blocks
 
 
 def _run_blocks(fn, blocks):
@@ -132,24 +132,32 @@ def letters_per_step(n_atoms, interval):
     return letters
 
 
-def _checkpoint_array(checkpoints, n):
-    if checkpoints is None:
-        return None
-    cps = np.asarray(checkpoints, dtype=int)
+def _marks(checkpoints, n):
+    """Step counts at which a walk of ``n`` steps is read: the checkpoints, or ``n``."""
+    cps = np.asarray([n] if checkpoints is None else checkpoints, dtype=int)
     if cps.ndim != 1 or len(cps) == 0 or np.any(np.diff(cps) <= 0):
         raise ValueError("checkpoints must be strictly increasing")
     if cps[0] < 1 or cps[-1] > n:
-        raise ValueError("checkpoints must lie in [1, n]")
-    return cps
+        raise ValueError("checkpoints must lie in [1, n]" if checkpoints is not None
+                         else "a walk needs n >= 1 steps")
+    return cps.tolist()
 
 
-def _marks(cps, n):
-    """Step counts at which a walk is read: the checkpoints, then ``n``."""
-    if n < 1:
-        raise ValueError("a walk needs n >= 1 steps")
-    if cps is None:
-        return [n]
-    return [int(c) for c in cps] + ([n] if cps[-1] < n else [])
+def _segments(marks, n, letters):
+    """``(lo, ends)`` per segment of a walk of ``n`` letters read at ``marks``: from ``lo``
+    the segment walks to each end as to a mark.  It holds ``_SEGMENT`` letters, or one
+    whole step, at most, and ends at ``n`` or between two steps of the uncut walk, which
+    takes whole steps up to each mark and ``n``, then single letters."""
+    stops = marks + [n] if marks[-1] < n else marks
+    lo = i = 0
+    while lo < n:
+        limit = min(lo + max(_SEGMENT, letters), n)
+        j = bisect.bisect_right(stops, limit, i)
+        prev = stops[j - 1] if j else 0
+        whole = prev + (stops[j] - prev) // letters * letters if j < len(stops) else n
+        cut = limit if limit >= whole else prev + (limit - prev) // letters * letters
+        yield lo, stops[i:j] + [cut] * (cut > prev)
+        lo, i = cut, j
 
 
 def _entry_major(stack):
@@ -216,18 +224,14 @@ class _LetterTable:
     ``l_0`` acts first).  When ``L > 1``, row ``A^L + l`` holds the single atom
     ``a_l``; single letters finish the stretch up to each read-out, so a
     checkpoint reads exactly the product of its own letters.  ``rows`` is
-    entry-major, ``(d, d, table rows)``.  Tables with equal ``key`` step
-    through the same codes.
+    entry-major, ``(d, d, table rows)``.  States are rescaled at least every
+    ``interval`` letters; ``L = letters`` is at most ``interval``.
     """
 
-    def __init__(self, atoms):
-        atoms = np.asarray(atoms, dtype=float)
-        self.n_atoms = len(atoms)
-        self.dim = atoms.shape[1]
-        self.interval = rescale_interval(atoms)
-        self.letters = letters_per_step(self.n_atoms, self.interval)
-        self.key = (self.n_atoms, self.letters, self.interval)
-        singles = _entry_major(atoms)
+    def __init__(self, atoms, interval, letters):
+        singles = _entry_major(np.asarray(atoms, dtype=float))
+        self.dim, self.n_atoms = singles.shape[1:]
+        self.interval, self.letters = interval, letters
         rows = singles
         for _ in range(1, self.letters):
             # row l R + r is a_l times row r
@@ -261,25 +265,20 @@ class _LetterTable:
             out[...] = codes
 
     def _steps(self, words, marks):
-        """Table rows of every step (steps x replicas), and per step whether to
-        rescale before it and whether to read after it.
+        """Table rows of every step (steps x replicas), and per step its letters
+        and whether to read after it.
 
         Up to each mark the walk takes whole table steps, then single letters.
         Codes are built a block of about ``_CODE_LETTERS`` letters of rows at
         a time and written straight into the step-major array.
         """
-        segments, rescale, read = [], [], []
-        since = pos = 0
-        for end in marks:
+        segments, sizes, read = [], [], []
+        for pos, end in zip([0] + marks[:-1], marks):
             full, rest = divmod(end - pos, self.letters)
-            segments.append((len(rescale), full, pos, pos + full * self.letters, end))
-            for step in [self.letters] * full + [1] * rest:
-                rescale.append(since + step > self.interval)
-                since = step if rescale[-1] else since + step
-                read.append(False)
-            read[-1] = True
-            pos = end
-        codes = np.empty((len(rescale), len(words)), dtype=np.uint16)
+            segments.append((len(sizes), full, pos, pos + full * self.letters, end))
+            sizes += [self.letters] * full + [1] * rest
+            read += [False] * (full + rest - 1) + [True]
+        codes = np.empty((len(sizes), len(words)), dtype=np.uint16)
         rows = max(1, _CODE_LETTERS // words.shape[1])
         for lo in range(0, len(words), rows):
             block, out = words[lo:lo + rows], codes[:, lo:lo + rows]
@@ -288,34 +287,46 @@ class _LetterTable:
                 step += full
                 np.add(block[:, tail:end].T, np.uint16(self.single),
                        out=out[step:step + end - tail])
-        return codes, rescale, read
+        return codes, sizes, read
 
-    def walk(self, words, state, marks, steps=None):
-        """Push ``state`` (rows ``(count, d)`` or matrices ``(count, m, m)``)
-        through the rows of ``words``; log norms at each mark, and the final
-        scaled state in the same layout.  Vectors read their Euclidean norm,
-        matrices their operator norm.  The steps run on an entry-major copy.
-        ``steps`` may give ``_steps(words, marks)`` of a table with this ``key``.
-        """
-        codes, rescale, read = self._steps(words, marks) if steps is None else steps
-        vector = state.ndim == 2
-        state = _entry_major(state)
-        spare = np.empty_like(state)
-        gathered = np.empty((self.dim, self.dim, state.shape[-1]))
-        acc = np.zeros(state.shape[-1])
-        logs = []
-        for step, code in enumerate(codes):
-            if rescale[step]:
-                scale = _norms(state)
-                acc += np.log(scale)
-                state /= scale
-            # codes are in range; "wrap" takes numpy's faster gather loop
-            self.rows.take(code, axis=2, out=gathered, mode="wrap")
-            state, spare = _product(gathered, state, spare), state
-            if read[step]:
-                top = _norms(state) if vector else _operator_norms(state)
-                logs.append(acc + np.log(top))
-        return np.column_stack(logs), np.ascontiguousarray(np.moveaxis(state, -1, 0))
+
+def _tables(atom_sets):
+    """One letter table per set of atoms of a walk, at one step size: the least that
+    their own rescale intervals allow, so one code array serves them all."""
+    intervals = [rescale_interval(atoms) for atoms in atom_sets]
+    letters = letters_per_step(len(atom_sets[0]), min(intervals))
+    return [_LetterTable(a, interval, letters) for a, interval in zip(atom_sets, intervals)]
+
+
+def _walk_block(tables, states, checkpoints, n, words):
+    """Walk one block's entry-major state per table ``n`` letters, drawn a segment at a
+    time by ``words(lo, hi)``; returns per table the log norms at the checkpoints (or
+    ``n``), Euclidean for vectors and operator norms for matrices, and the scaled state."""
+    marks = _marks(checkpoints, n)
+    logs, since = [[] for _ in tables], [0] * len(tables)
+    accs = [np.zeros(states[0].shape[-1]) for _ in tables]
+    for lo, ends in _segments(marks, n, tables[0].letters):
+        codes, sizes, read = tables[0]._steps(words(lo, ends[-1]), [e - lo for e in ends])
+        read[-1] = ends[-1] in marks   # a cut is walked to as to a mark, and not read
+        for t, table in enumerate(tables):
+            state, acc, vector = states[t], accs[t], states[t].ndim == 2
+            spare = np.empty_like(state)
+            gathered = np.empty((table.dim, table.dim, state.shape[-1]))
+            for code, size, readout in zip(codes, sizes, read):
+                if since[t] + size > table.interval:
+                    scale = _norms(state)
+                    acc += np.log(scale)
+                    state /= scale
+                    since[t] = 0
+                since[t] += size
+                # codes are in range; "wrap" takes numpy's faster gather loop
+                table.rows.take(code, axis=2, out=gathered, mode="wrap")
+                state, spare = _product(gathered, state, spare), state
+                if readout:
+                    top = _norms(state) if vector else _operator_norms(state)
+                    logs[t].append(acc + np.log(top))
+            states[t] = state
+    return [np.column_stack(t_logs) for t_logs in logs], states
 
 
 def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None, skip=0):
@@ -328,23 +339,18 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     order on the calling thread: their words come from a per-replica draw
     loop that holds the interpreter lock, so worker threads gain nothing.
     """
-    table = _LetterTable(atoms)
+    tables = _tables([atoms])
     start = np.asarray(start, dtype=float)
-    shared_start = start.ndim == 1
-    cps = _checkpoint_array(checkpoints, n)
-    marks = _marks(cps, n)
 
     def run_block(first, count):
-        words = rng.replica_words(seed, tag, count, n, weights, first_replica=first, skip=skip)
-        v = np.tile(start, (count, 1)) if shared_start else start[first:first + count].copy()
-        logs, v = table.walk(words, v, marks)
-        values = logs[:, 0] if cps is None else logs[:, :len(cps)]
-        return values, v / np.linalg.norm(v, axis=1)[:, None]
+        rows = np.tile(start, (count, 1)) if start.ndim == 1 else start[first:first + count]
+        [logs], [state] = _walk_block(tables, [_entry_major(rows)], checkpoints, n, lambda lo, hi: (
+            rng.replica_words(seed, tag, count, hi - lo, weights, first, skip + lo)))
+        v = np.ascontiguousarray(np.moveaxis(state, -1, 0))
+        return logs[:, 0] if checkpoints is None else logs, v / np.linalg.norm(v, axis=1)[:, None]
 
-    parts = [run_block(*b) for b in _blocks(replicas, n)]
-    values = np.concatenate([p[0] for p in parts])
-    finals = np.concatenate([p[1] for p in parts])
-    return values, finals
+    parts = [run_block(*b) for b in _blocks(replicas)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoints=None):
@@ -355,23 +361,16 @@ def matrix_walk_log_norms(atom_sets, weights, n, replicas, seed, tag, checkpoint
     so e.g. ``log |P|`` and ``log |P^^2|`` refer to the same product ``P``.
     Returns label -> (replicas,) array, or (replicas, n_checkpoints).
     """
-    tables = {lab: _LetterTable(atoms) for lab, atoms in atom_sets.items()}
-    cps = _checkpoint_array(checkpoints, n)
-    marks = _marks(cps, n)
+    tables = _tables(list(atom_sets.values()))
 
     def run_block(first, count):
-        words = rng.replica_words(seed, tag, count, n, weights, first_replica=first)
-        out, steps = {}, {}
-        for lab, table in tables.items():
-            if table.key not in steps:
-                steps[table.key] = table._steps(words, marks)
-            eye = np.tile(np.eye(table.dim), (count, 1, 1))
-            logs, _ = table.walk(words, eye, marks, steps[table.key])
-            out[lab] = logs[:, 0] if cps is None else logs[:, :len(cps)]
-        return out
+        eyes = [_entry_major(np.tile(np.eye(table.dim), (count, 1, 1))) for table in tables]
+        logs, _ = _walk_block(tables, eyes, checkpoints, n, lambda lo, hi: rng.replica_words(
+            seed, tag, count, hi - lo, weights, first, lo))
+        return [t_logs[:, 0] if checkpoints is None else t_logs for t_logs in logs]
 
-    parts = _run_blocks(run_block, _blocks(replicas, n, _THREADS))
-    return {lab: np.concatenate([p[lab] for p in parts]) for lab in tables}
+    parts = _run_blocks(run_block, _blocks(replicas))
+    return {lab: np.concatenate([p[t] for p in parts]) for t, lab in enumerate(atom_sets)}
 
 
 def cloud_walk(atoms, weights, starts, n, seed, tag, skip=0):

@@ -144,6 +144,21 @@ def test_same_config_same_bytes(tmp_path):
                        shallow=False)
 
 
+def test_a_walk_past_one_block_keeps_its_bytes_at_two_threads(tmp_path):
+    # 3334 samples of 30000 letters ran in blocks of 3333 and 1 at two threads,
+    # and report.csv read 3333,0.016685433031266309 against ...255806 at one
+    data = small_config("clt", {"n": 30_000, "samples": 3334, "lambda1": 0.3962},
+                        master_seed=80)
+    config = mw.validate_config(data)
+    for threads in (1, 2):
+        mw.run_scenario(config, out_dir=tmp_path / str(threads), threads=threads)
+    walks.set_thread_count(1)
+    lines = (tmp_path / "1" / "report.csv").read_text().splitlines()
+    assert lines[3334] == "3333,0.016685433031255806"
+    for name in ("report.csv", "summary.txt"):
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False)
+
+
 def test_unknown_keys_rejected_listing_all(tmp_path, capsys):
     cfg = minimal_lyapunov(tmp_path, lamda1=3, extra_knob=True)
     assert main(["run", cfg]) == 2
@@ -823,22 +838,21 @@ def test_schedule_upper_bounds_are_config_errors(case):
 
 
 def test_walk_block_bound_counts_one_block_of_replicas():
-    # a walk block holds min(replicas, 4096) x n letters while that is at most
-    # 2e8 (walks._blocks), as 4096 x 48828 < 2e8 is; past it the block takes
-    # fewer replicas, so validation bounds each key alone
+    # a walk block holds min(replicas, 4096) replicas and draws their words a
+    # segment of letters at a time, whatever n, so validation bounds each key alone
     for replicas in (4096, 10**6):
         cfg = mw.validate_config(small_config("lyapunov", {"replicas": replicas, "n": 48_828}))
         assert cfg.schedule == {"n": 48_828, "replicas": replicas}
     mw.validate_config(small_config("clt", {"samples": 10**6, "n": 1000}))
     # with lambda1 given there is no calibration walk; without it the 256
-    # calibration replicas of 781250 letters fill one block of 2e8 letters
+    # calibration replicas walk 781250 letters
     mw.validate_config(small_config("clt", {"samples": 2, "n": 10**7, "lambda1": 0.4}))
     mw.validate_config(small_config("clt", {"samples": 2, "n": 781_250}))
     mw.validate_config(small_config("lil", {"n_max": 10**7}))
 
 
 # (table, schedule changes): more than 2e8 letters in a block of min(replicas,
-# 4096) replicas, which a walk now splits into smaller blocks
+# 4096) replicas, whose words a walk draws a segment of letters at a time
 LONG_WALKS = {
     "lyapunov_block": ("lyapunov", {"replicas": 10**6, "n": 48_829}),
     "clt_block": ("clt", {"samples": 4096, "n": 10**5}),

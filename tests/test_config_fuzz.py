@@ -13,9 +13,9 @@ Each case runs through ``matwalk run`` in this process and must:
 * on exit 3, name no refusal that validation owns (``OWNED_REFUSALS``);
 * on exit 0, write no non-finite number into an artifact, apart from the
   ``inf`` integral of ``stationary``, which the README documents ("an atom
-  sits on y").
+  sits on y"), and write every CSV byte for byte again at ``--threads 2``.
 
-A failing case names its YAML file and the command that replays it.
+A failing case names its YAML file and the commands that replay it.
 """
 
 import contextlib
@@ -167,3 +167,12 @@ def test_fuzzed_config_keeps_the_exit_code_contract(tmp_path, monkeypatch, data)
     if code == 0:
         kind = data["kind"]
         assert _non_finite_cells(out, kind) == [], f"non-finite artifact values\n{replay}"
+        # the thread contract: two threads write every CSV byte for byte
+        threads = tmp_path / "threads_2"
+        again = f"replay: python -m matwalk run {config} --out {threads} --threads 2"
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(config), "--out", str(threads), "--threads", "2"]) == 0, \
+                f"{again}\n{replay}"
+        for path in sorted(out.glob("*.csv")):
+            assert path.read_bytes() == (threads / path.name).read_bytes(), \
+                f"{path.name} differs at two threads\n{again}\n{replay}"

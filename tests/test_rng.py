@@ -346,7 +346,7 @@ def test_raw_rows_are_the_words_behind_the_uniforms(count):
 def test_table_codes_are_the_base_a_words(n_atoms, letters):
     angles = np.linspace(0.01, 0.02, n_atoms)
     atoms = [[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in angles]
-    table = walks._LetterTable(atoms)
+    [table] = walks._tables([atoms])
     assert table.letters == letters
     n = 3 * letters + 2                       # off the grid of whole table steps
     words = np.random.default_rng(1).integers(0, n_atoms, size=(5, n)).astype(

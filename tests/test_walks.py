@@ -188,7 +188,10 @@ def test_vector_walk_skip_walks_the_stream_tail(free_pair, skip):
     vals, finals = walks.vector_walk(free_pair.atoms, free_pair.weights, starts, n, replicas,
                                      seed, rng.TAG_CLOUD, skip=skip)
     words = rng.replica_words(seed, rng.TAG_CLOUD, replicas, skip + n, free_pair.weights)
-    logs, state = walks._LetterTable(free_pair.atoms).walk(words[:, skip:], starts.copy(), [n])
+    [logs], [state] = walks._walk_block(walks._tables([free_pair.atoms]),
+                                        [np.ascontiguousarray(starts.T)], None, n,
+                                        lambda lo, hi: words[:, skip + lo:skip + hi])
+    state = np.ascontiguousarray(state.T)
     assert vals.tobytes() == logs[:, 0].tobytes()
     assert finals.tobytes() == (state / np.linalg.norm(state, axis=1)[:, None]).tobytes()
 
@@ -461,68 +464,159 @@ def test_matrix_walk_independent_of_thread_count(free_pair):
         assert one[lab].tobytes() == four[lab].tobytes()
 
 
-def _fixed_blocks(total):
-    """Blocks of 4096 replicas whatever the walk's length."""
-    return [(first, min(4096, total - first)) for first in range(0, total, 4096)]
-
-
-@given(st.integers(1, 10**6).flatmap(lambda total: st.tuples(
-    st.just(total), st.integers(1, 2 * 10**8 // min(total, 4096)))))
-def test_walks_within_the_letter_budget_keep_fixed_blocks(case):
-    # min(total, 4096) x n <= 2e8: the blocks a walk took before it sized them
-    total, n = case
-    assert walks._blocks(total, n) == _fixed_blocks(total)
-
-
-@given(st.integers(1, 10**6), st.integers(1, 10**7))
-def test_blocks_cover_the_replicas_within_the_letter_budget(total, n):
-    blocks = walks._blocks(total, n)
+@given(st.integers(1, 10**6))
+def test_blocks_cover_the_replicas_with_no_lone_replica(total):
+    # blocks of 4096 replicas whatever the walk; a last block of one would be
+    # rounded apart by einsum, so it takes a replica of the block before it
+    blocks = walks._blocks(total)
     firsts, counts = zip(*blocks)
     assert list(firsts) == np.cumsum((0,) + counts[:-1]).tolist()
     assert sum(counts) == total
-    assert max(counts) <= walks.BLOCK
-    assert max(counts) * n <= walks._BLOCK_LETTERS
+    fixed = [min(4096, total - first) for first in range(0, total, 4096)]
+    if total % 4096 == 1 and total > 1:
+        fixed[-2:] = [4095, 2]
+    assert list(counts) == fixed
+
+
+def _shear_lone_replica(replicas):
+    mu = mw.shear_pair_sl3()
+    return walks.vector_walk(mu.atoms, mu.weights, np.eye(3)[0], 300, replicas, 2, rng.TAG_WALK)
+
+
+def test_a_replica_past_a_full_block_keeps_its_bytes():
+    # replica 4096 walked alone in a block of one when 4097 replicas ran, and
+    # its final unit row read 1.1e-16 apart from a run of 4098
+    values, finals = _shear_lone_replica(4097)
+    more_values, more_finals = _shear_lone_replica(4098)
+    assert values.tobytes() == more_values[:4097].tobytes()
+    assert finals.tobytes() == more_finals[:4097].tobytes()
+
+
+@given(st.integers(3, 9), st.integers(1, 30))
+def test_block_size_changes_no_byte(block, replicas):
+    # any block of two replicas or more rounds as the whole walk does
+    mu = mw.shear_pair_sl3()
+    sets = {1: mu.atoms, 2: mw.exterior_power(mu.atoms, 2)}
+
+    def run():
+        vector = walks.vector_walk(mu.atoms, mu.weights, np.eye(3)[0], 300, replicas, 2,
+                                   rng.TAG_WALK, checkpoints=[9, 150, 299])
+        return vector + tuple(walks.matrix_walk_log_norms(sets, mu.weights, 300, replicas, 2,
+                                                          rng.TAG_WALK).values())
+
+    whole = run()
+    default, walks.BLOCK = walks.BLOCK, block
+    try:
+        blocked = run()
+    finally:
+        walks.BLOCK = default
+    assert [a.tobytes() for a in whole] == [a.tobytes() for a in blocked]
+
+
+def test_thread_count_keeps_the_bytes_of_a_last_block_of_one():
+    # 3334 replicas of 30000 letters were cut into blocks of 3333 and 1 on two
+    # threads, and replica 3333 read 11888.890001775644 against ...642 on one
+    pair = mw.GeneratorMeasure.from_atoms([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+    logs = []
+    for threads in (1, 2):
+        walks.set_thread_count(threads)
+        try:
+            logs.append(walks.matrix_walk_log_norms({1: pair.atoms}, pair.weights, 30_000, 3334,
+                                                    80, rng.TAG_WALK)[1])
+        finally:
+            walks.set_thread_count(1)
+    assert logs[0][3333] == 11888.890001775642
+    assert logs[0].tobytes() == logs[1].tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_letter_budget_changes_no_byte(free_pair, monkeypatch, threads):
-    # a budget of 5 walks of n letters cuts 37 replicas into 8 blocks, whose
-    # words never pass it; the matrix walk's blocks run `threads` at once and
-    # share it, so at 2 threads they take 2 walks each, in 19 blocks; every
-    # value and final unit row keeps its bytes
-    n, replicas, seed, cps = 120, 37, 9, [7, 60, 119]
-    starts = np.random.default_rng(3).normal(size=(replicas, 2))
-    starts /= np.linalg.norm(starts, axis=1)[:, None]
-    sets = {1: free_pair.atoms, 2: np.array([mw.exterior_square(a) for a in free_pair.atoms])}
+def test_letter_budget_changes_no_byte(free_pair, sl3_pair, monkeypatch, threads):
+    # short segments cut every walk between whole steps, past checkpoints and
+    # single letters; every value and final unit row keeps its bytes, and no
+    # block draws more than BLOCK x _SEGMENT letters of words
+    n, replicas, seed, cps = 301, 37, 9, [7, 60, 64, 65, 299]
 
-    def run():
-        return (walks.vector_walk(free_pair.atoms, free_pair.weights, np.array([1.0, 0.0]),
-                                  n, replicas, seed, rng.TAG_WALK, checkpoints=cps),
-                walks.vector_walk(free_pair.atoms, free_pair.weights, starts, n, replicas,
-                                  seed, rng.TAG_WALK),
-                walks.matrix_walk_log_norms(sets, free_pair.weights, n, replicas, seed,
-                                            rng.TAG_WALK, checkpoints=cps))
+    def run(mu):
+        starts = np.random.default_rng(3).normal(size=(replicas, mu.dim))
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        sets = {r: mw.exterior_power(mu.atoms, r) for r in range(1, mu.dim + 1)}
+        shared = walks.vector_walk(mu.atoms, mu.weights, np.eye(mu.dim)[0], n, replicas, seed,
+                                   rng.TAG_WALK, checkpoints=cps)
+        own = walks.vector_walk(mu.atoms, mu.weights, starts, n, replicas, seed,
+                                rng.TAG_CLOUD, checkpoints=cps[:2], skip=13)
+        matrix = walks.matrix_walk_log_norms(sets, mu.weights, n, replicas, seed,
+                                             rng.TAG_WALK, checkpoints=cps)
+        return [a.tobytes() for a in shared + own + tuple(matrix.values())]
 
-    default = run()
+    uncut = [run(mu) for mu in (free_pair, sl3_pair)]
     letters = []
     words = rng.replica_words
     monkeypatch.setattr(rng, "replica_words", lambda seed, tag, count, n, *a, **k:
                         letters.append(count * n) or words(seed, tag, count, n, *a, **k))
-    monkeypatch.setattr(walks, "_BLOCK_LETTERS", 5 * n + 3)
+    monkeypatch.setattr(walks, "BLOCK", 16)
     walks.set_thread_count(threads)
     try:
-        small = run()
+        for segment in (8, 13, 64, 100):
+            monkeypatch.setattr(walks, "_SEGMENT", segment)
+            assert [run(mu) for mu in (free_pair, sl3_pair)] == uncut
+            assert max(letters) <= 16 * segment
+            letters.clear()
     finally:
         walks.set_thread_count(1)
-    vector, matrix = letters[:2 * 8], letters[2 * 8:]
-    assert len(vector) == 2 * 8 and max(vector) <= walks._BLOCK_LETTERS
-    assert len(matrix) == {1: 8, 2: 19}[threads]
-    assert max(matrix) <= walks._BLOCK_LETTERS // threads
-    for (values, finals), (small_values, small_finals) in zip(default[:2], small[:2]):
-        assert values.tobytes() == small_values.tobytes()
-        assert finals.tobytes() == small_finals.tobytes()
-    for degree in sets:
-        assert default[2][degree].tobytes() == small[2][degree].tobytes()
+
+
+def _step_sizes(lo, ends, letters):
+    """The uncut rule: whole steps from ``lo`` up to each end, then single letters."""
+    sizes = []
+    for pos, end in zip([lo] + ends[:-1], ends):
+        full, rest = divmod(end - pos, letters)
+        sizes += [letters] * full + [1] * rest
+    return sizes
+
+
+@given(st.sampled_from([1, 2, 5, 8, 13, 64, 100]), st.sampled_from([1, 2, 5, 8, 33, 64]),
+       st.integers(1, 400).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.integers(1, n), max_size=6, unique=True))))
+def test_segments_cut_only_between_steps_of_the_uncut_walk(segment, letters, case):
+    n, marks = case
+    marks = sorted(marks) or [n]
+    default, walks._SEGMENT = walks._SEGMENT, segment
+    try:
+        segments = list(walks._segments(marks, n, letters))
+    finally:
+        walks._SEGMENT = default
+    assert [lo for lo, _ in segments] == [0] + [ends[-1] for _, ends in segments[:-1]]
+    assert segments[-1][1][-1] == n
+    assert all(ends[-1] - lo <= max(segment, letters) for lo, ends in segments)
+    walked = [size for lo, ends in segments for size in _step_sizes(lo, ends, letters)]
+    assert walked == _step_sizes(0, marks + [n] * (marks[-1] < n), letters)
+    assert sorted({end for _, ends in segments for end in ends} & set(marks)) == marks
+
+
+@pytest.mark.parametrize("checkpoints, n, message", [
+    ([3, 3], 10, "strictly increasing"), ([], 10, "strictly increasing"),
+    ([0, 4], 10, r"lie in \[1, n\]"), ([4, 11], 10, r"lie in \[1, n\]"),
+    (None, 0, "n >= 1")])
+def test_walks_refuse_checkpoints_off_the_walk(free_pair, checkpoints, n, message):
+    with pytest.raises(ValueError, match=message):
+        walks.vector_walk(free_pair.atoms, free_pair.weights, [1.0, 0.0], n, 2, 1, rng.TAG_WALK,
+                          checkpoints=checkpoints)
+    with pytest.raises(ValueError, match=message):
+        walks.matrix_walk_log_norms({1: free_pair.atoms}, free_pair.weights, n, 2, 1,
+                                    rng.TAG_WALK, checkpoints=checkpoints)
+
+
+def test_no_block_holds_more_than_a_segment_of_words(free_pair, monkeypatch):
+    # a walk of any length draws BLOCK rows of _SEGMENT letters at most at once
+    shapes = []
+    words = rng.replica_words
+    monkeypatch.setattr(rng, "replica_words", lambda seed, tag, count, n, *a, **k:
+                        shapes.append((count, n)) or words(seed, tag, count, n, *a, **k))
+    n = 3 * walks._SEGMENT + 5
+    walks.vector_walk(free_pair.atoms, free_pair.weights, [1.0, 0.0], n, 3, 1, rng.TAG_WALK)
+    walks.matrix_walk_log_norms({1: free_pair.atoms}, free_pair.weights, n, 3, 1, rng.TAG_WALK)
+    assert shapes == ([(3, walks._SEGMENT)] * 3 + [(3, 5)]) * 2
+    assert max(count * letters for count, letters in shapes) <= walks.BLOCK * walks._SEGMENT
 
 
 # the first segment of a 300k-letter scan in dimension 60 under a 2 GB address-space
@@ -697,7 +791,7 @@ _CODE_TABLES = {"pair": (_rotations(2), 8), "pair_wild": (_rotations(2, 50.0), 6
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 def test_blocked_codes_equal_whole_array_horner(name, block_rows, monkeypatch):
     atoms, letters = _CODE_TABLES[name]
-    table = walks._LetterTable(atoms)
+    [table] = walks._tables([atoms])
     assert table.letters == letters
     replicas, n = 7, 3 * letters + 150
     words = np.random.default_rng(2).integers(0, len(atoms), size=(replicas, n)).astype(
@@ -706,38 +800,43 @@ def test_blocked_codes_equal_whole_array_horner(name, block_rows, monkeypatch):
     marks = [1, letters + 1, 2 * letters + 3, n - 1, n]
     if block_rows is not None:
         monkeypatch.setattr(walks, "_CODE_LETTERS", block_rows * n)
-    codes, rescale, read = table._steps(words, marks)
+    codes, sizes, read = table._steps(words, marks)
     expected = _horner_codes(table, words, marks)
     assert codes.dtype == np.uint16 and codes.flags.c_contiguous
     assert codes.tolist() == expected.tolist()
-    assert len(rescale) == len(read) == len(codes) and sum(read) == len(marks)
+    assert len(sizes) == len(read) == len(codes) and sum(read) == len(marks)
+    assert sum(sizes) == n
 
 
-def test_tables_share_codes_only_when_letters_and_interval_match(free_pair, monkeypatch):
+def test_tables_of_one_walk_share_one_code_array(free_pair, monkeypatch):
     calls = []
     steps = walks._LetterTable._steps
-
-    def counting(self, words, marks):
-        calls.append(self.key)
-        return steps(self, words, marks)
-
-    monkeypatch.setattr(walks._LetterTable, "_steps", counting)
+    monkeypatch.setattr(walks._LetterTable, "_steps", lambda self, words, marks:
+                        calls.append(self.letters) or steps(self, words, marks))
     atoms = free_pair.atoms
-    wild = atoms * np.exp(20.0)      # same atom count and letters, shorter interval
-    assert walks._LetterTable(wild).letters == 8
-    sets = {"id": atoms, "twice": 2.0 * atoms, "wild": wild}
-    keys = {lab: walks._LetterTable(a).key for lab, a in sets.items()}
-    assert keys["id"] == keys["twice"] != keys["wild"]
+    # same letters per step alone: each table walks as it would alone
+    sets = {"id": atoms, "twice": 2.0 * atoms, "wild": atoms * np.exp(20.0)}
+    assert [walks._tables([a])[0].letters for a in sets.values()] == [8, 8, 8]
     out = walks.matrix_walk_log_norms(sets, free_pair.weights, 300, 5, 4, rng.TAG_WALK,
                                       checkpoints=[7, 200])
-    assert sorted(calls) == sorted({keys["id"], keys["wild"]})
+    assert calls == [8]
     for lab, a in sets.items():
         alone = walks.matrix_walk_log_norms({lab: a}, free_pair.weights, 300, 5, 4,
                                             rng.TAG_WALK, checkpoints=[7, 200])[lab]
         assert out[lab].tobytes() == alone.tobytes()
+    # a table that alone takes 8 letters a step takes 5 beside one that rescales every 5
+    sets = {"id": atoms, "steep": atoms * np.exp(58.0)}
+    assert [t.letters for t in walks._tables(list(sets.values()))] == [5, 5]
+    out = walks.matrix_walk_log_norms(sets, free_pair.weights, 300, 5, 4, rng.TAG_WALK)
+    alone = walks.matrix_walk_log_norms({"id": atoms}, free_pair.weights, 300, 5, 4,
+                                        rng.TAG_WALK)["id"]
+    assert np.allclose(out["id"], alone, rtol=1e-14, atol=0.0)
+    # the Cartan walk: one code array per segment and block, for both tables
     calls.clear()
+    monkeypatch.setattr(walks, "_SEGMENT", 16)
+    monkeypatch.setattr(walks, "BLOCK", 4)
     mw.multidim_clt_cartan(mw.shear_pair_sl3(), n=40, samples=6, seed=3)
-    assert len(calls) == 1 and calls[0] == (2, 8, 64)   # both Cartan tables, one code array
+    assert calls == [8] * 3 * 2   # 40 letters in segments of 16, 16 and 8; blocks of 4 and 2
 
 
 @pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
