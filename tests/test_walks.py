@@ -464,18 +464,35 @@ def test_matrix_walk_independent_of_thread_count(free_pair):
         assert one[lab].tobytes() == four[lab].tobytes()
 
 
+def _fixed_blocks(total):
+    """Blocks of 4096 replicas whatever the walk's length; a last block of one would
+    be rounded apart by einsum, so it takes a replica of the block before it."""
+    counts = [min(4096, total - first) for first in range(0, total, 4096)]
+    if len(counts) > 1 and counts[-1] == 1:
+        counts[-2:] = [4095, 2]
+    return list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
+
+
 @given(st.integers(1, 10**6))
-def test_blocks_cover_the_replicas_with_no_lone_replica(total):
-    # blocks of 4096 replicas whatever the walk; a last block of one would be
-    # rounded apart by einsum, so it takes a replica of the block before it
+def test_walks_within_the_letter_budget_keep_fixed_blocks(total):
+    # every walk draws its words a segment at a time, so every walk stays within
+    # the letter budget and keeps the blocks it took before walks were cut
+    assert walks._blocks(total) == _fixed_blocks(total)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**7), st.integers(1, 64))
+def test_blocks_cover_the_replicas_within_the_letter_budget(total, n, letters):
     blocks = walks._blocks(total)
     firsts, counts = zip(*blocks)
     assert list(firsts) == np.cumsum((0,) + counts[:-1]).tolist()
     assert sum(counts) == total
-    fixed = [min(4096, total - first) for first in range(0, total, 4096)]
-    if total % 4096 == 1 and total > 1:
-        fixed[-2:] = [4095, 2]
-    assert list(counts) == fixed
+    assert max(counts) <= walks.BLOCK
+    # the segments of a walk of n letters tile it, and no block draws more than
+    # BLOCK x _SEGMENT letters of words at once
+    los, cuts = zip(*((lo, ends[-1]) for lo, ends in walks._segments([n], n, letters)))
+    assert los == (0,) + cuts[:-1] and cuts[-1] == n
+    assert max(counts) * max(cut - lo for lo, cut in zip(los, cuts)) <= \
+        walks.BLOCK * walks._SEGMENT
 
 
 def _shear_lone_replica(replicas):
