@@ -22,7 +22,7 @@ from .cocycles import ensure_unimodular
 from .errors import DimensionError
 from .linalg import ProjectivePoint, exterior_power
 from .measures import GeneratorMeasure
-from .stationary import psi_at_images
+from .stationary import psi_eval_many
 from .stats import (
     covariance_fit,
     gaussian_cdf,
@@ -235,8 +235,9 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
         sigma, finals = walks.vector_walk(mu.atoms, mu.weights, x_rows, word_len, nu.size,
                                           seed, rng.TAG_WALK)
         sigma, images, weights = sigma[None], finals[None], [1.0]
-    psi_x, psi_wx = psi_at_images(psi, x_rows, images)
-    centered = sigma + psi_wx - psi_x - word_len * lambda1
+    points = np.concatenate([x_rows[None], images])   # x, then every image w x
+    psi_at = psi_eval_many(psi, points.reshape(-1, nu.dim)).reshape(points.shape[:2])
+    centered = sigma + psi_at[1:] - psi_at[0] - word_len * lambda1
     per_particle = walks.atom_average(weights, centered**2) / word_len
     value = float(np.einsum("i,i->", per_particle, nu.weights))
     return VarianceEstimate(

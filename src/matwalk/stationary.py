@@ -14,7 +14,8 @@ no smoothing.  Pairings below ``DELTA_FLOOR`` are treated as exact zeros
 ``_pairings`` owns the pairing rule ``delta = min(|<f, v>|, 1)`` for psi and
 the log-regularity integral, and skips ``abs`` and the clip on a tile where
 they would change no value, as on every tile the corrector variance of a
-positive-cone measure forms.
+positive-cone measure forms.  psi pairs a one-row tile beside a copy of
+itself, by the rule for a batch of one (``walks``).
 """
 
 import sys
@@ -219,18 +220,16 @@ def psi_eval(psi, x):
     return float(psi_eval_many(psi, x.rep[None, :])[0])
 
 
-def psi_eval_many(psi, x_rows, groups=1):
+def psi_eval_many(psi, x_rows):
     """Vectorized corrector evaluation at many unit rows.
 
     Blocked over both the evaluation points and the cloud, 2048 of each.
     Blocks are spread over the walk threads and every row adds up its cloud
     blocks in cloud order, so the values do not depend on the thread count.
-    A block is worked in near-equal tiles of at most 64 rows, in row order,
-    so a worker thread holds one 1 MB pairing buffer whatever the cloud size;
-    a tile has one row only when its block does, since BLAS rounds a
-    one-row product differently.  ``x_rows`` may stack ``groups`` sets of
-    equally many rows; each set is blocked from its own first row, so its
-    values are those of a call on that set alone.
+    A block is worked in tiles of 64 rows, in row order, so a worker thread
+    holds one 1 MB pairing buffer whatever the cloud size; a one-row tile is
+    paired beside a copy of itself (the rule for a batch of one in ``walks``),
+    so a row alone reads the value it reads in a batch (README: a BLAS limit).
     """
     cloud = psi.dual_cloud
     x_rows = np.asarray(x_rows, dtype=float)
@@ -239,57 +238,43 @@ def psi_eval_many(psi, x_rows, groups=1):
                          f"got {x_rows.shape}")
     if not np.all(np.isfinite(x_rows)):
         raise ValueError("evaluation rows must be finite")
-    if groups < 1 or len(x_rows) % groups:
-        raise ValueError(f"cannot split {len(x_rows)} rows into {groups} equal sets")
-    size = len(x_rows) // groups
-    chunks = [(base + lo, min(_EVAL_CHUNK, size - lo))
-              for base in range(0, len(x_rows), max(size, 1))
-              for lo in range(0, size, _EVAL_CHUNK)]
     per_thread = threading.local()   # one pairing buffer per worker thread
 
-    def block_sum(lo, count, clo):
-        reps = cloud.reps[clo:clo + _EVAL_CHUNK]
+    def block_sum(lo, clo):
+        reps, hi = cloud.reps[clo:clo + _EVAL_CHUNK], min(lo + _EVAL_CHUNK, len(x_rows))
         if not hasattr(per_thread, "buf"):
-            per_thread.buf = np.empty(min(size, _EVAL_ROWS) * min(cloud.size, _EVAL_CHUNK))
-        out = np.empty(count)
-        n_tiles = -(-count // _EVAL_ROWS)
-        edges = [lo + count * k // n_tiles for k in range(n_tiles + 1)]
-        for a, b in zip(edges[:-1], edges[1:]):
-            vals = per_thread.buf[:(b - a) * len(reps)].reshape(b - a, len(reps))
-            if _pairings(reps, x_rows[a:b], out=vals)[1] <= DELTA_FLOOR:
+            per_thread.buf = np.empty(min(max(len(x_rows), 2), _EVAL_ROWS)
+                                      * min(cloud.size, _EVAL_CHUNK))
+        out = np.empty(hi - lo + 1)   # a lone last row's copy lands in the spare slot
+        for a in range(lo, hi, _EVAL_ROWS):
+            tile = walks._paired(x_rows[a:min(a + _EVAL_ROWS, hi)], 0)
+            vals = per_thread.buf[:len(tile) * len(reps)].reshape(len(tile), len(reps))
+            if _pairings(reps, tile, out=vals)[1] <= DELTA_FLOOR:
                 i, j = np.argwhere(vals <= DELTA_FLOOR)[0]
                 raise SingularEvaluationError(
-                    f"evaluation point {(a + i) % size} is orthogonal to cloud atom {clo + j}",
+                    f"evaluation point {a + i} is orthogonal to cloud atom {clo + j}",
                     atom_index=int(clo + j),
                 )
             np.log(vals, out=vals)
             # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
             np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK],
-                      out=out[a - lo:b - lo])
-        return out
+                      out=out[a - lo:a - lo + len(tile)])
+        return out[:-1]
 
     # serial or threaded, _run_blocks raises the first failure in task order
     cloud_blocks = range(0, cloud.size, _EVAL_CHUNK)
-    parts = walks._run_blocks(
-        block_sum, [(lo, count, clo) for lo, count in chunks for clo in cloud_blocks])
-    per_chunk = len(cloud_blocks)
+    row_blocks = range(0, len(x_rows), _EVAL_CHUNK)
+    parts = walks._run_blocks(block_sum, [(lo, clo) for lo in row_blocks for clo in cloud_blocks])
     out = np.zeros(len(x_rows))
-    for i, (lo, count) in enumerate(chunks):
-        out[lo:lo + count] = sum(parts[i * per_chunk:(i + 1) * per_chunk], np.zeros(count))
+    for i, lo in enumerate(row_blocks):
+        block = parts[i * len(cloud_blocks):(i + 1) * len(cloud_blocks)]
+        out[lo:lo + len(block[0])] = sum(block, np.zeros(len(block[0])))
     return out
 
 
 def markov_apply(mu, f, x):
     """One averaging step: ``sum_i w_i f(g_i x)`` (exact finite sum)."""
     return float(sum(w * f(act(a, x)) for a, w in zip(mu.atoms, mu.weights)))
-
-
-def psi_at_images(psi, x_rows, images):
-    """``psi`` at the unit rows ``x_rows`` ``(N, d)`` and at ``k`` sets of image
-    rows ``(k, N, d)``, in one stacked call where each set keeps its own values."""
-    stacked = np.concatenate([x_rows[None], images])
-    values = psi_eval_many(psi, stacked.reshape(-1, x_rows.shape[1]), groups=len(images) + 1)
-    return values[:len(x_rows)], values[len(x_rows):].reshape(len(images), -1)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
@@ -308,9 +293,10 @@ def cohomological_residual(mu, psi, lambda1, xs):
     """
     x_rows = np.stack([x.rep for x in xs])
     log_norms, images = walks.atom_images(mu.atoms, x_rows)
-    psi_x, psi_gx = psi_at_images(psi, x_rows, images)
-    res = (walks.atom_average(mu.weights, log_norms) - psi_x
-           + walks.atom_average(mu.weights, psi_gx) - lambda1)
+    points = np.concatenate([x_rows[None], images])   # x, then every a x
+    psi_at = psi_eval_many(psi, points.reshape(-1, mu.dim)).reshape(points.shape[:2])
+    res = (walks.atom_average(mu.weights, log_norms) - psi_at[0]
+           + walks.atom_average(mu.weights, psi_at[1:]) - lambda1)
     return ResidualReport(
         residuals=res,
         mean_abs=float(np.abs(res).mean()),

@@ -54,6 +54,13 @@ takes its words ``_SEGMENT`` letters per row at a time, cut between two whole
 steps of the uncut walk, so a walk of any length bounds its working set and
 reads the uncut walk's values.  Vector-walk blocks run in order on the calling
 thread; matrix-walk blocks run on a pool of worker threads (wall time only).
+
+One rule for a batch of one (``_paired``): numpy's einsum and OpenBLAS round a
+batch of one replica, row or column apart from the same item computed beside
+others, so a batch of one is computed beside a copy of itself and the copy's
+result is dropped.  A block's lone replica, a scan's lone chunk, ``atom_images``
+of one row and a one-row pairing tile of ``stationary.psi_eval_many`` follow it,
+so a value computed alone reads the bytes it reads beside others.
 """
 
 import bisect
@@ -64,8 +71,7 @@ import numpy as np
 from . import rng
 from .linalg import atom_growth
 
-BLOCK = 4096    # replicas per block: bytes depend on it only where einsum rounds a block
-                # of one replica apart, which ``_blocks`` never leaves beside wider ones
+BLOCK = 4096    # replicas per block: no byte depends on it, as a lone replica walks paired
 _SEGMENT = 1 << 13       # letters per row a block draws at once: 32 MB of words at BLOCK rows
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
@@ -86,13 +92,14 @@ def set_thread_count(k):
 
 
 def _blocks(total):
-    """``(first, count)`` blocks of ``BLOCK`` replicas.  einsum rounds a block of
-    one replica apart from wider ones, so a last block of one takes a replica of
-    the block before it."""
-    blocks = [(first, min(BLOCK, total - first)) for first in range(0, total, BLOCK)]
-    if len(blocks) > 1 and blocks[-1][1] == 1:
-        blocks[-2:] = [(total - BLOCK - 1, BLOCK - 1), (total - 2, 2)]
-    return blocks
+    """``(first, count)`` blocks of ``BLOCK`` replicas."""
+    return [(first, min(BLOCK, total - first)) for first in range(0, total, BLOCK)]
+
+
+def _paired(batch, axis):
+    """``batch`` beside a copy of itself along ``axis`` when that axis holds one item,
+    else ``batch``: the rule for a batch of one (module docstring)."""
+    return np.concatenate([batch, batch], axis) if batch.shape[axis] == 1 else batch
 
 
 def _run_blocks(fn, blocks):
@@ -205,11 +212,12 @@ def atom_images(atoms, x_rows):
     """``log |a x|`` ``(A, N)`` and unit image rows ``a x / |a x|`` ``(A, N, d)`` for
     every atom ``a`` and unit row ``x`` of ``x_rows`` ``(N, d)``, in one product on
     a contiguous entry-major copy, as einsum may round a strided operand differently."""
-    units = _entry_major(np.asarray(x_rows, dtype=float))
+    count = len(x_rows)
+    units = _entry_major(_paired(np.asarray(x_rows, dtype=float), 0))
     moved = _product(np.asarray(atoms, dtype=float)[..., None], units[None],
                      np.empty((len(atoms),) + units.shape))
     norms = np.sqrt(np.einsum("ain,ain->an", moved, moved))
-    return np.log(norms), np.moveaxis(moved / norms[:, None], 1, 2)
+    return np.log(norms[:, :count]), np.moveaxis(moved / norms[:, None], 1, 2)[:, :count]
 
 
 def atom_average(weights, values):
@@ -302,11 +310,13 @@ def _walk_block(tables, states, checkpoints, n, words):
     """Walk one block's entry-major state per table ``n`` letters, drawn a segment at a
     time by ``words(lo, hi)``; returns per table the log norms at the checkpoints (or
     ``n``), Euclidean for vectors and operator norms for matrices, and the scaled state."""
-    marks = _marks(checkpoints, n)
+    marks, count = _marks(checkpoints, n), states[0].shape[-1]
+    states = [_paired(state, -1) for state in states]
     logs, since = [[] for _ in tables], [0] * len(tables)
     accs = [np.zeros(states[0].shape[-1]) for _ in tables]
     for lo, ends in _segments(marks, n, tables[0].letters):
-        codes, sizes, read = tables[0]._steps(words(lo, ends[-1]), [e - lo for e in ends])
+        codes, sizes, read = tables[0]._steps(_paired(words(lo, ends[-1]), 0),
+                                              [e - lo for e in ends])
         read[-1] = ends[-1] in marks   # a cut is walked to as to a mark, and not read
         for t, table in enumerate(tables):
             state, acc, vector = states[t], accs[t], states[t].ndim == 2
@@ -326,7 +336,7 @@ def _walk_block(tables, states, checkpoints, n, words):
                     top = _norms(state) if vector else _operator_norms(state)
                     logs[t].append(acc + np.log(top))
             states[t] = state
-    return [np.column_stack(t_logs) for t_logs in logs], states
+    return [np.column_stack(t_logs)[:count] for t_logs in logs], [s[..., :count] for s in states]
 
 
 def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None, skip=0):
@@ -441,10 +451,10 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
                                               first_replica=first_replica, skip=lo)
         # product p = k rows + r holds chunk k of row r
         codes = np.ascontiguousarray(codes.reshape(rows, heads_per_row, chunk).T)
-        codes = codes.reshape(chunk, count)
+        codes = _paired(codes.reshape(chunk, count), 1)
         # prefix products inside every chunk, all chunks at once
-        prods = np.empty((chunk, d, d, count))
-        gathered = np.empty((d, d, count))
+        prods = np.empty((chunk, d, d, codes.shape[1]))
+        gathered = np.empty(prods.shape[1:])
         padded.take(codes[0], axis=2, out=prods[0], mode="wrap")
         for j in range(1, chunk):
             padded.take(codes[j], axis=2, out=gathered, mode="wrap")
@@ -453,14 +463,16 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
         heads = np.empty((d, heads_per_row, rows))
         heads[:, 0] = u.T
         if rows == 1:
-            _one_row_heads(prods[-1, ..., :-1], heads[..., 0])
+            _one_row_heads(prods[-1, ..., :heads_per_row - 1], heads[..., 0])
         else:
             for k in range(1, heads_per_row):
                 head = _product(prods[-1, ..., (k - 1) * rows:k * rows], heads[:, k - 1],
                                 heads[:, k])
                 head /= _norms(head)
-        vecs = _product(prods, heads.reshape(1, d, count), np.empty((chunk, d, count)))
+        vecs = _product(prods, _paired(heads.reshape(1, d, count), 2),
+                        np.empty((chunk, d, prods.shape[-1])))
         norms = np.sqrt(np.einsum("cin,cin->cn", vecs, vecs))
+        vecs, norms = vecs[..., :count], norms[:, :count]
         logs = np.log(norms).reshape(chunk, heads_per_row, rows)
         at_heads = np.zeros((heads_per_row, rows))
         np.cumsum(logs[-1, :-1], axis=0, out=at_heads[1:])

@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, settings
 
 import matwalk as mw
 
+# print_blob: a rare failing example prints the @reproduce_failure line that replays it
 settings.register_profile(
-    "suite", max_examples=50, deadline=None,
+    "suite", max_examples=50, deadline=None, print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -1,0 +1,76 @@
+"""Exact products of integer atoms: the oracle for the float walk engines.
+
+Integer matrices multiply exactly in Python ints.  A float start vector is an
+exact dyadic rational, so it is taken as ints times a power of two.  A log norm
+is read from the top 60 bits of the exact squared norm, and a log operator norm
+from one float SVD of the exact product scaled by a power of two.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+# log 2 as a high part with 32 trailing zero bits and a low part (fdlibm's split), so
+# that k * LN2_HI is exact and k log 2 is read to double precision for any shift k
+LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+EPS = np.finfo(float).eps
+
+
+def integer_atoms(atoms):
+    """``atoms`` as lists of Python int rows; refuses an entry that is not an integer."""
+    atoms = np.asarray(atoms, dtype=float)
+    if not np.array_equal(atoms, np.round(atoms)):
+        raise ValueError("exact products need integer atoms")
+    return [[[int(x) for x in row] for row in atom] for atom in atoms]
+
+
+def log_int(n):
+    """``log n`` of a positive int, from its top 60 bits."""
+    shift = max(0, n.bit_length() - 60)
+    return shift * LN2_HI + (math.log(n >> shift) + shift * LN2_LO)
+
+
+def _times(atom, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in atom]
+
+
+def vector_logs(atoms, word, start, marks):
+    """``log |b_k ... b_1 x| - log |x|`` at every step count ``k`` of ``marks``,
+    for the letters ``word`` and a float start row ``x``."""
+    atoms = integer_atoms(atoms)
+    scale = max(Fraction(float(x)).denominator for x in start)
+    v = [int(Fraction(float(x)) * scale) for x in start]
+    base, out, marks = log_int(sum(x * x for x in v)), [], set(marks)
+    for k, letter in enumerate(word, 1):
+        v = _times(atoms[letter], v)
+        if k in marks:
+            out.append((log_int(sum(x * x for x in v)) - base) / 2)
+    return np.array(out)
+
+
+def operator_log_norm(matrix):
+    """``log`` of the top singular value of an int matrix: one float SVD of the
+    matrix scaled by ``2^-shift`` so that its largest entry keeps 60 bits."""
+    shift = max(0, max(abs(x).bit_length() for row in matrix for x in row) - 60)
+    scaled = np.array([[float(x >> shift) for x in row] for row in matrix])
+    return shift * LN2_HI + (math.log(np.linalg.svd(scaled, compute_uv=False)[0])
+                             + shift * LN2_LO)
+
+
+def matrix_logs(atoms, word, marks):
+    """``log |b_k ... b_1|`` (operator norm) at every step count ``k`` of ``marks``."""
+    atoms = integer_atoms(atoms)
+    product = [[int(i == j) for j in range(len(atoms[0]))] for i in range(len(atoms[0]))]
+    out, marks = [], set(marks)
+    for k, letter in enumerate(word, 1):
+        columns = [_times(atoms[letter], column) for column in zip(*product)]
+        product = [list(row) for row in zip(*columns)]
+        if k in marks:
+            out.append(operator_log_norm(product))
+    return np.array(out)
+
+
+def budget(n, values):
+    """The error a walk of ``n`` letters may carry: ``n eps max(1, max |value|)``."""
+    return n * EPS * max(1.0, float(np.max(np.abs(values))))

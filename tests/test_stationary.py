@@ -177,53 +177,72 @@ def test_psi_eval_many_same_bytes_at_any_thread_count(free_pair):
 
 
 def test_psi_eval_many_stacked_sets_match_separate_calls(free_pair):
-    # 1001 rows per set: each set is blocked and tiled from its own first row.
-    # With numpy's bundled OpenBLAS on an x86-64 Xeon, row blocks of 1 to 256
-    # rows (d = 1 to 5, several offsets) matched the same rows of a 2048-row
-    # product except one-row blocks (a gemv); other BLAS kernels may round a
-    # row by its place in its block
+    # 1001 rows per set, stacked in one call: every row reads its own value in
+    # any batch.  With numpy's bundled OpenBLAS on an x86-64 Xeon, row blocks of
+    # 1 to 256 rows (d = 1 to 5, several offsets) matched the same rows of a
+    # 2048-row product except one-row blocks (a gemv), which psi pairs beside a
+    # copy of themselves.  Against a cloud block of 196 or more particles, 4 to 7
+    # mod 8 (not this cloud's 52), and under other BLAS kernels, a row may round
+    # by its place in its block (README)
     dual = mw.estimate_dual_stationary(free_pair, burn_in=40, particles=2100, seed=2)
     psi = mw.PsiFunction(dual)
     sets = np.random.default_rng(4).normal(size=(3, 1001, 2))
     sets /= np.linalg.norm(sets, axis=2)[:, :, None]
-    stacked = psi_eval_many(psi, sets.reshape(-1, 2), groups=3)
+    stacked = psi_eval_many(psi, sets.reshape(-1, 2))
     separate = np.concatenate([psi_eval_many(psi, s) for s in sets])
     assert stacked.tobytes() == separate.tobytes()
+
+
+def test_psi_at_one_point_is_its_value_in_any_batch(free_pair):
+    # a one-row tile pairs beside a copy of itself; computed alone, 125 of these
+    # 300 rows read other bytes than inside the batch
+    psi = mw.PsiFunction(mw.estimate_dual_stationary(free_pair, burn_in=40, particles=2100,
+                                                     seed=2))
+    points = [mw.ProjectivePoint(row) for row in _unit_rows(np.random.default_rng(5), 300, 2)]
+    x = np.stack([p.rep for p in points])
+    many = psi_eval_many(psi, x)
+    alone = [mw.psi_eval(psi, p) for p in points]
+    assert np.array(alone).tobytes() == many.tobytes()
+    assert psi_eval_many(psi, x[:1]).tobytes() == many[:1].tobytes()
 
 
 def _unit_rows(gen, rows, dim):
     return canonicalize_rows(gen.normal(size=(rows, dim)))
 
 
-def _per_block_psi(cloud, x, groups):
-    """psi as one 2048 x 2048 product per block, each set blocked from its
-    own first row and each row adding up its cloud blocks in cloud order."""
+def _per_block_psi(cloud, x):
+    """psi as one 2048 x 2048 product per block of rows, a block of one row
+    paired beside a copy of itself, each row adding up its cloud blocks in
+    cloud order."""
     out = []
-    for rows in np.split(x, groups):
-        for lo in range(0, len(rows), 2048):
-            total = np.zeros(len(rows[lo:lo + 2048]))
-            for clo in range(0, cloud.size, 2048):
-                vals = np.abs(rows[lo:lo + 2048] @ cloud.reps[clo:clo + 2048].T)
-                vals = np.log(np.minimum(vals, 1.0))
-                total = total + np.einsum("ij,j->i", vals, cloud.weights[clo:clo + 2048])
-            out.append(total)
+    for lo in range(0, len(x), 2048):
+        rows = x[lo:lo + 2048]
+        paired = np.concatenate([rows, rows]) if len(rows) == 1 else rows
+        total = np.zeros(len(paired))
+        for clo in range(0, cloud.size, 2048):
+            vals = np.abs(paired @ cloud.reps[clo:clo + 2048].T)
+            vals = np.log(np.minimum(vals, 1.0))
+            total = total + np.einsum("ij,j->i", vals, cloud.weights[clo:clo + 2048])
+        out.append(total[:len(rows)])
     return np.concatenate(out)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("particles", [1, 2049])
-@pytest.mark.parametrize("groups", [1, 3])
-def test_psi_eval_many_tiles_are_byte_invisible(dim, particles, groups):
-    gen = np.random.default_rng(100 * dim + particles + groups)
+@pytest.mark.parametrize("sets", [1, 3])
+def test_psi_eval_many_tiles_are_byte_invisible(dim, particles, sets):
+    # tiles of 64 rows read the bytes of a whole 2048-row block, and a call on
+    # three stacked sets the bytes of each set's own call
+    gen = np.random.default_rng(100 * dim + particles + sets)
     cloud = mw.EmpiricalMeasure(reps=_unit_rows(gen, particles, dim),
                                 weights=np.full(particles, 1.0 / particles), dual=True)
     psi = mw.PsiFunction(cloud)
     for rows in (1, 2, _EVAL_ROWS - 1, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 1,
                  2047, 2048, 2049, 4097):
-        x = _unit_rows(gen, groups * rows, dim)
-        want = _per_block_psi(cloud, x, groups).tobytes()
-        one, two = _thread_runs(lambda: psi_eval_many(psi, x, groups=groups))
-        assert one.tobytes() == two.tobytes() == want, rows
+        x = _unit_rows(gen, sets * rows, dim)
+        want = np.concatenate([_per_block_psi(cloud, part) for part in np.split(x, sets)])
+        one, two = _thread_runs(lambda: psi_eval_many(psi, x))
+        assert one.tobytes() == two.tobytes() == want.tobytes(), rows
 
 
 @pytest.mark.parametrize("x_rows, message", [
@@ -258,7 +277,7 @@ def test_psi_eval_many_working_memory_is_bounded():
     walks.set_thread_count(2)
     tracemalloc.start()
     try:
-        values = psi_eval_many(mw.PsiFunction(cloud), x, groups=3)
+        values = psi_eval_many(mw.PsiFunction(cloud), x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -560,3 +579,16 @@ def test_log_regularity_at_the_largest_order_stays_finite():
     value = mw.log_regularity_integral(cloud, mw.DualProjectivePoint([1.0, 0.0]),
                                        stationary.MAX_ORDER)
     assert np.isfinite(value) and value > 1e307
+
+
+def test_residual_at_one_point_is_its_residual_in_a_batch(sl3_pair):
+    # walks.atom_images moves a lone row beside a copy of itself; alone, the log
+    # norms of 95 of these 400 unit rows, and 175 residuals, read other bytes.  The
+    # cloud's one block has 256 particles: past 195, a block of 4 to 7 mod 8
+    # particles takes OpenBLAS kernels that round a row by its place in its tile
+    # (README, reproducibility contract)
+    psi = mw.PsiFunction(mw.estimate_dual_stationary(sl3_pair, burn_in=20, particles=256, seed=4))
+    xs = [mw.ProjectivePoint(row) for row in _unit_rows(np.random.default_rng(6), 400, 3)]
+    batch = mw.cohomological_residual(sl3_pair, psi, 0.3, xs).residuals
+    alone = [mw.cohomological_residual(sl3_pair, psi, 0.3, [x]).residuals[0] for x in xs]
+    assert np.array(alone).tobytes() == batch.tobytes()

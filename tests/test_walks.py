@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import matwalk as mw
@@ -70,6 +70,31 @@ def test_replica_rows_do_not_depend_on_batch_size(free_pair):
     large = walks.matrix_walk_log_norms({"id": free_pair.atoms}, free_pair.weights,
                                         50, 9, 3, rng.TAG_WALK)["id"]
     assert small.tobytes() == large[:5].tobytes()
+
+
+def test_a_walk_of_one_replica_is_replica_0_of_two(free_pair, sl3_pair):
+    # a lone replica walks beside a copy of itself; walked alone, the final unit
+    # rows of these sl3_pair vector walks differed at 21 of the 40 seeds, the
+    # matrix-walk log norms at 2 each without checkpoints and sample_word at 16
+    wedge = {1: sl3_pair.atoms, 2: mw.exterior_power(sl3_pair.atoms, 2)}
+    tables = walks._tables([sl3_pair.atoms])
+    for seed in range(40):
+        (v1, u1), (v2, u2) = (walks.vector_walk(sl3_pair.atoms, sl3_pair.weights, np.eye(3)[0],
+                                                301, r, seed, rng.TAG_WALK) for r in (1, 2))
+        assert v1.tobytes() == v2[:1].tobytes() and u1.tobytes() == u2[:1].tobytes(), seed
+        for sets, mu, cps in (({1: free_pair.atoms}, free_pair, None),
+                              ({1: free_pair.atoms}, free_pair, [7, 150, 299]),
+                              (wedge, sl3_pair, None)):
+            one, two = (walks.matrix_walk_log_norms(sets, mu.weights, 301, r, seed,
+                                                    rng.TAG_WALK, cps) for r in (1, 2))
+            assert all(one[k].tobytes() == two[k][:1].tobytes() for k in sets), seed
+        word = mw.sample_word(mw.WalkSampler(sl3_pair, seed), 301)
+        words = np.tile(word.indices, (2, 1))
+        eyes = walks._entry_major(np.tile(np.eye(3), (2, 1, 1)))
+        [logs], [state] = walks._walk_block(tables, [eyes], None, 301,
+                                            lambda lo, hi: words[:, lo:hi])
+        product = state[..., 0] / np.linalg.norm(state[..., 0], 2)
+        assert word.log_scale == logs[0, 0] and word.matrix.tobytes() == product.tobytes(), seed
 
 
 def test_checkpoints_agree_with_shorter_runs(free_pair):
@@ -242,7 +267,7 @@ def test_walk_steps_call_no_blas():
     found = _blas_uses(src / "walks.py")
     found += _blas_uses(src / "martingales.py", {"_walk_checkpoint_sums"})
     # the average over atoms moves its points through walks.atom_images
-    found += _blas_uses(src / "stationary.py", {"psi_at_images", "cohomological_residual"})
+    found += _blas_uses(src / "stationary.py", {"cohomological_residual"})
     found += _blas_uses(src / "limits.py", {"variance_via_corrector"})
     assert not found, "BLAS products in walk steps:\n" + "\n".join(sorted(set(found)))
 
@@ -465,15 +490,15 @@ def test_matrix_walk_independent_of_thread_count(free_pair):
 
 
 def _fixed_blocks(total):
-    """Blocks of 4096 replicas whatever the walk's length; a last block of one would
-    be rounded apart by einsum, so it takes a replica of the block before it."""
-    counts = [min(4096, total - first) for first in range(0, total, 4096)]
-    if len(counts) > 1 and counts[-1] == 1:
-        counts[-2:] = [4095, 2]
-    return list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
+    """Plain blocks of 4096 replicas whatever the walk's length: a last block of
+    one walks beside a copy of itself, so it needs no cut of its own."""
+    return [(first, min(4096, total - first)) for first in range(0, total, 4096)]
 
 
 @given(st.integers(1, 10**6))
+@example(1)
+@example(4097)
+@example(8193)
 def test_walks_within_the_letter_budget_keep_fixed_blocks(total):
     # every walk draws its words a segment at a time, so every walk stays within
     # the letter budget and keeps the blocks it took before walks were cut
@@ -481,6 +506,9 @@ def test_walks_within_the_letter_budget_keep_fixed_blocks(total):
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**7), st.integers(1, 64))
+@example(1, 1, 1)
+@example(4097, 10**7, 64)
+@example(8193, 8193, 8)
 def test_blocks_cover_the_replicas_within_the_letter_budget(total, n, letters):
     blocks = walks._blocks(total)
     firsts, counts = zip(*blocks)
@@ -501,8 +529,8 @@ def _shear_lone_replica(replicas):
 
 
 def test_a_replica_past_a_full_block_keeps_its_bytes():
-    # replica 4096 walked alone in a block of one when 4097 replicas ran, and
-    # its final unit row read 1.1e-16 apart from a run of 4098
+    # replica 4096 is a block of one when 4097 replicas run; walked alone, not
+    # beside a copy of itself, its final unit row read 1.1e-16 apart from a run of 4098
     values, finals = _shear_lone_replica(4097)
     more_values, more_finals = _shear_lone_replica(4098)
     assert values.tobytes() == more_values[:4097].tobytes()
@@ -734,19 +762,26 @@ def test_chunked_walk_rows_match_letter_loop(measure, request, monkeypatch):
             assert np.abs(units[r, k] - v).max() <= 1e-12
 
 
-@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
-def test_one_row_head_pass_matches_the_many_row_pass(measure, request, monkeypatch):
+# 10 chunks and 37 letters, then the lengths whose last segment holds one chunk: unpaired,
+# that chunk's unit rows read apart from the two-row scan in 94 of the 120 sl3_pair cases
+_HEAD_PASS_CASES = [pytest.param(mu, 10, 37, id=mu) for mu in ("free_pair", "sl3_pair")] + [
+    pytest.param(mu, 9, tail, id=f"{mu}-9_chunks-{tail}") for mu in ("free_pair", "sl3_pair")
+    for tail in range(1, 11)]
+
+
+@pytest.mark.parametrize("measure, chunks, tail", _HEAD_PASS_CASES)
+def test_one_row_head_pass_matches_the_many_row_pass(measure, chunks, tail, request, monkeypatch):
     # one row carries its chunk heads in Python floats, many rows through
     # _product and _norms, in the same order: row 0 of a two-row scan from the
     # same unit row twice must give the one-row scan's bytes.  The scan bound
     # grows with the rows, so both cut the time axis at the same segments.
     mu = request.getfixturevalue(measure)
     chunk = walks.rescale_interval(mu.atoms)
-    n, seed, first = 10 * chunk + 37, 41, 5
+    n, first = chunks * chunk + tail, 5
     start = np.arange(1.0, mu.dim + 1.0)
     start /= np.linalg.norm(start)
 
-    def scan(rows):
+    def scan(rows, seed):
         monkeypatch.setattr(walks, "_SCAN_PRODUCTS", 3 * chunk * rows)
         segments = list(walks.chunked_walk(mu.atoms, mu.weights, np.tile(start, (rows, 1)), n,
                                            seed, rng.TAG_WALK, first_replica=first))
@@ -754,10 +789,11 @@ def test_one_row_head_pass_matches_the_many_row_pass(measure, request, monkeypat
         return (np.concatenate([v for _, v, _ in segments], axis=1),
                 np.concatenate([u for _, _, u in segments], axis=1))
 
-    one_values, one_units = scan(1)
-    two_values, two_units = scan(2)
-    assert one_values.tobytes() == two_values[:1].tobytes()
-    assert one_units.tobytes() == two_units[:1].tobytes()
+    for seed in [41, *range(12)]:
+        one_values, one_units = scan(1, seed)
+        two_values, two_units = scan(2, seed)
+        assert one_values.tobytes() == two_values[:1].tobytes(), seed
+        assert one_units.tobytes() == two_units[:1].tobytes(), seed
 
 
 def test_one_row_head_pass_makes_no_numpy_call_per_chunk(free_pair, monkeypatch):
