@@ -15,7 +15,8 @@ no smoothing.  Pairings below ``DELTA_FLOOR`` are treated as exact zeros
 the log-regularity integral, and skips ``abs`` and the clip on a tile where
 they would change no value, as on every tile the corrector variance of a
 positive-cone measure forms.  psi pairs a one-row tile beside a copy of
-itself, by the rule for a batch of one (``walks``).
+itself, by the rule for a batch of one (``walks``), and a cloud block in whole
+groups of 8 particles, so a row reads its value in any batch.
 """
 
 import sys
@@ -43,6 +44,10 @@ MAX_START_DIMENSION = len(_START_PRIMES)
 _EVAL_CHUNK = 2048
 # rows per pairing tile inside a block: a tile against 2048 particles is 1 MB
 _EVAL_ROWS = 64
+# a cloud block is paired in whole groups of 8 particles, padded with copies of its first
+# ones: numpy's bundled OpenBLAS (x86-64 Xeon) rounds a pairing by its row's place in the
+# tile when a block of 196-599 particles ends 4 to 7 past a multiple of 8
+_PARTICLE_GROUP = 8
 
 
 def start_cloud(dim, count):
@@ -213,6 +218,11 @@ def _pairings(reps, x_rows, out=None):
     return out, least
 
 
+def _whole_groups(count):
+    """``count`` particles rounded up to whole groups of ``_PARTICLE_GROUP``."""
+    return -(-count // _PARTICLE_GROUP) * _PARTICLE_GROUP
+
+
 def psi_eval(psi, x):
     """Exact finite sum ``sum_j w_j log delta(x, y_j)``; always <= 0."""
     if not isinstance(x, ProjectivePoint) or isinstance(x, DualProjectivePoint):
@@ -229,7 +239,9 @@ def psi_eval_many(psi, x_rows):
     A block is worked in tiles of 64 rows, in row order, so a worker thread
     holds one 1 MB pairing buffer whatever the cloud size; a one-row tile is
     paired beside a copy of itself (the rule for a batch of one in ``walks``),
-    so a row alone reads the value it reads in a batch (README: a BLAS limit).
+    and a cloud block is padded to whole groups of ``_PARTICLE_GROUP`` particles
+    with copies of its first ones, whose columns are dropped before the log, so
+    a row alone reads the value it reads in a batch (README: a BLAS limit).
     """
     cloud = psi.dual_cloud
     x_rows = np.asarray(x_rows, dtype=float)
@@ -242,14 +254,19 @@ def psi_eval_many(psi, x_rows):
 
     def block_sum(lo, clo):
         reps, hi = cloud.reps[clo:clo + _EVAL_CHUNK], min(lo + _EVAL_CHUNK, len(x_rows))
+        count = len(reps)
+        if count % _PARTICLE_GROUP:
+            reps = np.resize(reps, (_whole_groups(count), cloud.dim))   # copies of its first rows
         if not hasattr(per_thread, "buf"):
             per_thread.buf = np.empty(min(max(len(x_rows), 2), _EVAL_ROWS)
-                                      * min(cloud.size, _EVAL_CHUNK))
+                                      * _whole_groups(min(cloud.size, _EVAL_CHUNK)))
         out = np.empty(hi - lo + 1)   # a lone last row's copy lands in the spare slot
         for a in range(lo, hi, _EVAL_ROWS):
             tile = walks._paired(x_rows[a:min(a + _EVAL_ROWS, hi)], 0)
-            vals = per_thread.buf[:len(tile) * len(reps)].reshape(len(tile), len(reps))
-            if _pairings(reps, tile, out=vals)[1] <= DELTA_FLOOR:
+            padded = per_thread.buf[:len(tile) * len(reps)].reshape(len(tile), len(reps))
+            least = _pairings(reps, tile, out=padded)[1]
+            vals = padded[:, :count]   # the copies' columns are dropped before the log
+            if least <= DELTA_FLOOR:
                 i, j = np.argwhere(vals <= DELTA_FLOOR)[0]
                 raise SingularEvaluationError(
                     f"evaluation point {a + i} is orthogonal to cloud atom {clo + j}",

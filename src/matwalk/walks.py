@@ -51,9 +51,22 @@ from letter ``skip`` on, so results are a pure function of ``(measure, seed,
 tag)`` and a walk can continue where an earlier one stopped.  Replicas walk in
 blocks of ``BLOCK`` whatever the walk's length or thread count, and a block
 takes its words ``_SEGMENT`` letters per row at a time, cut between two whole
-steps of the uncut walk, so a walk of any length bounds its working set and
-reads the uncut walk's values.  Vector-walk blocks run in order on the calling
-thread; matrix-walk blocks run on a pool of worker threads (wall time only).
+steps (or chunks) of the uncut walk, so a walk of any length bounds its working
+set and reads the uncut walk's values.  Vector-walk blocks run in order on the
+calling thread; matrix-walk blocks run on a pool of worker threads (wall time only).
+
+A matrix walk takes each long stretch between two read-outs side by side: a
+stretch of two or more whole chunks of ``_CHUNK_STEPS`` table steps walks every
+chunk of a segment from the identity at once, chunk ``c`` of replica ``r`` one
+column, so one gather and one product advance every chunk of every replica by a
+step, and a walk of a few replicas makes a fraction of the numpy calls.  The chunk
+products are then multiplied onto the carried state in order, each followed by a
+normalisation; the stretch's last steps and single letters take the step path.
+Which steps form chunks depends on the marks and ``n`` alone, and a segment ends
+only between two chunks, so every value depends on the words, the marks and
+``n`` alone: not on the replicas beside it, the blocks, ``_SEGMENT`` or the
+thread count.  A vector walk takes every step on its own, as a chunk product
+would cost ``d`` times its work per step.
 
 One rule for a batch of one (``_paired``): numpy's einsum and OpenBLAS round a
 batch of one replica, row or column apart from the same item computed beside
@@ -73,6 +86,10 @@ from .linalg import atom_growth
 
 BLOCK = 4096    # replicas per block: no byte depends on it, as a lone replica walks paired
 _SEGMENT = 1 << 13       # letters per row a block draws at once: 32 MB of words at BLOCK rows
+# table steps per chunk of a long matrix-walk stretch (module docstring): a stretch needs two
+# whole chunks, 256 steps, which no bundled scenario reaches; 128 steps of at most 64
+# letters fit one segment, and a join costs a few numpy calls against 128 steps
+_CHUNK_STEPS = 128
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
@@ -80,6 +97,9 @@ _HEAD_BLOCK = 512         # chunk ends a one-row head pass holds as Python float
 _THREADS = 1
 # below log(DBL_MAX) / 2 ~ 354.9, past which one letter overflows a unit state's squared norm
 MAX_ATOM_GROWTH = 350.0
+# a joined chunk state whose squared norm is below the least normal double 2^-1022 lost the
+# state's direction to underflow, or would read its norm imprecisely: it walks the chunk's steps
+_JOIN_FLOOR = 2.0 ** -511
 # relative: the growth of the matrices a walk steps with (an exterior power, a transpose)
 # rounds apart from the sums of the atom's log singular values that validation reads
 GROWTH_ROUNDING = 1e-9
@@ -150,20 +170,40 @@ def _marks(checkpoints, n):
     return cps.tolist()
 
 
+def _chunk_end(first, stop, width):
+    """End of the chunks of the stretch ``[first, stop)`` of the uncut walk: its whole chunks
+    of ``width`` letters when it holds two or more, else ``first`` (no chunk)."""
+    count = (stop - first) // width
+    return first + count * width if count >= 2 else first
+
+
 def _segments(marks, n, letters):
-    """``(lo, ends)`` per segment of a walk of ``n`` letters read at ``marks``: from ``lo``
-    the segment walks to each end as to a mark.  It holds ``_SEGMENT`` letters, or one
-    whole step, at most, and ends at ``n`` or between two steps of the uncut walk, which
-    takes whole steps up to each mark and ``n``, then single letters."""
+    """``(lo, ends, chunks)`` per segment of a walk of ``n`` letters read at ``marks``: from
+    ``lo`` the segment walks to each end as to a mark, and its piece that ends at
+    ``ends[k]`` starts with ``chunks[k]`` whole chunks.  The uncut walk takes, in each
+    stretch up to a mark or ``n``, whole chunks of ``_CHUNK_STEPS`` steps when the
+    stretch holds two or more, then whole steps, then single letters.  A segment holds
+    ``_SEGMENT`` letters, or one whole chunk or step, at most, and ends at ``n`` or
+    between two chunks, steps or letters of the uncut walk."""
     stops = marks + [n] if marks[-1] < n else marks
+    width = _CHUNK_STEPS * letters
+    firsts = [0] + stops       # firsts[k] starts the stretch up to stops[k]
+    tops = [_chunk_end(first, stop, width) for first, stop in zip(firsts, stops)]
     lo = i = 0
     while lo < n:
-        limit = min(lo + max(_SEGMENT, letters), n)
+        # stops[i] ends the stretch that holds lo
+        limit = min(lo + max(_SEGMENT, width if lo < tops[i] else letters), n)
         j = bisect.bisect_right(stops, limit, i)
-        prev = stops[j - 1] if j else 0
-        whole = prev + (stops[j] - prev) // letters * letters if j < len(stops) else n
-        cut = limit if limit >= whole else prev + (limit - prev) // letters * letters
-        yield lo, stops[i:j] + [cut] * (cut > prev)
+        if j == len(stops):
+            cut = limit    # = n
+        elif limit < tops[j]:
+            cut = firsts[j] + (limit - firsts[j]) // width * width
+        else:
+            whole = tops[j] + (stops[j] - tops[j]) // letters * letters
+            cut = limit if limit >= whole else tops[j] + (limit - tops[j]) // letters * letters
+        ends = stops[i:j] + [cut] * (cut > firsts[j])
+        yield lo, ends, [max(0, min(end, tops[k]) - pos) // width
+                         for k, pos, end in zip(range(i, j + 1), [lo] + ends[:-1], ends)]
         lo, i = cut, j
 
 
@@ -297,6 +337,60 @@ class _LetterTable:
                        out=out[step:step + end - tail])
         return codes, sizes, read
 
+    def _chunk_walk(self, codes, start=None):
+        """Walk the columns of ``codes`` (steps x K) from ``start`` ``(d, d, K)``, a scaled
+        state, or from the identity; returns the scaled product and the logs of its scales.
+        A column rescales before a step that would take it past ``interval`` letters since
+        its start or its last rescale, as the walk does."""
+        state = self.rows.take(codes[0], axis=2, mode="wrap")
+        if start is not None:
+            state = _product(state, start, np.empty_like(state))
+        spare, gathered = np.empty_like(state), np.empty_like(state)
+        scales = np.zeros(state.shape[-1])
+        every = self.interval // self.letters
+        for j in range(1, len(codes)):
+            if j % every == 0:
+                _rescale(state, scales)
+            self.rows.take(codes[j], axis=2, out=gathered, mode="wrap")
+            state, spare = _product(gathered, state, spare), state
+        return state, scales
+
+    def _join_chunks(self, codes, state, acc):
+        """Walk ``state`` ``(d, d, N)``, normalised or the walk's start, through whole
+        chunks: ``codes`` holds their ``count x _CHUNK_STEPS`` steps x ``N``.  Returns
+        the state normalised, with its logs added to ``acc``.
+
+        The chunks walk side by side from the identity (``_chunk_walk``), chunk ``c``
+        of column ``r`` in column ``c N + r``, a group of at most ``max(BLOCK, N)``
+        columns at a time, so no group holds more states than a full block; as each
+        chunk starts from the identity, the grouping changes no byte.  Their products
+        are multiplied onto the state in order, with a normalisation after each.  A
+        chunk product may lose a direction to underflow (ROADMAP item 2): a column
+        whose joined norm is below ``_JOIN_FLOOR`` walks that chunk's steps instead."""
+        width = state.shape[-1]
+        run = codes.reshape(-1, _CHUNK_STEPS, width)
+        chunk, spare = np.empty_like(state), np.empty_like(state)
+        group = max(1, BLOCK // width)
+        for lo in range(0, len(run), group):
+            steps = np.ascontiguousarray(run[lo:lo + group].transpose(1, 0, 2))
+            steps = steps.reshape(_CHUNK_STEPS, -1)
+            products, scales = self._chunk_walk(steps)
+            for first in range(0, steps.shape[1], width):
+                # a contiguous copy: einsum may round a strided operand differently
+                np.copyto(chunk, products[..., first:first + width])
+                joined = _product(chunk, state, spare)
+                logs = scales[first:first + width]
+                lost = _norms(joined) < _JOIN_FLOOR
+                if lost.any():
+                    lost, logs = np.flatnonzero(lost), logs.copy()
+                    redo, redo_logs = self._chunk_walk(_paired(steps[:, first + lost], 1),
+                                                       _paired(state[..., lost], -1))
+                    joined[..., lost], logs[lost] = redo[..., :lost.size], redo_logs[:lost.size]
+                acc += logs
+                _rescale(joined, acc)
+                state, spare = joined, state
+        return state
+
 
 def _tables(atom_sets):
     """One letter table per set of atoms of a walk, at one step size: the least that
@@ -306,35 +400,60 @@ def _tables(atom_sets):
     return [_LetterTable(a, interval, letters) for a, interval in zip(atom_sets, intervals)]
 
 
+def _rescale(state, acc):
+    """Divide every replica of ``state`` by its norm and add the norm's log to ``acc``."""
+    scale = _norms(state)
+    acc += np.log(scale)
+    state /= scale
+
+
 def _walk_block(tables, states, checkpoints, n, words):
     """Walk one block's entry-major state per table ``n`` letters, drawn a segment at a
     time by ``words(lo, hi)``; returns per table the log norms at the checkpoints (or
-    ``n``), Euclidean for vectors and operator norms for matrices, and the scaled state."""
+    ``n``), Euclidean for vectors and operator norms for matrices, and the scaled state.
+    A matrix state takes the chunks ``_segments`` names through
+    ``_LetterTable._join_chunks``; a vector state takes their steps one by one."""
     marks, count = _marks(checkpoints, n), states[0].shape[-1]
     states = [_paired(state, -1) for state in states]
+    width, letters = states[0].shape[-1], tables[0].letters
     logs, since = [[] for _ in tables], [0] * len(tables)
-    accs = [np.zeros(states[0].shape[-1]) for _ in tables]
-    for lo, ends in _segments(marks, n, tables[0].letters):
+    accs = [np.zeros(width) for _ in tables]
+    for lo, ends, chunks in _segments(marks, n, letters):
         codes, sizes, read = tables[0]._steps(_paired(words(lo, ends[-1]), 0),
                                               [e - lo for e in ends])
         read[-1] = ends[-1] in marks   # a cut is walked to as to a mark, and not read
+        runs, step = [], 0             # the steps [first, last) of every run of chunks
+        for pos, end, k in zip([lo] + ends[:-1], ends, chunks):
+            if k and states[0].ndim == 3:
+                runs.append((step, step + k * _CHUNK_STEPS))
+            step += sum(divmod(end - pos, letters))
         for t, table in enumerate(tables):
             state, acc, vector = states[t], accs[t], states[t].ndim == 2
             spare = np.empty_like(state)
-            gathered = np.empty((table.dim, table.dim, state.shape[-1]))
-            for code, size, readout in zip(codes, sizes, read):
-                if since[t] + size > table.interval:
-                    scale = _norms(state)
-                    acc += np.log(scale)
-                    state /= scale
-                    since[t] = 0
-                since[t] += size
-                # codes are in range; "wrap" takes numpy's faster gather loop
-                table.rows.take(code, axis=2, out=gathered, mode="wrap")
-                state, spare = _product(gathered, state, spare), state
-                if readout:
-                    top = _norms(state) if vector else _operator_norms(state)
-                    logs[t].append(acc + np.log(top))
+            gathered = np.empty((table.dim, table.dim, width))
+            step = 0
+            for first, last in runs + [(len(codes), len(codes))]:
+                for j in range(step, first):
+                    if since[t] + sizes[j] > table.interval:
+                        _rescale(state, acc)
+                        since[t] = 0
+                    since[t] += sizes[j]
+                    # codes are in range; "wrap" takes numpy's faster gather loop
+                    table.rows.take(codes[j], axis=2, out=gathered, mode="wrap")
+                    state, spare = _product(gathered, state, spare), state
+                    if read[j]:
+                        top = _norms(state) if vector else _operator_norms(state)
+                        logs[t].append(acc + np.log(top))
+                if first < last:
+                    # a chunk takes the state past any interval; a state just joined is
+                    # not rescaled again, so a segment cut between chunks changes no byte
+                    if since[t]:
+                        _rescale(state, acc)
+                    state = table._join_chunks(codes[first:last], state, acc)
+                    spare, since[t] = np.empty_like(state), 0
+                    if read[last - 1]:
+                        logs[t].append(acc + np.log(_operator_norms(state)))
+                step = last
             states[t] = state
     return [np.column_stack(t_logs)[:count] for t_logs in logs], [s[..., :count] for s in states]
 

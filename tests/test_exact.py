@@ -23,9 +23,9 @@ def _start(dim):
     return start / np.linalg.norm(start)
 
 
-def _check(got, want):
-    """``got`` lies within the budget of the exact values ``want``."""
-    assert np.abs(got - want).max() <= exact.budget(N, want)
+def _check(got, want, n=N):
+    """``got`` lies within the budget of the exact values ``want`` of a walk of ``n`` letters."""
+    assert np.abs(got - want).max() <= exact.budget(n, want)
 
 
 @pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
@@ -52,6 +52,30 @@ def test_matrix_walk_is_within_budget_of_exact_products(measure, replicas, reque
     for degree, atoms in sets.items():
         for r in range(replicas):
             _check(logs[degree][r], exact.matrix_logs(atoms, words[r], MARKS))
+
+
+# three chunks of 128 steps of 8 letters and a tail; the checkpoint leaves two chunks
+# before it and one, walked step by step, after it
+LONG = 3 * walks._CHUNK_STEPS * 8 + 100
+LONG_MARKS = [2 * walks._CHUNK_STEPS * 8 + 51, LONG]
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_chunked_matrix_walk_is_within_budget_of_exact_products(measure, replicas, request):
+    # the free pair, and shear_pair_sl3 with its wedge square, walk their chunks
+    # side by side, with and without a checkpoint inside the long stretch
+    mu = request.getfixturevalue(measure)
+    sets = {r: mw.exterior_power(mu.atoms, r) for r in range(1, mu.dim)}
+    words = rng.replica_words(SEED, rng.TAG_WALK, replicas, LONG, mu.weights)
+    read = walks.matrix_walk_log_norms(sets, mu.weights, LONG, replicas, SEED, rng.TAG_WALK,
+                                       checkpoints=LONG_MARKS)
+    whole = walks.matrix_walk_log_norms(sets, mu.weights, LONG, replicas, SEED, rng.TAG_WALK)
+    for degree, atoms in sets.items():
+        for r in range(replicas):
+            want = exact.matrix_logs(atoms, words[r], LONG_MARKS)
+            _check(read[degree][r], want, LONG)
+            _check(whole[degree][r], want[-1:], LONG)
 
 
 @pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])

@@ -210,17 +210,48 @@ def _unit_rows(gen, rows, dim):
     return canonicalize_rows(gen.normal(size=(rows, dim)))
 
 
+@pytest.mark.parametrize("particles", [300, 4500])
+def test_psi_at_one_point_is_its_value_in_any_batch_at_a_padded_block(free_pair, particles):
+    # the last cloud block holds 300 and 404 particles, 4 mod 8: paired unpadded,
+    # OpenBLAS rounds a row by its place in its tile there
+    psi = mw.PsiFunction(mw.estimate_dual_stationary(free_pair, burn_in=40, particles=particles,
+                                                     seed=2))
+    points = [mw.ProjectivePoint(row) for row in _unit_rows(np.random.default_rng(5), 300, 2)]
+    many = psi_eval_many(psi, np.stack([p.rep for p in points]))
+    assert np.array([mw.psi_eval(psi, p) for p in points]).tobytes() == many.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_psi_rows_read_alike_at_every_cloud_size(dim):
+    # clouds of 1 to 699 particles: a row reads the same bytes alone, at the start
+    # of a batch and five rows later, over two tiles.  Unpadded, 23 of these
+    # 1398 cases read other bytes (all of 196 to 599 particles, 4 to 7 mod 8)
+    gen = np.random.default_rng(dim)
+    x = _unit_rows(gen, _EVAL_ROWS + 6, dim)
+    for n in range(1, 700):
+        cloud = mw.EmpiricalMeasure(reps=_unit_rows(gen, n, dim), weights=np.full(n, 1.0 / n),
+                                    dual=True)
+        psi = mw.PsiFunction(cloud)
+        many = psi_eval_many(psi, x)
+        assert psi_eval_many(psi, x[5:]).tobytes() == many[5:].tobytes(), n
+        for i in (0, 13, len(x) - 1):
+            assert psi_eval_many(psi, x[i:i + 1]).tobytes() == many[i:i + 1].tobytes(), (n, i)
+
+
 def _per_block_psi(cloud, x):
     """psi as one 2048 x 2048 product per block of rows, a block of one row
     paired beside a copy of itself, each row adding up its cloud blocks in
-    cloud order."""
+    cloud order; a cloud block is padded to whole groups of 8 particles with
+    copies of its first ones, whose columns are dropped before the log."""
     out = []
     for lo in range(0, len(x), 2048):
         rows = x[lo:lo + 2048]
         paired = np.concatenate([rows, rows]) if len(rows) == 1 else rows
         total = np.zeros(len(paired))
         for clo in range(0, cloud.size, 2048):
-            vals = np.abs(paired @ cloud.reps[clo:clo + 2048].T)
+            reps = cloud.reps[clo:clo + 2048]
+            padded = np.concatenate([reps] * 8)[:-(-len(reps) // 8) * 8]
+            vals = np.abs(paired @ padded.T)[:, :len(reps)]
             vals = np.log(np.minimum(vals, 1.0))
             total = total + np.einsum("ij,j->i", vals, cloud.weights[clo:clo + 2048])
         out.append(total[:len(rows)])

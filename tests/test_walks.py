@@ -517,7 +517,7 @@ def test_blocks_cover_the_replicas_within_the_letter_budget(total, n, letters):
     assert max(counts) <= walks.BLOCK
     # the segments of a walk of n letters tile it, and no block draws more than
     # BLOCK x _SEGMENT letters of words at once
-    los, cuts = zip(*((lo, ends[-1]) for lo, ends in walks._segments([n], n, letters)))
+    los, cuts = zip(*((lo, ends[-1]) for lo, ends, _ in walks._segments([n], n, letters)))
     assert los == (0,) + cuts[:-1] and cuts[-1] == n
     assert max(counts) * max(cut - lo for lo, cut in zip(los, cuts)) <= \
         walks.BLOCK * walks._SEGMENT
@@ -560,7 +560,8 @@ def test_block_size_changes_no_byte(block, replicas):
 
 def test_thread_count_keeps_the_bytes_of_a_last_block_of_one():
     # 3334 replicas of 30000 letters were cut into blocks of 3333 and 1 on two
-    # threads, and replica 3333 read 11888.890001775644 against ...642 on one
+    # threads, and replica 3333 read 11888.890001775644 against ...642 on one; its
+    # 29 chunks now read ...651, 1.8e-12 from the exact value (7.3e-12 before)
     pair = mw.GeneratorMeasure.from_atoms([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
     logs = []
     for threads in (1, 2):
@@ -570,7 +571,7 @@ def test_thread_count_keeps_the_bytes_of_a_last_block_of_one():
                                                     80, rng.TAG_WALK)[1])
         finally:
             walks.set_thread_count(1)
-    assert logs[0][3333] == 11888.890001775642
+    assert logs[0][3333] == 11888.890001775651
     assert logs[0].tobytes() == logs[1].tobytes()
 
 
@@ -610,19 +611,107 @@ def test_letter_budget_changes_no_byte(free_pair, sl3_pair, monkeypatch, threads
         walks.set_thread_count(1)
 
 
-def _step_sizes(lo, ends, letters):
-    """The uncut rule: whole steps from ``lo`` up to each end, then single letters."""
-    sizes = []
-    for pos, end in zip([lo] + ends[:-1], ends):
-        full, rest = divmod(end - pos, letters)
-        sizes += [letters] * full + [1] * rest
-    return sizes
+# 5 chunks of 128 steps of 8 letters and 37 letters: every measure below takes 8 letters a step
+_CHUNKED_N = 5 * walks._CHUNK_STEPS * 8 + 37
+# a checkpoint after 2 chunks and 100 letters: the stretches before and after it hold 2 chunks
+_CHUNKED_MARKS = [2 * walks._CHUNK_STEPS * 8 + 100, _CHUNKED_N]
 
 
-@given(st.sampled_from([1, 2, 5, 8, 13, 64, 100]), st.sampled_from([1, 2, 5, 8, 33, 64]),
-       st.integers(1, 400).flatmap(lambda n: st.tuples(
+def _chunked_sets(name, request):
+    """Atom sets and weights of a chunked-walk case: the free pair, shear_pair_sl3 with
+    its wedge, and the reducible pair diag(1e6, 1e-6) and its inverse, whose chunk
+    products lose a direction to underflow (ROADMAP item 2)."""
+    if name == "reducible":
+        big = np.diag([1e6, 1e-6])
+        return {1: np.array([big, np.linalg.inv(big)])}, np.array([0.5, 0.5]), None
+    mu = request.getfixturevalue(name)
+    return {r: mw.exterior_power(mu.atoms, r) for r in range(1, mu.dim)}, mu.weights, mu
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair", "reducible"])
+def test_chunked_walks_depend_on_the_words_alone(measure, request, monkeypatch):
+    # a chunked walk reads the same bytes whatever the replicas beside it, the
+    # blocks, the thread count and the segments.  Blocks of 8 replicas make
+    # BLOCK + 1 two blocks, of 8 and of 1, at a small cost, and their chunks walk in
+    # groups of 1 (8 columns), 2 (3 columns) and 4 (one replica beside its copy)
+    sets, weights, mu = _chunked_sets(measure, request)
+    assert [t.letters for t in walks._tables(list(sets.values()))] == [8] * len(sets)
+    joins, redo = [], []
+    join, walk = walks._LetterTable._join_chunks, walks._LetterTable._chunk_walk
+    monkeypatch.setattr(walks._LetterTable, "_join_chunks", lambda self, codes, *a: joins.append(
+        len(codes) // walks._CHUNK_STEPS) or join(self, codes, *a))
+    monkeypatch.setattr(walks._LetterTable, "_chunk_walk", lambda self, codes, start=None: (
+        start is not None and redo.append(1)) or walk(self, codes, start))
+
+    def run(replicas, seed=4, n=_CHUNKED_N, checkpoints=_CHUNKED_MARKS):
+        logs = walks.matrix_walk_log_norms(sets, weights, n, replicas, seed, rng.TAG_WALK,
+                                           checkpoints)
+        return [logs[k] for k in sets]
+
+    alone = run(1)
+    # 2 chunks up to the checkpoint, 2 after it, per table
+    assert joins == [2, 2] * len(sets)
+    assert bool(redo) == (measure == "reducible")
+    three = run(3)
+    assert [a.tobytes() for a in alone] == [t[:1].tobytes() for t in three]
+    # a checkpoint reads the walk that stops there
+    short = run(1, n=_CHUNKED_MARKS[0], checkpoints=None)
+    assert [a[:, 0].tobytes() for a in alone] == [s.tobytes() for s in short]
+    default = walks._SEGMENT
+    for segment in (walks._CHUNK_STEPS * 8, 5):
+        monkeypatch.setattr(walks, "_SEGMENT", segment)
+        assert [t.tobytes() for t in run(3)] == [t.tobytes() for t in three], segment
+    monkeypatch.setattr(walks, "_SEGMENT", default)
+    monkeypatch.setattr(walks, "BLOCK", 8)
+    wides = []
+    for threads in (1, 2):
+        walks.set_thread_count(threads)
+        try:
+            wides.append([w.tobytes() for w in run(walks.BLOCK + 1)])
+        finally:
+            walks.set_thread_count(1)
+    assert wides[0] == wides[1]
+    wide = run(walks.BLOCK + 1)
+    assert [a.tobytes() for a in alone] == [w[:1].tobytes() for w in wide]
+    assert [t.tobytes() for t in three] == [w[:3].tobytes() for w in wide]
+    if mu is None:
+        return   # not a valid measure: its atoms are numerically singular
+    # sample_word walks the word's chunks beside a copy of itself
+    table, joins[:] = walks._tables([mu.atoms]), []
+    for seed in range(3):
+        word = mw.sample_word(mw.WalkSampler(mu, seed), _CHUNKED_N)
+        words = np.tile(word.indices, (2, 1))
+        eyes = walks._entry_major(np.tile(np.eye(mu.dim), (2, 1, 1)))
+        [logs], [state] = walks._walk_block(table, [eyes], None, _CHUNKED_N,
+                                            lambda lo, hi: words[:, lo:hi])
+        product = state[..., 0] / np.linalg.norm(state[..., 0], 2)
+        assert word.log_scale == logs[0, 0] and word.matrix.tobytes() == product.tobytes(), seed
+    assert joins == [5] * 6
+
+
+def _moves(lo, ends, letters, chunks=None):
+    """The uncut rule: from ``lo`` up to each end, whole chunks when the stretch holds
+    two or more (or ``chunks[k]`` of them, as a segment says), then whole steps, then
+    single letters; a chunk is the string "chunk", a step its letter count."""
+    width = walks._CHUNK_STEPS * letters
+    moves = []
+    for k, (pos, end) in enumerate(zip([lo] + ends[:-1], ends)):
+        whole = (end - pos) // width
+        count = chunks[k] if chunks else whole if whole >= 2 else 0
+        full, rest = divmod(end - pos - count * width, letters)
+        moves += ["chunk"] * count + [letters] * full + [1] * rest
+    return moves
+
+
+@given(st.sampled_from([1, 2, 5, 8, 13, 64, 100, 128, 300]),
+       st.sampled_from([1, 2, 5, 8, 33, 64]),
+       st.integers(1, 1500).flatmap(lambda n: st.tuples(
            st.just(n), st.lists(st.integers(1, n), max_size=6, unique=True))))
+@example(5, 1, (1000, [600]))
+@example(128, 2, (1300, []))
 def test_segments_cut_only_between_steps_of_the_uncut_walk(segment, letters, case):
+    # a segment holds _SEGMENT letters, or one whole step or chunk, at most, and
+    # walks the chunks, steps and letters of the uncut walk
     n, marks = case
     marks = sorted(marks) or [n]
     default, walks._SEGMENT = walks._SEGMENT, segment
@@ -630,12 +719,14 @@ def test_segments_cut_only_between_steps_of_the_uncut_walk(segment, letters, cas
         segments = list(walks._segments(marks, n, letters))
     finally:
         walks._SEGMENT = default
-    assert [lo for lo, _ in segments] == [0] + [ends[-1] for _, ends in segments[:-1]]
+    width = walks._CHUNK_STEPS * letters
+    assert [lo for lo, _, _ in segments] == [0] + [ends[-1] for _, ends, _ in segments[:-1]]
     assert segments[-1][1][-1] == n
-    assert all(ends[-1] - lo <= max(segment, letters) for lo, ends in segments)
-    walked = [size for lo, ends in segments for size in _step_sizes(lo, ends, letters)]
-    assert walked == _step_sizes(0, marks + [n] * (marks[-1] < n), letters)
-    assert sorted({end for _, ends in segments for end in ends} & set(marks)) == marks
+    assert all(ends[-1] - lo <= max(segment, width if chunks[0] else letters)
+               for lo, ends, chunks in segments)
+    walked = [move for lo, ends, chunks in segments for move in _moves(lo, ends, letters, chunks)]
+    assert walked == _moves(0, marks + [n] * (marks[-1] < n), letters)
+    assert sorted({end for _, ends, _ in segments for end in ends} & set(marks)) == marks
 
 
 @pytest.mark.parametrize("checkpoints, n, message", [
