@@ -10,12 +10,15 @@ rescaled at least every ``rescale_interval`` letters (Benettin, Galgani,
 Giorgilli and Strelcyn, Meccanica 15, 1980); scalar cocycle values add up
 the logs of the scales, and log operator norms of products are read off
 scaled matrix states.  Entries of a scaled state stay far from overflow, so
-walks of any length are safe.
+walks of any length are safe.  Operator norms are read per replica
+(``_operator_norms``: closed forms for ``m <= 2``, a batched SVD beyond).
 
-The operator norm of an ``m x m`` state is read elementwise per replica
-(``_operator_norms``): ``|s|`` for ``m = 1``, the closed form
-``(hypot(a + d, c - b) + hypot(a - d, c + b)) / 2`` of ``[[a, b], [c, d]]``
-for ``m = 2``, and the top value of a batched LAPACK SVD for ``m >= 3``.
+Every walk steps through one loop, ``_LetterTable.advance``: it gathers the
+table rows of a run of steps and multiplies them onto a state, or the
+identity, rescaling before any step that would take the state past its
+table's interval since its last rescale, and on request keeps every step's
+product.  The step path between read-outs, the chunks of a matrix walk and the
+prefixes of a scan all take it; only the table build multiplies rows apart.
 
 A step's table row is its *code* ``sum_j l_j A^j``.  ``_LetterTable._steps``
 builds the codes of a block of rows of words about ``2^18`` letters at a time
@@ -30,7 +33,8 @@ word is cut into chunks of ``rescale_interval`` letters, the running product
 inside every chunk is formed for all chunks at once, one sequential pass
 carries the unit vector from chunk head to chunk head, and one batched
 product gives the cocycle value after every letter (a blocked prefix scan,
-Blelloch, "Prefix sums and their applications", 1990).  For one row the
+Blelloch, "Prefix sums and their applications", 1990); the prefixes are one
+table walk over the atoms and an identity pad.  For one row the
 head pass runs in Python floats (``_one_row_heads``), in the order of the
 einsums it replaces, and is checked bitwise against the many-row pass.
 
@@ -59,9 +63,10 @@ A matrix walk takes each long stretch between two read-outs side by side: a
 stretch of two or more whole chunks of ``_CHUNK_STEPS`` table steps walks every
 chunk of a segment from the identity at once, chunk ``c`` of replica ``r`` one
 column, so one gather and one product advance every chunk of every replica by a
-step, and a walk of a few replicas makes a fraction of the numpy calls.  The chunk
-products are then multiplied onto the carried state in order, each followed by a
-normalisation; the stretch's last steps and single letters take the step path.
+step, and a walk of a few replicas makes a fraction of the numpy calls.  Chunks
+walk in groups of at most ``_GROUP_BYTES`` (2 MiB) of states, so a 2000-replica walk
+takes a segment's chunks at once; the products are then multiplied onto the carried
+state in order, each followed by a normalisation; the rest takes the step path.
 Which steps form chunks depends on the marks and ``n`` alone, and a segment ends
 only between two chunks, so every value depends on the words, the marks and
 ``n`` alone: not on the replicas beside it, the blocks, ``_SEGMENT`` or the
@@ -90,6 +95,7 @@ _SEGMENT = 1 << 13       # letters per row a block draws at once: 32 MB of words
 # whole chunks, 256 steps, which no bundled scenario reaches; 128 steps of at most 64
 # letters fit one segment, and a join costs a few numpy calls against 128 steps
 _CHUNK_STEPS = 128
+_GROUP_BYTES = 1 << 21    # bytes of chunk states a group walks at once: 65,536 columns of 2 x 2
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
@@ -113,6 +119,8 @@ def set_thread_count(k):
 
 def _blocks(total):
     """``(first, count)`` blocks of ``BLOCK`` replicas."""
+    if total < 1:
+        raise ValueError("replicas must be at least 1")
     return [(first, min(BLOCK, total - first)) for first in range(0, total, BLOCK)]
 
 
@@ -170,13 +178,6 @@ def _marks(checkpoints, n):
     return cps.tolist()
 
 
-def _chunk_end(first, stop, width):
-    """End of the chunks of the stretch ``[first, stop)`` of the uncut walk: its whole chunks
-    of ``width`` letters when it holds two or more, else ``first`` (no chunk)."""
-    count = (stop - first) // width
-    return first + count * width if count >= 2 else first
-
-
 def _segments(marks, n, letters):
     """``(lo, ends, chunks)`` per segment of a walk of ``n`` letters read at ``marks``: from
     ``lo`` the segment walks to each end as to a mark, and its piece that ends at
@@ -188,7 +189,9 @@ def _segments(marks, n, letters):
     stops = marks + [n] if marks[-1] < n else marks
     width = _CHUNK_STEPS * letters
     firsts = [0] + stops       # firsts[k] starts the stretch up to stops[k]
-    tops = [_chunk_end(first, stop, width) for first, stop in zip(firsts, stops)]
+    # tops[k] ends the whole chunks of the stretch up to stops[k] when it holds two or more
+    tops = [first + (stop - first) // width * width if stop - first >= 2 * width else first
+            for first, stop in zip(firsts, stops)]
     lo = i = 0
     while lo < n:
         # stops[i] ends the stretch that holds lo
@@ -337,54 +340,61 @@ class _LetterTable:
                        out=out[step:step + end - tail])
         return codes, sizes, read
 
-    def _chunk_walk(self, codes, start=None):
-        """Walk the columns of ``codes`` (steps x K) from ``start`` ``(d, d, K)``, a scaled
-        state, or from the identity; returns the scaled product and the logs of its scales.
-        A column rescales before a step that would take it past ``interval`` letters since
-        its start or its last rescale, as the walk does."""
-        state = self.rows.take(codes[0], axis=2, mode="wrap")
-        if start is not None:
-            state = _product(state, start, np.empty_like(state))
-        spare, gathered = np.empty_like(state), np.empty_like(state)
-        scales = np.zeros(state.shape[-1])
-        every = self.interval // self.letters
-        for j in range(1, len(codes)):
-            if j % every == 0:
-                _rescale(state, scales)
-            self.rows.take(codes[j], axis=2, out=gathered, mode="wrap")
-            state, spare = _product(gathered, state, spare), state
-        return state, scales
+    def advance(self, codes, state, acc, since=0, sizes=None, prefixes=None):
+        """The one stepping loop: advance ``state`` ``(d, K)`` or ``(d, d, K)``, or the
+        identity when ``None``, through the steps ``codes`` (steps x ``K``) of ``sizes``
+        letters (``letters`` each by default), rescaling before any step that would take it
+        past ``interval`` letters since its last rescale (``since`` letters before ``codes``)
+        and adding the logs to ``acc``.  Returns the state and the letters since its last
+        rescale.  ``prefixes`` ``(steps, d, d, K)``, if given, receives every step's product."""
+        sizes = sizes or [self.letters] * len(codes)
+        outs = [None] * len(codes) if prefixes is None else prefixes
+        if state is None:
+            # the identity times a row is the row: the first step is a gather alone
+            state = self.rows.take(codes[0], axis=2, mode="wrap", out=outs[0])
+            codes, sizes, outs, since = codes[1:], sizes[1:], outs[1:], sizes[0]
+        spare, gathered = np.empty_like(state), np.empty((self.dim, self.dim, codes.shape[1]))
+        for code, size, out in zip(codes, sizes, outs):
+            if since + size > self.interval:
+                _rescale(state, acc)
+                since = 0
+            since += size
+            # codes are in range; "wrap" takes numpy's faster gather loop
+            self.rows.take(code, axis=2, out=gathered, mode="wrap")
+            state, spare = _product(gathered, state, spare if out is None else out), state
+        return state, since
 
     def _join_chunks(self, codes, state, acc):
         """Walk ``state`` ``(d, d, N)``, normalised or the walk's start, through whole
         chunks: ``codes`` holds their ``count x _CHUNK_STEPS`` steps x ``N``.  Returns
         the state normalised, with its logs added to ``acc``.
 
-        The chunks walk side by side from the identity (``_chunk_walk``), chunk ``c``
-        of column ``r`` in column ``c N + r``, a group of at most ``max(BLOCK, N)``
-        columns at a time, so no group holds more states than a full block; as each
-        chunk starts from the identity, the grouping changes no byte.  Their products
-        are multiplied onto the state in order, with a normalisation after each.  A
-        chunk product may lose a direction to underflow (ROADMAP item 2): a column
-        whose joined norm is below ``_JOIN_FLOOR`` walks that chunk's steps instead."""
+        The chunks walk from the identity side by side, chunk ``c`` of column ``r`` in
+        column ``c N + r``, as many as hold ``_GROUP_BYTES`` of states at once (one at
+        least; as each starts from the identity, grouping changes no byte), and their
+        products join the state in order, each followed by a normalisation.  A column
+        whose joined norm is below ``_JOIN_FLOOR`` lost a direction to underflow (ROADMAP
+        item 2) and walks that chunk's steps instead."""
         width = state.shape[-1]
         run = codes.reshape(-1, _CHUNK_STEPS, width)
-        chunk, spare = np.empty_like(state), np.empty_like(state)
-        group = max(1, BLOCK // width)
+        spare = np.empty_like(state)
+        group = max(1, _GROUP_BYTES // state.nbytes)
         for lo in range(0, len(run), group):
             steps = np.ascontiguousarray(run[lo:lo + group].transpose(1, 0, 2))
             steps = steps.reshape(_CHUNK_STEPS, -1)
-            products, scales = self._chunk_walk(steps)
+            scales = np.zeros(steps.shape[1])
+            products, _ = self.advance(steps, None, scales)
             for first in range(0, steps.shape[1], width):
                 # a contiguous copy: einsum may round a strided operand differently
-                np.copyto(chunk, products[..., first:first + width])
+                chunk = np.ascontiguousarray(products[..., first:first + width])
                 joined = _product(chunk, state, spare)
                 logs = scales[first:first + width]
                 lost = _norms(joined) < _JOIN_FLOOR
                 if lost.any():
                     lost, logs = np.flatnonzero(lost), logs.copy()
-                    redo, redo_logs = self._chunk_walk(_paired(steps[:, first + lost], 1),
-                                                       _paired(state[..., lost], -1))
+                    start = _paired(state[..., lost], -1)
+                    redo_logs = np.zeros(start.shape[-1])
+                    redo, _ = self.advance(_paired(steps[:, first + lost], 1), start, redo_logs)
                     joined[..., lost], logs[lost] = redo[..., :lost.size], redo_logs[:lost.size]
                 acc += logs
                 _rescale(joined, acc)
@@ -411,49 +421,35 @@ def _walk_block(tables, states, checkpoints, n, words):
     """Walk one block's entry-major state per table ``n`` letters, drawn a segment at a
     time by ``words(lo, hi)``; returns per table the log norms at the checkpoints (or
     ``n``), Euclidean for vectors and operator norms for matrices, and the scaled state.
-    A matrix state takes the chunks ``_segments`` names through
-    ``_LetterTable._join_chunks``; a vector state takes their steps one by one."""
+    A matrix state joins the chunks ``_segments`` names; every other step takes ``advance``."""
     marks, count = _marks(checkpoints, n), states[0].shape[-1]
     states = [_paired(state, -1) for state in states]
     width, letters = states[0].shape[-1], tables[0].letters
-    logs, since = [[] for _ in tables], [0] * len(tables)
-    accs = [np.zeros(width) for _ in tables]
+    logs, since, accs = [[] for _ in tables], [0] * len(tables), [np.zeros(width) for _ in tables]
     for lo, ends, chunks in _segments(marks, n, letters):
         codes, sizes, read = tables[0]._steps(_paired(words(lo, ends[-1]), 0),
                                               [e - lo for e in ends])
         read[-1] = ends[-1] in marks   # a cut is walked to as to a mark, and not read
-        runs, step = [], 0             # the steps [first, last) of every run of chunks
+        pieces, step = [], 0   # per piece: the steps [first, mid) of its chunks, [mid, last) after
         for pos, end, k in zip([lo] + ends[:-1], ends, chunks):
-            if k and states[0].ndim == 3:
-                runs.append((step, step + k * _CHUNK_STEPS))
-            step += sum(divmod(end - pos, letters))
+            last = step + sum(divmod(end - pos, letters))
+            pieces.append((step, step + k * _CHUNK_STEPS * (states[0].ndim == 3), last))
+            step = last
         for t, table in enumerate(tables):
-            state, acc, vector = states[t], accs[t], states[t].ndim == 2
-            spare = np.empty_like(state)
-            gathered = np.empty((table.dim, table.dim, width))
-            step = 0
-            for first, last in runs + [(len(codes), len(codes))]:
-                for j in range(step, first):
-                    if since[t] + sizes[j] > table.interval:
-                        _rescale(state, acc)
-                        since[t] = 0
-                    since[t] += sizes[j]
-                    # codes are in range; "wrap" takes numpy's faster gather loop
-                    table.rows.take(codes[j], axis=2, out=gathered, mode="wrap")
-                    state, spare = _product(gathered, state, spare), state
-                    if read[j]:
-                        top = _norms(state) if vector else _operator_norms(state)
-                        logs[t].append(acc + np.log(top))
-                if first < last:
+            state, acc = states[t], accs[t]
+            for first, mid, last in pieces:
+                if first < mid:
                     # a chunk takes the state past any interval; a state just joined is
                     # not rescaled again, so a segment cut between chunks changes no byte
                     if since[t]:
                         _rescale(state, acc)
-                    state = table._join_chunks(codes[first:last], state, acc)
-                    spare, since[t] = np.empty_like(state), 0
-                    if read[last - 1]:
-                        logs[t].append(acc + np.log(_operator_norms(state)))
-                step = last
+                    state, since[t] = table._join_chunks(codes[first:mid], state, acc), 0
+                if mid < last:
+                    state, since[t] = table.advance(codes[mid:last], state, acc, since[t],
+                                                    sizes[mid:last])
+                if read[last - 1]:
+                    top = _norms(state) if state.ndim == 2 else _operator_norms(state)
+                    logs[t].append(acc + np.log(top))
             states[t] = state
     return [np.column_stack(t_logs)[:count] for t_logs in logs], [s[..., :count] for s in states]
 
@@ -465,11 +461,16 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     The letters are ``skip, ..., skip + n - 1`` of each replica's stream.
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
     column per checkpoint (the last one need not be ``n``).  Blocks run in
-    order on the calling thread: their words come from a per-replica draw
-    loop that holds the interpreter lock, so worker threads gain nothing.
+    order on the calling thread: their words come from a per-replica draw loop
+    that drops and retakes the interpreter lock on every row, so on two threads
+    short rows draw slower (ROADMAP item 7) and worker threads gain nothing.
     """
     tables = _tables([atoms])
     start = np.asarray(start, dtype=float)
+    if start.ndim not in (1, 2) or start.shape[-1] != tables[0].dim or (
+            start.ndim == 2 and len(start) < replicas):
+        raise ValueError(f"start must be one unit row of dimension {tables[0].dim}, or one "
+                         "per replica")
 
     def run_block(first, count):
         rows = np.tile(start, (count, 1)) if start.ndim == 1 else start[first:first + count]
@@ -554,10 +555,12 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
     atoms = np.asarray(atoms, dtype=float)
     d = atoms.shape[1]
     chunk = rescale_interval(atoms)
-    # code A pads the last chunk
-    padded = _entry_major(np.concatenate([atoms, np.eye(d)[None]]))
+    # code A pads the last chunk; a chunk of single letters reaches no rescale
+    table = _LetterTable(np.concatenate([atoms, np.eye(d)[None]]), chunk, 1)
     u = np.array(starts, dtype=float)
     rows = len(u)
+    if rows == 0:
+        raise ValueError("starts must hold at least one row")
     base = np.zeros(rows)
     products = min(_SCAN_PRODUCTS, 9 * _SCAN_PRODUCTS // (d * d))
     segment = max(chunk, products // rows // chunk * chunk)
@@ -573,11 +576,7 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
         codes = _paired(codes.reshape(chunk, count), 1)
         # prefix products inside every chunk, all chunks at once
         prods = np.empty((chunk, d, d, codes.shape[1]))
-        gathered = np.empty(prods.shape[1:])
-        padded.take(codes[0], axis=2, out=prods[0], mode="wrap")
-        for j in range(1, chunk):
-            padded.take(codes[j], axis=2, out=gathered, mode="wrap")
-            _product(gathered, prods[j - 1], prods[j])
+        table.advance(codes, None, np.zeros(codes.shape[1]), prefixes=prods)
         # the unit vector at every chunk head, one chunk at a time
         heads = np.empty((d, heads_per_row, rows))
         heads[:, 0] = u.T

@@ -18,8 +18,8 @@ N, SEED = 2000, 3
 MARKS = [1, 7, 64, 65, 999, 1500, 2000]
 
 
-def _start(dim):
-    start = np.arange(1.0, dim + 1.0)
+def _start(dim, shift=0.0):
+    start = np.arange(1.0, dim + 1.0) + shift
     return start / np.linalg.norm(start)
 
 
@@ -85,6 +85,27 @@ def test_trajectory_is_within_budget_of_exact_products_at_every_step(measure, re
                                       rng.TAG_WALK, stream_index=4)
     word = rng.replica_words(SEED, rng.TAG_WALK, 1, N, mu.weights, first_replica=4)[0]
     _check(values, exact.vector_logs(mu.atoms, word, _start(mu.dim), range(1, N + 1)))
+
+
+# about 1500 letters, no multiple of a chunk, scanned in segments of 7 chunks
+SCAN_N = 1501
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_many_row_scan_is_within_budget_of_exact_products_at_every_step(measure, rows, request,
+                                                                        monkeypatch):
+    mu = request.getfixturevalue(measure)
+    monkeypatch.setattr(walks, "_SCAN_PRODUCTS", 7 * walks.rescale_interval(mu.atoms) * rows)
+    starts = np.array([_start(mu.dim, r) for r in range(rows)])
+    segments = list(walks.chunked_walk(mu.atoms, mu.weights, starts, SCAN_N, SEED, rng.TAG_WALK,
+                                       first_replica=2))
+    assert len(segments) >= 4
+    values = np.concatenate([v for _, v, _ in segments], axis=1)
+    words = rng.replica_words(SEED, rng.TAG_WALK, rows, SCAN_N, mu.weights, first_replica=2)
+    for r in range(rows):
+        _check(values[r], exact.vector_logs(mu.atoms, words[r], starts[r], range(1, SCAN_N + 1)),
+               SCAN_N)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10**20, 2**64 - 1, 3**1000, 2**3000 + 1])

@@ -632,16 +632,26 @@ def _chunked_sets(name, request):
 def test_chunked_walks_depend_on_the_words_alone(measure, request, monkeypatch):
     # a chunked walk reads the same bytes whatever the replicas beside it, the
     # blocks, the thread count and the segments.  Blocks of 8 replicas make
-    # BLOCK + 1 two blocks, of 8 and of 1, at a small cost, and their chunks walk in
-    # groups of 1 (8 columns), 2 (3 columns) and 4 (one replica beside its copy)
+    # BLOCK + 1 two blocks, of 8 and of 1, at a small cost, and with 256 bytes of
+    # states a group their chunks on 2 x 2 tables walk in groups of 1 (8 columns),
+    # 2 (3 columns) and 4 (one replica beside its copy), on 3 x 3 tables one at a time
     sets, weights, mu = _chunked_sets(measure, request)
     assert [t.letters for t in walks._tables(list(sets.values()))] == [8] * len(sets)
-    joins, redo = [], []
-    join, walk = walks._LetterTable._join_chunks, walks._LetterTable._chunk_walk
-    monkeypatch.setattr(walks._LetterTable, "_join_chunks", lambda self, codes, *a: joins.append(
-        len(codes) // walks._CHUNK_STEPS) or join(self, codes, *a))
-    monkeypatch.setattr(walks._LetterTable, "_chunk_walk", lambda self, codes, start=None: (
-        start is not None and redo.append(1)) or walk(self, codes, start))
+    joins, redo, joining = [], [], []
+    join, advance = walks._LetterTable._join_chunks, walks._LetterTable.advance
+
+    def counted_join(self, codes, *a):
+        joins.append(len(codes) // walks._CHUNK_STEPS)
+        joining.append(1)
+        try:
+            return join(self, codes, *a)
+        finally:
+            joining.pop()
+
+    # inside a join, a walk from a state (not the identity) is the fallback of a lost column
+    monkeypatch.setattr(walks._LetterTable, "_join_chunks", counted_join)
+    monkeypatch.setattr(walks._LetterTable, "advance", lambda self, codes, state, *a, **k: (
+        joining and state is not None and redo.append(1)) or advance(self, codes, state, *a, **k))
 
     def run(replicas, seed=4, n=_CHUNKED_N, checkpoints=_CHUNKED_MARKS):
         logs = walks.matrix_walk_log_norms(sets, weights, n, replicas, seed, rng.TAG_WALK,
@@ -663,6 +673,7 @@ def test_chunked_walks_depend_on_the_words_alone(measure, request, monkeypatch):
         assert [t.tobytes() for t in run(3)] == [t.tobytes() for t in three], segment
     monkeypatch.setattr(walks, "_SEGMENT", default)
     monkeypatch.setattr(walks, "BLOCK", 8)
+    monkeypatch.setattr(walks, "_GROUP_BYTES", 256)
     wides = []
     for threads in (1, 2):
         walks.set_thread_count(threads)
@@ -740,6 +751,30 @@ def test_walks_refuse_checkpoints_off_the_walk(free_pair, checkpoints, n, messag
     with pytest.raises(ValueError, match=message):
         walks.matrix_walk_log_norms({1: free_pair.atoms}, free_pair.weights, n, 2, 1,
                                     rng.TAG_WALK, checkpoints=checkpoints)
+
+
+# inputs other than the checkpoints: each is refused by a ValueError naming the argument
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [1.0, 0.0], 10, 0, 1,
+                                              rng.TAG_WALK), "replicas", id="vector-replicas-0"),
+    pytest.param(lambda mu: walks.matrix_walk_log_norms({1: mu.atoms}, mu.weights, 10, 0, 1,
+                                                        rng.TAG_WALK), "replicas",
+                 id="matrix-replicas-0"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.eye(2), 10, 3, 1,
+                                              rng.TAG_WALK), "start", id="too-few-starts"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [1.0, 0.0, 0.0], 10, 2, 1,
+                                              rng.TAG_WALK), "start", id="start-dimension"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.ones((2, 2, 2)), 10, 2,
+                                              1, rng.TAG_WALK), "start", id="start-axes"),
+    pytest.param(lambda mu: list(walks.chunked_walk(mu.atoms, mu.weights, np.empty((0, 2)), 10,
+                                                    1, rng.TAG_WALK)), "starts",
+                 id="scan-no-rows"),
+    pytest.param(lambda mu: mw.checkpoint_sums(mw.DifferenceStream(
+        kind="walk_induced", seed=1, measure=mu, start=mw.ProjectivePoint([1.0, 0.0])),
+        [4, 8], 0), "starts", id="walk-induced-sums-no-rows")])
+def test_walks_refuse_bad_replicas_and_starts(free_pair, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(free_pair)
 
 
 def test_no_block_holds_more_than_a_segment_of_words(free_pair, monkeypatch):
