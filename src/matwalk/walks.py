@@ -20,13 +20,14 @@ table's interval since its last rescale, and on request keeps every step's
 product.  The step path between read-outs, the chunks of a matrix walk and the
 prefixes of a scan all take it; only the table build multiplies rows apart.
 
-A step's table row is its *code* ``sum_j l_j A^j``.  ``_LetterTable._steps``
-builds the codes of a block of rows of words about ``2^18`` letters at a time
-(``_CODE_LETTERS``), so the block stays in cache, and writes them straight
-into the step-major ``uint16`` array the steps read: eight letters of a pair
-of atoms are one byte (``np.packbits``), other whole steps take a Horner
-scheme in bytes (codes stay below ``A^L <= 256``), steps of one letter copy
-it, and a single atom has code 0 only.  The tables of a walk share one code array.
+A step's table row is its *code* ``sum_j l_j A^j``.  Codes are built a *piece* at a
+time, the part of a segment up to a read-out or a cut, once for every table of the
+walk: ``_LetterTable._piece_codes`` writes its whole steps, then its single letters,
+into the step-major ``uint16`` array the steps read, a block of rows about ``2^18``
+letters at a time (``_CODE_LETTERS``) so the block stays in cache.  Eight letters of
+a pair of atoms are one byte (``np.packbits``), other whole steps take a Horner
+scheme in bytes (codes stay below ``A^L <= 256``), steps of one letter copy it,
+and a single atom has code 0 only.
 
 A single trajectory is read at every step from chunked prefix products: the
 word is cut into chunks of ``rescale_interval`` letters, the running product
@@ -109,6 +110,7 @@ _JOIN_FLOOR = 2.0 ** -511
 # relative: the growth of the matrices a walk steps with (an exterior power, a transpose)
 # rounds apart from the sums of the atom's log singular values that validation reads
 GROWTH_ROUNDING = 1e-9
+UNIT_ROUNDING = 1e-9   # a start row's norm may differ from 1 by this much
 
 
 def set_thread_count(k):
@@ -138,6 +140,12 @@ def _run_blocks(fn, blocks):
 
     with ThreadPoolExecutor(max_workers=_THREADS) as pool:
         return list(pool.map(lambda b: fn(*b), blocks))
+
+
+def _unit(rows):
+    """Whether every row of ``rows`` is finite with norm 1 within ``UNIT_ROUNDING``."""
+    return bool(np.isfinite(rows).all() and
+                (abs(np.linalg.norm(rows, axis=-1) - 1.0) <= UNIT_ROUNDING).all())
 
 
 def rescale_interval(atoms):
@@ -315,30 +323,19 @@ class _LetterTable:
                 np.add(codes, steps[..., j], out=codes, casting="unsafe")
             out[...] = codes
 
-    def _steps(self, words, marks):
-        """Table rows of every step (steps x replicas), and per step its letters
-        and whether to read after it.
-
-        Up to each mark the walk takes whole table steps, then single letters.
-        Codes are built a block of about ``_CODE_LETTERS`` letters of rows at
-        a time and written straight into the step-major array.
-        """
-        segments, sizes, read = [], [], []
-        for pos, end in zip([0] + marks[:-1], marks):
-            full, rest = divmod(end - pos, self.letters)
-            segments.append((len(sizes), full, pos, pos + full * self.letters, end))
-            sizes += [self.letters] * full + [1] * rest
-            read += [False] * (full + rest - 1) + [True]
-        codes = np.empty((len(sizes), len(words)), dtype=np.uint16)
+    def _piece_codes(self, words):
+        """Table rows of one piece's ``words`` (replicas x letters), its whole steps then
+        its single letters, step-major ``uint16`` (steps x replicas), and each step's
+        letters.  Built a block of about ``_CODE_LETTERS`` letters of rows at a time."""
+        full, rest = divmod(words.shape[1], self.letters)
+        tail = full * self.letters
+        codes = np.empty((full + rest, len(words)), dtype=np.uint16)
         rows = max(1, _CODE_LETTERS // words.shape[1])
         for lo in range(0, len(words), rows):
             block, out = words[lo:lo + rows], codes[:, lo:lo + rows]
-            for step, full, start, tail, end in segments:
-                self._full_codes(block[:, start:tail], out[step:step + full])
-                step += full
-                np.add(block[:, tail:end].T, np.uint16(self.single),
-                       out=out[step:step + end - tail])
-        return codes, sizes, read
+            self._full_codes(block[:, :tail], out[:full])
+            np.add(block[:, tail:].T, np.uint16(self.single), out=out[full:])
+        return codes, [self.letters] * full + [1] * rest
 
     def advance(self, codes, state, acc, since=0, sizes=None, prefixes=None):
         """The one stepping loop: advance ``state`` ``(d, K)`` or ``(d, d, K)``, or the
@@ -423,41 +420,37 @@ def _walk_block(tables, states, checkpoints, n, words):
     ``n``), Euclidean for vectors and operator norms for matrices, and the scaled state.
     A matrix state joins the chunks ``_segments`` names; every other step takes ``advance``."""
     marks, count = _marks(checkpoints, n), states[0].shape[-1]
+    read = set(marks)    # a cut is walked to as to a mark, and not read
     states = [_paired(state, -1) for state in states]
-    width, letters = states[0].shape[-1], tables[0].letters
+    chunked, width = states[0].ndim == 3, states[0].shape[-1]
     logs, since, accs = [[] for _ in tables], [0] * len(tables), [np.zeros(width) for _ in tables]
-    for lo, ends, chunks in _segments(marks, n, letters):
-        codes, sizes, read = tables[0]._steps(_paired(words(lo, ends[-1]), 0),
-                                              [e - lo for e in ends])
-        read[-1] = ends[-1] in marks   # a cut is walked to as to a mark, and not read
-        pieces, step = [], 0   # per piece: the steps [first, mid) of its chunks, [mid, last) after
+    for lo, ends, chunks in _segments(marks, n, tables[0].letters):
+        segment = _paired(words(lo, ends[-1]), 0)
         for pos, end, k in zip([lo] + ends[:-1], ends, chunks):
-            last = step + sum(divmod(end - pos, letters))
-            pieces.append((step, step + k * _CHUNK_STEPS * (states[0].ndim == 3), last))
-            step = last
-        for t, table in enumerate(tables):
-            state, acc = states[t], accs[t]
-            for first, mid, last in pieces:
-                if first < mid:
+            codes, sizes = tables[0]._piece_codes(segment[:, pos - lo:end - lo])
+            mid = k * _CHUNK_STEPS if chunked else 0
+            for t, table in enumerate(tables):
+                state, acc = states[t], accs[t]
+                if mid:
                     # a chunk takes the state past any interval; a state just joined is
                     # not rescaled again, so a segment cut between chunks changes no byte
                     if since[t]:
                         _rescale(state, acc)
-                    state, since[t] = table._join_chunks(codes[first:mid], state, acc), 0
-                if mid < last:
-                    state, since[t] = table.advance(codes[mid:last], state, acc, since[t],
-                                                    sizes[mid:last])
-                if read[last - 1]:
+                    state, since[t] = table._join_chunks(codes[:mid], state, acc), 0
+                if mid < len(codes):
+                    state, since[t] = table.advance(codes[mid:], state, acc, since[t],
+                                                    sizes[mid:])
+                if end in read:
                     top = _norms(state) if state.ndim == 2 else _operator_norms(state)
                     logs[t].append(acc + np.log(top))
-            states[t] = state
+                states[t] = state
     return [np.column_stack(t_logs)[:count] for t_logs in logs], [s[..., :count] for s in states]
 
 
 def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None, skip=0):
-    """Cocycle values ``log |b_n ... b_1 v| / |v|`` for every replica.
+    """Cocycle values ``log |b_n ... b_1 v|`` for every replica, from a unit row ``v``.
 
-    ``start`` is a unit row (shared) or an array of per-replica unit rows.
+    ``start`` is a finite unit row (shared) or one per replica (``ValueError`` else).
     The letters are ``skip, ..., skip + n - 1`` of each replica's stream.
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
     column per checkpoint (the last one need not be ``n``).  Blocks run in
@@ -468,9 +461,9 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     tables = _tables([atoms])
     start = np.asarray(start, dtype=float)
     if start.ndim not in (1, 2) or start.shape[-1] != tables[0].dim or (
-            start.ndim == 2 and len(start) < replicas):
-        raise ValueError(f"start must be one unit row of dimension {tables[0].dim}, or one "
-                         "per replica")
+            start.ndim == 2 and len(start) < replicas) or not _unit(start):
+        raise ValueError(f"start must be one finite unit row of dimension {tables[0].dim}, or "
+                         "one per replica")
 
     def run_block(first, count):
         rows = np.tile(start, (count, 1)) if start.ndim == 1 else start[first:first + count]
@@ -542,14 +535,13 @@ def _one_row_heads(ends, heads):
 def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=True):
     """Cocycle values and positions after every letter, by chunked prefix products.
 
-    Row ``r`` walks stream ``first_replica + r`` from the unit row
-    ``starts[r]``.  The time axis is taken in segments of whole chunks that
-    hold about ``2^18`` letter-replica products, and in dimension ``d >= 4``
-    about ``9 x 2^18 / d^2``, so no segment holds more matrix entries than a
-    ``3 x 3`` one (at least one chunk per row);
-    each segment yields ``(lo, values, units)``, where ``values[r, k]`` is
-    ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit row of that
-    vector.  With ``units=False`` only the last unit row of a segment is
+    Row ``r`` walks stream ``first_replica + r`` from the finite unit row ``starts[r]``
+    (``ValueError`` else).  The time axis is taken in segments of whole chunks that
+    hold about ``2^18`` letter-replica products, and in dimension ``d >= 4`` about
+    ``9 x 2^18 / d^2``, so no segment holds more matrix entries than a ``3 x 3`` one
+    (at least one chunk per row); each segment yields ``(lo, values, units)``, where
+    ``values[r, k]`` is ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit
+    row of that vector.  With ``units=False`` only the last unit row of a segment is
     formed, to carry the walk on, and ``None`` is yielded in place of units.
     """
     atoms = np.asarray(atoms, dtype=float)
@@ -558,9 +550,9 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
     # code A pads the last chunk; a chunk of single letters reaches no rescale
     table = _LetterTable(np.concatenate([atoms, np.eye(d)[None]]), chunk, 1)
     u = np.array(starts, dtype=float)
+    if u.ndim != 2 or len(u) == 0 or u.shape[1] != d or not _unit(u):
+        raise ValueError(f"starts must hold at least one finite unit row of dimension {d}")
     rows = len(u)
-    if rows == 0:
-        raise ValueError("starts must hold at least one row")
     base = np.zeros(rows)
     products = min(_SCAN_PRODUCTS, 9 * _SCAN_PRODUCTS // (d * d))
     segment = max(chunk, products // rows // chunk * chunk)
@@ -610,14 +602,19 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
 
 
 def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
-    """Running cocycle values ``S_1, ..., S_{n_max}`` along a single walk."""
+    """Running cocycle values ``S_1, ..., S_{n_max}`` along a single walk from the direction
+    of ``start``, a finite nonzero vector (``ValueError`` else, or for ``n_max < 0``)."""
     atoms = np.asarray(atoms, dtype=float)
+    v = np.asarray(start, dtype=float)
+    if v.shape != (atoms.shape[1],) or not np.isfinite(v).all() or not v.any():
+        raise ValueError(f"start must be a finite nonzero vector of dimension {atoms.shape[1]}")
+    if n_max < 0:
+        raise ValueError("n_max must be at least 0")
     if atoms.shape[1] == 1:
         # in dimension one the cocycle is a plain sum of log |a|: no state to rescale
         word = rng.replica_words(seed, tag, 1, n_max, weights, first_replica=stream_index)[0]
         increments = np.log(np.abs(atoms[:, 0, 0]))[word]
         return np.cumsum(increments)
-    v = np.asarray(start, dtype=float)
     out = np.empty(n_max)
     for lo, values, _ in chunked_walk(atoms, weights, (v / np.linalg.norm(v))[None], n_max,
                                       seed, tag, first_replica=stream_index, units=False):

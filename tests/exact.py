@@ -3,9 +3,11 @@
 Integer matrices multiply exactly in Python ints.  A float start vector is an
 exact dyadic rational, so it is taken as ints times a power of two.  A log norm
 is read from the top 60 bits of the exact squared norm, and a log operator norm
-from one float SVD of the exact product scaled by a power of two.
+from one float SVD of the exact product scaled by a power of two.  The images of
+one letter are read in 40-digit decimals.
 """
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -31,6 +33,12 @@ def log_int(n):
     return shift * LN2_HI + (math.log(n >> shift) + shift * LN2_LO)
 
 
+def _dyadic(row):
+    """A float row as ints ``v`` and a power of two ``scale``: ``row = v / scale``."""
+    scale = max(Fraction(float(x)).denominator for x in row)
+    return [int(Fraction(float(x)) * scale) for x in row], scale
+
+
 def _times(atom, v):
     return [sum(a * x for a, x in zip(row, v)) for row in atom]
 
@@ -39,14 +47,30 @@ def vector_logs(atoms, word, start, marks):
     """``log |b_k ... b_1 x| - log |x|`` at every step count ``k`` of ``marks``,
     for the letters ``word`` and a float start row ``x``."""
     atoms = integer_atoms(atoms)
-    scale = max(Fraction(float(x)).denominator for x in start)
-    v = [int(Fraction(float(x)) * scale) for x in start]
+    v, _ = _dyadic(start)
     base, out, marks = log_int(sum(x * x for x in v)), [], set(marks)
     for k, letter in enumerate(word, 1):
         v = _times(atoms[letter], v)
         if k in marks:
             out.append((log_int(sum(x * x for x in v)) - base) / 2)
     return np.array(out)
+
+
+def images(atoms, x):
+    """``log |a x|`` and the unit row ``a x / |a x|`` for every atom ``a`` and a float
+    row ``x``, read from the exact image in 40 digits and rounded once to floats.  (The
+    difference of two ``log_int`` values near 40, as in ``vector_logs``, carries errors
+    of up to about ``20 eps`` after one letter, far above ``budget(1, ...)``.)"""
+    v, scale = _dyadic(x)
+    logs, units = [], []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for atom in integer_atoms(atoms):
+            image = _times(atom, v)
+            norm = decimal.Decimal(sum(y * y for y in image)).sqrt()
+            logs.append(float((norm / scale).ln()))
+            units.append([float(decimal.Decimal(y) / norm) for y in image])
+    return np.array(logs), np.array(units)
 
 
 def operator_log_norm(matrix):

@@ -108,6 +108,20 @@ def test_many_row_scan_is_within_budget_of_exact_products_at_every_step(measure,
                SCAN_N)
 
 
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_atom_images_are_within_budget_of_exact_images(measure, rows, request):
+    # one letter: log norms within budget(1, ...), unit rows within a few eps
+    mu = request.getfixturevalue(measure)
+    x_rows = np.array([_start(mu.dim, 0.7 * r) for r in range(rows)])
+    logs, units = walks.atom_images(mu.atoms, x_rows)
+    assert logs.shape == (len(mu.atoms), rows) and units.shape == (len(mu.atoms), rows, mu.dim)
+    for r, x in enumerate(x_rows):
+        want_logs, want_units = exact.images(mu.atoms, x)
+        _check(logs[:, r], want_logs, 1)
+        assert np.abs(units[:, r] - want_units).max() <= 4 * exact.EPS
+
+
 @pytest.mark.parametrize("n", [1, 3, 10**20, 2**64 - 1, 3**1000, 2**3000 + 1])
 def test_log_int_reads_the_top_bits(n):
     with decimal.localcontext() as ctx:

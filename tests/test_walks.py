@@ -766,9 +766,36 @@ def test_walks_refuse_checkpoints_off_the_walk(free_pair, checkpoints, n, messag
                                               rng.TAG_WALK), "start", id="start-dimension"),
     pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.ones((2, 2, 2)), 10, 2,
                                               1, rng.TAG_WALK), "start", id="start-axes"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [2.0, 0.0], 10, 2, 1,
+                                              rng.TAG_WALK), "start", id="start-not-unit"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [0.0, 0.0], 10, 2, 1,
+                                              rng.TAG_WALK), "start", id="start-zero"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [np.nan, 1.0], 10, 2, 1,
+                                              rng.TAG_WALK), "start", id="start-nan"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [[1.0, 0.0], [0.0, 0.5]],
+                                              10, 2, 1, rng.TAG_WALK), "start",
+                 id="starts-one-not-unit"),
     pytest.param(lambda mu: list(walks.chunked_walk(mu.atoms, mu.weights, np.empty((0, 2)), 10,
                                                     1, rng.TAG_WALK)), "starts",
                  id="scan-no-rows"),
+    pytest.param(lambda mu: list(walks.chunked_walk(mu.atoms, mu.weights, np.eye(3)[:1], 10,
+                                                    1, rng.TAG_WALK)), "starts",
+                 id="scan-start-dimension"),
+    pytest.param(lambda mu: list(walks.chunked_walk(mu.atoms, mu.weights, [[3.0, 4.0]], 10,
+                                                    1, rng.TAG_WALK)), "starts",
+                 id="scan-start-not-unit"),
+    pytest.param(lambda mu: walks.trajectory_cocycle(mu.atoms, mu.weights, [0.0, 0.0], 10, 1,
+                                                     rng.TAG_WALK), "start",
+                 id="trajectory-start-zero"),
+    pytest.param(lambda mu: walks.trajectory_cocycle(mu.atoms, mu.weights, [np.inf, 1.0], 10,
+                                                     1, rng.TAG_WALK), "start",
+                 id="trajectory-start-inf"),
+    pytest.param(lambda mu: walks.trajectory_cocycle(mu.atoms, mu.weights, [1.0, 0.0, 0.0], 10,
+                                                     1, rng.TAG_WALK), "start",
+                 id="trajectory-start-dimension"),
+    pytest.param(lambda mu: walks.trajectory_cocycle(mu.atoms, mu.weights, [1.0, 0.0], -1, 1,
+                                                     rng.TAG_WALK), "n_max",
+                 id="trajectory-n-max-negative"),
     pytest.param(lambda mu: mw.checkpoint_sums(mw.DifferenceStream(
         kind="walk_induced", seed=1, measure=mu, start=mw.ProjectivePoint([1.0, 0.0])),
         [4, 8], 0), "starts", id="walk-induced-sums-no-rows")])
@@ -937,20 +964,37 @@ def test_one_row_head_pass_makes_no_numpy_call_per_chunk(free_pair, monkeypatch)
     assert len(calls) < n // chunk // 10
 
 
-def _horner_codes(table, words, marks):
-    """The codes of ``_LetterTable._steps`` built the plain way: whole-array
-    Horner per mark, joined, then transposed to steps x replicas."""
-    parts, pos = [], 0
-    for end in marks:
-        full, rest = divmod(end - pos, table.letters)
-        letters = words[:, pos:end - rest].reshape(len(words), full, table.letters)
-        codes = letters[:, :, -1].astype(np.uint16)
-        for j in range(table.letters - 2, -1, -1):
-            codes *= np.uint16(table.n_atoms)
-            codes += letters[:, :, j]
-        parts += [codes, words[:, end - rest:end] + np.uint16(table.single)]
-        pos = end
-    return np.ascontiguousarray(np.concatenate(parts, axis=1).T)
+def _horner_codes(table, words):
+    """The codes of one piece's ``words`` built the plain way: whole-array Horner
+    of its whole steps, then its single letters, transposed to steps x replicas."""
+    full, rest = divmod(words.shape[1], table.letters)
+    letters = words[:, :full * table.letters].reshape(len(words), full, table.letters)
+    codes = letters[:, :, -1].astype(np.uint16)
+    for j in range(table.letters - 2, -1, -1):
+        codes *= np.uint16(table.n_atoms)
+        codes += letters[:, :, j]
+    singles = words[:, full * table.letters:] + np.uint16(table.single)
+    return np.ascontiguousarray(np.concatenate([codes, singles], axis=1).T)
+
+
+@pytest.mark.parametrize("kind, every", [("vector", 40), ("matrix", 41)])
+def test_a_walk_builds_codes_once_per_piece(free_pair, monkeypatch, kind, every):
+    # 2000 replicas x 4000 letters is one segment, and a piece of 40 or 41 letters one
+    # block of rows: a build per read-out and block of rows would make about 3100 calls
+    calls = []
+    full_codes = walks._LetterTable._full_codes
+    monkeypatch.setattr(walks._LetterTable, "_full_codes", lambda self, letters, out:
+                        calls.append(1) or full_codes(self, letters, out))
+    n, replicas, marks = 4000, 2000, list(range(every, 4001, every))
+    if kind == "vector":
+        walks.vector_walk(free_pair.atoms, free_pair.weights, [1.0, 0.0], n, replicas, 1,
+                          rng.TAG_WALK, checkpoints=marks)
+    else:
+        walks.matrix_walk_log_norms({1: free_pair.atoms}, free_pair.weights, n, replicas, 1,
+                                    rng.TAG_WALK, checkpoints=marks)
+    pieces = sum(len(ends) for _, ends, _ in walks._segments(marks, n, 8))
+    assert pieces == len(marks) + (marks[-1] < n)
+    assert 0 < len(calls) <= pieces
 
 
 def _rotations(n_atoms, growth=0.0):
@@ -975,30 +1019,32 @@ def test_blocked_codes_equal_whole_array_horner(name, block_rows, monkeypatch):
     replicas, n = 7, 3 * letters + 150
     words = np.random.default_rng(2).integers(0, len(atoms), size=(replicas, n)).astype(
         np.uint8 if len(atoms) <= 8 else np.uint16)
-    # marks off the grid of whole steps, one a single letter after the last
-    marks = [1, letters + 1, 2 * letters + 3, n - 1, n]
-    if block_rows is not None:
-        monkeypatch.setattr(walks, "_CODE_LETTERS", block_rows * n)
-    codes, sizes, read = table._steps(words, marks)
-    expected = _horner_codes(table, words, marks)
-    assert codes.dtype == np.uint16 and codes.flags.c_contiguous
-    assert codes.tolist() == expected.tolist()
-    assert len(sizes) == len(read) == len(codes) and sum(read) == len(marks)
-    assert sum(sizes) == n
+    # pieces up to marks off the grid of whole steps, one a single letter after the last
+    marks, total = [1, letters + 1, 2 * letters + 3, n - 1, n], 0
+    for pos, end in zip([0] + marks[:-1], marks):
+        if block_rows is not None:
+            monkeypatch.setattr(walks, "_CODE_LETTERS", block_rows * (end - pos))
+        codes, sizes = table._piece_codes(words[:, pos:end])
+        assert codes.dtype == np.uint16 and codes.flags.c_contiguous
+        assert codes.tolist() == _horner_codes(table, words[:, pos:end]).tolist()
+        full, rest = divmod(end - pos, letters)
+        assert len(sizes) == len(codes) and sizes == [letters] * full + [1] * rest
+        total += sum(sizes)
+    assert total == n
 
 
 def test_tables_of_one_walk_share_one_code_array(free_pair, monkeypatch):
     calls = []
-    steps = walks._LetterTable._steps
-    monkeypatch.setattr(walks._LetterTable, "_steps", lambda self, words, marks:
-                        calls.append(self.letters) or steps(self, words, marks))
+    piece_codes = walks._LetterTable._piece_codes
+    monkeypatch.setattr(walks._LetterTable, "_piece_codes", lambda self, words:
+                        calls.append(self.letters) or piece_codes(self, words))
     atoms = free_pair.atoms
     # same letters per step alone: each table walks as it would alone
     sets = {"id": atoms, "twice": 2.0 * atoms, "wild": atoms * np.exp(20.0)}
     assert [walks._tables([a])[0].letters for a in sets.values()] == [8, 8, 8]
     out = walks.matrix_walk_log_norms(sets, free_pair.weights, 300, 5, 4, rng.TAG_WALK,
                                       checkpoints=[7, 200])
-    assert calls == [8]
+    assert calls == [8] * 3   # one build per piece: up to 7, up to 200 and up to n
     for lab, a in sets.items():
         alone = walks.matrix_walk_log_norms({lab: a}, free_pair.weights, 300, 5, 4,
                                             rng.TAG_WALK, checkpoints=[7, 200])[lab]
@@ -1010,7 +1056,7 @@ def test_tables_of_one_walk_share_one_code_array(free_pair, monkeypatch):
     alone = walks.matrix_walk_log_norms({"id": atoms}, free_pair.weights, 300, 5, 4,
                                         rng.TAG_WALK)["id"]
     assert np.allclose(out["id"], alone, rtol=1e-14, atol=0.0)
-    # the Cartan walk: one code array per segment and block, for both tables
+    # the Cartan walk, read at n alone: one code array per segment and block, for both tables
     calls.clear()
     monkeypatch.setattr(walks, "_SEGMENT", 16)
     monkeypatch.setattr(walks, "BLOCK", 4)
