@@ -18,7 +18,8 @@ table rows of a run of steps and multiplies them onto a state, or the
 identity, rescaling before any step that would take the state past its
 table's interval since its last rescale, and on request keeps every step's
 product.  The step path between read-outs, the chunks of a matrix walk and the
-prefixes of a scan all take it; only the table build multiplies rows apart.
+prefixes of a scan all take it; only the table build and a scan's head pass
+multiply apart from it.
 
 A step's table row is its *code* ``sum_j l_j A^j``.  Codes are built a *piece* at a
 time, the part of a segment up to a read-out or a cut, once for every table of the
@@ -31,13 +32,13 @@ and a single atom has code 0 only.
 
 A single trajectory is read at every step from chunked prefix products: the
 word is cut into chunks of ``rescale_interval`` letters, the running product
-inside every chunk is formed for all chunks at once, one sequential pass
-carries the unit vector from chunk head to chunk head, and one batched
-product gives the cocycle value after every letter (a blocked prefix scan,
-Blelloch, "Prefix sums and their applications", 1990); the prefixes are one
-table walk over the atoms and an identity pad.  For one row the
-head pass runs in Python floats (``_one_row_heads``), in the order of the
-einsums it replaces, and is checked bitwise against the many-row pass.
+inside every chunk is formed for all chunks at once, the unit vectors at the
+chunk heads come from one scan of the chunk products, ``log2 K`` rounds for ``K``
+chunks and any row count (``_chunk_heads``), and one batched product gives the
+cocycle value after every letter (a blocked prefix scan, Blelloch, "Prefix sums
+and their applications", 1990); the prefixes are one table walk over the atoms
+and an identity pad.  A row whose prefixes lose a direction to underflow (a join
+below ``_JOIN_FLOOR``) carries its head from chunk to chunk instead.
 
 States and letter tables are *entry-major*, replicas last: vectors ``(d, N)``,
 matrices ``(d, d, N)``.  Every batched product is then ``d`` entry-wise
@@ -83,7 +84,6 @@ so a value computed alone reads the bytes it reads beside others.
 """
 
 import bisect
-import math
 
 import numpy as np
 
@@ -100,12 +100,11 @@ _GROUP_BYTES = 1 << 21    # bytes of chunk states a group walks at once: 65,536 
 _TABLE_ROWS = 256        # letter-table size bound: codes stay small integers
 _CODE_LETTERS = 1 << 18   # word letters read per block of table codes: 256 kB stays in cache
 _SCAN_PRODUCTS = 1 << 18  # letter-replica products a chunked scan holds at once
-_HEAD_BLOCK = 512         # chunk ends a one-row head pass holds as Python floats at once
 _THREADS = 1
 # below log(DBL_MAX) / 2 ~ 354.9, past which one letter overflows a unit state's squared norm
 MAX_ATOM_GROWTH = 350.0
-# a joined chunk state whose squared norm is below the least normal double 2^-1022 lost the
-# state's direction to underflow, or would read its norm imprecisely: it walks the chunk's steps
+# a joined chunk state or scan prefix whose squared norm is below the least normal double
+# 2^-1022 lost a direction to underflow, or would read its norm imprecisely (module docstring)
 _JOIN_FLOOR = 2.0 ** -511
 # relative: the growth of the matrices a walk steps with (an exterior power, a transpose)
 # rounds apart from the sums of the atom's log singular values that validation reads
@@ -247,8 +246,8 @@ def _operator_norms(state):
     return np.linalg.svd(np.moveaxis(state, -1, 0), compute_uv=False)[:, 0]
 
 
-def _product(left, right, out):
-    """The step kernel: ``left @ right`` for every replica, written to ``out``.
+def _product(left, right, out=None):
+    """The step kernel: ``left @ right`` for every replica, written to ``out`` or a new array.
 
     ``left`` is ``(..., d, d, N)``; ``right`` holds vectors ``(..., d, N)``
     when it has one axis fewer, else matrices ``(..., d, d, N)``.  numpy's own
@@ -503,33 +502,43 @@ def cloud_walk(atoms, weights, starts, n, seed, tag, skip=0):
     return finals
 
 
-def _one_row_heads(ends, heads):
-    """Fill ``heads`` ``(d, k + 1)``, whose column 0 holds a unit row, with the
-    unit rows at the chunk heads of one walk, in Python floats.
+def _unit_joins(left, right):
+    """``left @ right`` per column on contiguous operands, a lone column beside a copy of
+    itself, each divided by its norm unless that is below ``_JOIN_FLOOR``: such a column
+    lost a direction to underflow.  Returns the joins and which columns are lost."""
+    width = right.shape[-1]
+    joined = _product(*(_paired(np.ascontiguousarray(x), -1) for x in (left, right)))
+    norms = _norms(joined)
+    lost = norms < _JOIN_FLOOR
+    joined /= np.where(lost, 1.0, norms)
+    return joined[..., :width], lost[:width]
 
-    ``ends`` ``(d, d, k)`` holds the products of chunks ``0, ..., k - 1``.
-    Each ``P h`` adds ``p[i][j] * h[j]`` to 0.0 in ``j`` order and each norm
-    the squares in order, as the einsums of ``_product`` and ``_norms`` do, so
-    the bytes equal those of the many-row pass, at a fraction of a numpy call
-    per chunk.  Chunks are read, and heads written, a block at a time.
-    """
-    head = heads[:, 0].tolist()
-    for lo in range(0, ends.shape[-1], _HEAD_BLOCK):
-        block = []
-        for p in np.moveaxis(ends[..., lo:lo + _HEAD_BLOCK], -1, 0).tolist():
-            moved = []
-            for row in p:
-                acc = 0.0
-                for a, b in zip(row, head):
-                    acc += a * b
-                moved.append(acc)
-            square = 0.0
-            for x in moved:
-                square += x * x
-            norm = math.sqrt(square)
-            head = [x / norm for x in moved]
-            block.append(head)
-        heads[:, lo + 1:lo + 1 + len(block)] = np.array(block).T
+
+def _chunk_heads(ends, starts):
+    """The unit rows ``(d, K rows)`` at the chunk heads of a scan, chunk ``k`` of row ``r`` in
+    column ``k rows + r``, from the unit rows ``starts`` ``(d, rows)`` at the first heads and
+    the products ``ends`` ``(d, d, (K - 1) rows)`` of chunks ``0, ..., K - 2``: an inclusive
+    scan in ``ceil(log2 (K - 1))`` rounds (Hillis and Steele, "Data parallel algorithms",
+    CACM 29, 1986), each multiplying every prefix by the one ``rows 2^s`` columns before it,
+    then one product of every prefix onto its row's start, each join normalised
+    (``_unit_joins``).  A row with a lost join carries its head from chunk to chunk instead."""
+    rows, width = starts.shape[1], ends.shape[-1]
+    if not width:
+        return np.ascontiguousarray(starts)
+    scan = _paired(np.ascontiguousarray(ends), -1)
+    scan = (scan / _norms(scan))[..., :width]
+    lost, offset = np.zeros(width, dtype=bool), rows
+    while offset < width:
+        scan[..., offset:], gone = _unit_joins(scan[..., offset:], scan[..., :width - offset])
+        lost[offset:] = lost[offset:] | lost[:width - offset] | gone
+        offset *= 2
+    moved, moved_lost = _unit_joins(scan, np.tile(starts, width // rows))
+    heads = np.concatenate([starts, moved], axis=1)
+    redo = np.flatnonzero((lost | moved_lost).reshape(-1, rows).any(axis=0))
+    if redo.size:
+        for k in range(0, width, rows):
+            heads[:, k + rows + redo] = _unit_joins(ends[..., k + redo], heads[:, k + redo])[0]
+    return heads
 
 
 def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=True):
@@ -569,18 +578,8 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
         # prefix products inside every chunk, all chunks at once
         prods = np.empty((chunk, d, d, codes.shape[1]))
         table.advance(codes, None, np.zeros(codes.shape[1]), prefixes=prods)
-        # the unit vector at every chunk head, one chunk at a time
-        heads = np.empty((d, heads_per_row, rows))
-        heads[:, 0] = u.T
-        if rows == 1:
-            _one_row_heads(prods[-1, ..., :heads_per_row - 1], heads[..., 0])
-        else:
-            for k in range(1, heads_per_row):
-                head = _product(prods[-1, ..., (k - 1) * rows:k * rows], heads[:, k - 1],
-                                heads[:, k])
-                head /= _norms(head)
-        vecs = _product(prods, _paired(heads.reshape(1, d, count), 2),
-                        np.empty((chunk, d, prods.shape[-1])))
+        heads = _chunk_heads(prods[-1, ..., :count - rows], u.T)
+        vecs = _product(prods, _paired(heads[None], 2))
         norms = np.sqrt(np.einsum("cin,cin->cn", vecs, vecs))
         vecs, norms = vecs[..., :count], norms[:, :count]
         logs = np.log(norms).reshape(chunk, heads_per_row, rows)

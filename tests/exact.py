@@ -2,8 +2,9 @@
 
 Integer matrices multiply exactly in Python ints.  A float start vector is an
 exact dyadic rational, so it is taken as ints times a power of two.  A log norm
-is read from the top 60 bits of the exact squared norm, and a log operator norm
-from one float SVD of the exact product scaled by a power of two.  The images of
+is read from the correctly rounded quotient of the exact squared norms at the mark
+and at the start, a rounding or two of the value; a log operator norm is read from
+one float SVD of the exact product scaled by a power of two.  The images of
 one letter are read in 40-digit decimals.
 """
 
@@ -27,10 +28,20 @@ def integer_atoms(atoms):
     return [[[int(x) for x in row] for row in atom] for atom in atoms]
 
 
+def log_ratio(a, b):
+    """``log(a / b)`` of two positive ints, from Python's correctly rounded quotient; when
+    the quotient leaves the range of normal doubles, from that of ``a`` and ``b`` shifted
+    to a quotient near 1, plus the shift times ``log 2``."""
+    shift = a.bit_length() - b.bit_length()
+    if abs(shift) < 1000:
+        return math.log(a / b)
+    a, b = (a, b << shift) if shift > 0 else (a << -shift, b)
+    return shift * LN2_HI + (math.log(a / b) + shift * LN2_LO)
+
+
 def log_int(n):
-    """``log n`` of a positive int, from its top 60 bits."""
-    shift = max(0, n.bit_length() - 60)
-    return shift * LN2_HI + (math.log(n >> shift) + shift * LN2_LO)
+    """``log n`` of a positive int."""
+    return log_ratio(n, 1)
 
 
 def _dyadic(row):
@@ -48,19 +59,17 @@ def vector_logs(atoms, word, start, marks):
     for the letters ``word`` and a float start row ``x``."""
     atoms = integer_atoms(atoms)
     v, _ = _dyadic(start)
-    base, out, marks = log_int(sum(x * x for x in v)), [], set(marks)
+    base, out, marks = sum(x * x for x in v), [], set(marks)
     for k, letter in enumerate(word, 1):
         v = _times(atoms[letter], v)
         if k in marks:
-            out.append((log_int(sum(x * x for x in v)) - base) / 2)
+            out.append(log_ratio(sum(x * x for x in v), base) / 2)
     return np.array(out)
 
 
 def images(atoms, x):
     """``log |a x|`` and the unit row ``a x / |a x|`` for every atom ``a`` and a float
-    row ``x``, read from the exact image in 40 digits and rounded once to floats.  (The
-    difference of two ``log_int`` values near 40, as in ``vector_logs``, carries errors
-    of up to about ``20 eps`` after one letter, far above ``budget(1, ...)``.)"""
+    row ``x``, read from the exact image in 40 digits and rounded once to floats."""
     v, scale = _dyadic(x)
     logs, units = [], []
     with decimal.localcontext() as ctx:

@@ -127,3 +127,24 @@ def test_log_int_reads_the_top_bits(n):
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         assert exact.log_int(n) == pytest.approx(float(decimal.Decimal(n).ln()), rel=exact.EPS)
+
+
+@pytest.mark.parametrize("a, b", [(3**1000 + 3**990, 3**1000), (10**20, 7), (2**3000, 3),
+                                  (3, 2**3000), (2**1100 + 1, 2**1100)])
+def test_log_ratio_reads_the_rounded_quotient(a, b):
+    # a quotient near 1 of two huge ints, in range and out of it both ways
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        want = float((decimal.Decimal(a) / decimal.Decimal(b)).ln())
+    assert abs(exact.log_ratio(a, b) - want) <= exact.EPS * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
+def test_one_letter_oracle_is_within_budget_of_the_exact_images(measure, request):
+    # the walk oracle after one letter agrees with the 40-digit images to budget(1, ...)
+    mu = request.getfixturevalue(measure)
+    for shift in np.linspace(0.0, 3.0, 10):
+        x = _start(mu.dim, shift)
+        want, _ = exact.images(mu.atoms, x)
+        got = [exact.vector_logs(mu.atoms, [a], x, [1])[0] for a in range(len(mu.atoms))]
+        _check(np.array(got), want, 1)

@@ -10,8 +10,9 @@ step), a long ``sample_word`` and a cloud walk with ``skip``.
 Artifact bytes are a function of (config, seed) on one machine class: psi
 pairs through BLAS gemm, and ``np.log`` dispatches on the CPU's SIMD
 extensions.  So the manifest records a runtime fingerprint (the numpy
-version, the SIMD extensions numpy finds, the BLAS build), and the test
-skips where the fingerprint differs.
+version, the SIMD extensions numpy finds, the BLAS build and the core whose
+kernels the bundled OpenBLAS runs, which ``OPENBLAS_CORETYPE`` overrides), and
+the test skips where the fingerprint differs.
 
 A change that moves artifact bytes regenerates the manifest, from the
 repository root, with
@@ -21,6 +22,7 @@ repository root, with
 and the diff of ``tests/golden_manifest.json`` names every artifact that
 moved.
 """
+import ctypes
 import hashlib
 import json
 import tempfile
@@ -40,16 +42,33 @@ TRAJECTORY_LETTERS = 270_000   # past the first 2^18-letter segment of a one-row
 CHUNKED_LETTERS, CHUNKED_MARKS = 3172, [1, 2099, 3172]
 
 
+def blas_core():
+    """The core whose kernels numpy's bundled OpenBLAS runs, from its
+    ``scipy_openblas_get_corename64_``; ``None`` where no bundled library exports it."""
+    root = Path(np.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def fingerprint():
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 has no dict form
         return {"numpy": np.__version__}
     blas = config["Build Dependencies"]["blas"]
+    build = [blas.get(key) for key in ("name", "version", "openblas configuration")]
     return {
         "numpy": np.__version__,
         "simd_found": config["SIMD Extensions"]["found"],
-        "blas": [blas.get(key) for key in ("name", "version", "openblas configuration")],
+        "blas": build,
+        "blas_core": blas_core() or build[-1],
     }
 
 

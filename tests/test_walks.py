@@ -419,6 +419,28 @@ def test_underflowed_direction_reads_the_true_log_norm():
     assert np.allclose(logs, np.abs(k) * np.log(1e6), rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a scaled vector state or chunk product that loses its small "
+                          "direction to underflow reads a wrong value; no guard catches it yet")
+def test_underflowed_direction_reads_the_true_cocycle_from_a_generic_start():
+    # P_n x = (e^S x_1, e^-S x_2), S the signed letter count times log 1e6, so
+    # log |P_n x| = logaddexp(2 S + 2 log |x_1|, -2 S + 2 log |x_2|) / 2, within the
+    # README's budget n eps max(1, max |value|)
+    big = np.diag([1e6, 1e-6])
+    atoms = np.array([big, np.linalg.inv(big)])
+    weights, start = np.array([0.5, 0.5]), np.array([0.6, 0.8])
+    n, replicas, seed = 20_001, 5, 8
+    words = rng.replica_words(seed, rng.TAG_WALK, replicas, n, weights)
+    signed = np.cumsum(np.where(words == 0, 1, -1), axis=1) * np.log(1e6)
+    want = np.logaddexp(2 * signed + 2 * np.log(start[0]), -2 * signed + 2 * np.log(start[1])) / 2
+    values, _ = walks.vector_walk(atoms, weights, start, n, replicas, seed, rng.TAG_WALK)
+    trajectories = np.array([walks.trajectory_cocycle(atoms, weights, start, n, seed,
+                                                      rng.TAG_WALK, stream_index=r)
+                             for r in range(replicas)])
+    errors = [np.abs(values - want[:, -1]).max(), np.abs(trajectories - want).max()]
+    assert max(errors) <= n * np.finfo(float).eps * max(1.0, np.abs(want).max()), errors
+
+
 def _exact_top_singular_value(s):
     """Top singular value of a 2 x 2 float matrix, in 60-digit decimals."""
     with decimal.localcontext(decimal.Context(prec=60)):
@@ -924,10 +946,10 @@ _HEAD_PASS_CASES = [pytest.param(mu, 10, 37, id=mu) for mu in ("free_pair", "sl3
 
 @pytest.mark.parametrize("measure, chunks, tail", _HEAD_PASS_CASES)
 def test_one_row_head_pass_matches_the_many_row_pass(measure, chunks, tail, request, monkeypatch):
-    # one row carries its chunk heads in Python floats, many rows through
-    # _product and _norms, in the same order: row 0 of a two-row scan from the
-    # same unit row twice must give the one-row scan's bytes.  The scan bound
-    # grows with the rows, so both cut the time axis at the same segments.
+    # one head pass serves every row count, its joins paired when one column wide: row 0
+    # of a two-row and of a three-row scan (an odd interleave) from the same unit row
+    # must give the one-row scan's bytes.  The scan bound grows with the rows, so all
+    # cut the time axis at the same segments.
     mu = request.getfixturevalue(measure)
     chunk = walks.rescale_interval(mu.atoms)
     n, first = chunks * chunk + tail, 5
@@ -944,24 +966,52 @@ def test_one_row_head_pass_matches_the_many_row_pass(measure, chunks, tail, requ
 
     for seed in [41, *range(12)]:
         one_values, one_units = scan(1, seed)
-        two_values, two_units = scan(2, seed)
-        assert one_values.tobytes() == two_values[:1].tobytes(), seed
-        assert one_units.tobytes() == two_units[:1].tobytes(), seed
+        for rows in (2, 3):
+            many_values, many_units = scan(rows, seed)
+            assert one_values.tobytes() == many_values[:1].tobytes(), (rows, seed)
+            assert one_units.tobytes() == many_units[:1].tobytes(), (rows, seed)
 
 
 def test_one_row_head_pass_makes_no_numpy_call_per_chunk(free_pair, monkeypatch):
-    # per segment a one-row scan forms chunk - 1 prefix products and one
-    # read-out product; a numpy head pass would add one product per chunk
+    # per segment of K chunks a one-row scan forms chunk - 1 prefix products, ceil(log2 K)
+    # rounds of the head scan, one product of the prefixes onto the start and one read-out
+    # product; a sequential head pass would add one product per chunk
     calls = []
     product = walks._product
     monkeypatch.setattr(walks, "_product", lambda *a: calls.append(1) or product(*a))
     n = 200_000
     chunk = walks.rescale_interval(free_pair.atoms)
-    segments = -(-n // (walks._SCAN_PRODUCTS // chunk * chunk))
+    segment = walks._SCAN_PRODUCTS // chunk * chunk
+    segments, chunks = -(-n // segment), -(-min(n, segment) // chunk)
     walks.trajectory_cocycle(free_pair.atoms, free_pair.weights, [1.0, 0.0], n, 7,
                              rng.TAG_WALK)
-    assert 0 < len(calls) <= segments * chunk
+    assert 0 < len(calls) <= segments * (chunk + (chunks - 1).bit_length() + 1)
     assert len(calls) < n // chunk // 10
+
+
+@pytest.mark.parametrize("seed", [8, 9, 10])
+def test_head_scan_falls_back_where_a_prefix_loses_a_direction(seed, monkeypatch):
+    # on the reducible pair diag(1e6, 1e-6) and its inverse, normalised prefixes that kept
+    # opposite axes join to an exact zero, so every row carries its heads from chunk to
+    # chunk: after the one join of all prefixes onto the starts, one join onto vectors a
+    # chunk.  Every value is finite, nothing divides by zero (a RuntimeWarning is an error
+    # here), and each row of a three-row scan reads the bytes of its trajectory alone.
+    big = np.diag([1e6, 1e-6])
+    atoms, n = np.array([big, np.linalg.inv(big)]), 20_001
+    joined = -(-n // walks.rescale_interval(atoms)) - 1    # chunks whose product is a prefix
+    widths, joins = [], walks._unit_joins
+    monkeypatch.setattr(walks, "_unit_joins", lambda left, right: (
+        right.ndim == 2 and widths.append(right.shape[-1])) or joins(left, right))
+    three = np.concatenate([v for _, v, _ in walks.chunked_walk(
+        atoms, [0.5, 0.5], np.tile([0.6, 0.8], (3, 1)), n, seed, rng.TAG_WALK, units=False)],
+        axis=1)
+    assert widths == [3 * joined] + [3] * joined and np.isfinite(three).all()
+    for r in range(3):
+        widths.clear()
+        alone = walks.trajectory_cocycle(atoms, [0.5, 0.5], [0.6, 0.8], n, seed, rng.TAG_WALK,
+                                         stream_index=r)
+        assert widths == [joined] + [1] * joined
+        assert alone.tobytes() == three[r].tobytes(), r
 
 
 def _horner_codes(table, words):
