@@ -223,10 +223,13 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
     word_len`` over the cloud ``nu``, where ``w`` runs over words of the given
     length.  For ``word_len = 1`` the group average is the exact finite sum
     over the atoms; longer words are sampled, one per particle, from streams
-    derived from ``seed``.  Requires the corrector from the dual cloud.
+    derived from ``seed``.  Requires the corrector from the dual cloud and a
+    primal cloud ``nu``.
     """
     if word_len < 1:
         raise ValueError("word length must be >= 1")
+    if nu.dual:
+        raise TypeError("corrector variance averages over a primal cloud")
     x_rows = nu.reps
     if word_len == 1:  # every atom, with its weight
         sigma, images = walks.atom_images(mu.atoms, x_rows)

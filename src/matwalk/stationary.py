@@ -41,8 +41,8 @@ DEFAULT_PARTICLES = 100_000
 # one irrational lattice step sqrt(prime) per coordinate of the start cloud
 _START_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_START_DIMENSION = len(_START_PRIMES)
-_EVAL_CHUNK = 2048
-# rows per pairing tile inside a block: a tile against 2048 particles is 1 MB
+_EVAL_CHUNK = 2048   # particles per cloud block: a row adds up its blocks in cloud order
+# rows per pairing tile, psi's unit of work: a tile against a cloud block is 1 MB
 _EVAL_ROWS = 64
 # a cloud block is paired in whole groups of 8 particles, padded with copies of its first
 # ones: numpy's bundled OpenBLAS (x86-64 Xeon) rounds a pairing by its row's place in the
@@ -87,6 +87,8 @@ class EmpiricalMeasure:
             raise ValueError("cloud needs at least one particle")
         if not np.all(np.isfinite(reps)):
             raise ValueError("particle coordinates must be finite")
+        if not walks._unit(reps):
+            raise ValueError("particles must be unit rows")
         if weights.shape != (reps.shape[0],) or not np.all(weights > 0.0):
             raise ValueError("one positive weight per particle required")
         if abs(float(weights.sum()) - 1.0) > 1e-10:
@@ -218,30 +220,37 @@ def _pairings(reps, x_rows, out=None):
     return out, least
 
 
-def _whole_groups(count):
-    """``count`` particles rounded up to whole groups of ``_PARTICLE_GROUP``."""
-    return -(-count // _PARTICLE_GROUP) * _PARTICLE_GROUP
+def _whole_groups(reps):
+    """Cloud rows ``reps`` padded to whole groups of ``_PARTICLE_GROUP`` with copies of the first."""
+    return np.resize(reps, (-(-len(reps) // _PARTICLE_GROUP) * _PARTICLE_GROUP, reps.shape[1]))
+
+
+def _check_lines(xs):
+    """Raise ``TypeError`` unless every point of ``xs`` lies in projective space, not its dual."""
+    if not all(isinstance(x, ProjectivePoint) and not isinstance(x, DualProjectivePoint)
+               for x in xs):
+        raise TypeError("corrector is evaluated at points of projective space")
 
 
 def psi_eval(psi, x):
     """Exact finite sum ``sum_j w_j log delta(x, y_j)``; always <= 0."""
-    if not isinstance(x, ProjectivePoint) or isinstance(x, DualProjectivePoint):
-        raise TypeError("corrector is evaluated at points of projective space")
+    _check_lines([x])
     return float(psi_eval_many(psi, x.rep[None, :])[0])
 
 
 def psi_eval_many(psi, x_rows):
     """Vectorized corrector evaluation at many unit rows.
 
-    Blocked over both the evaluation points and the cloud, 2048 of each.
-    Blocks are spread over the walk threads and every row adds up its cloud
-    blocks in cloud order, so the values do not depend on the thread count.
-    A block is worked in tiles of 64 rows, in row order, so a worker thread
-    holds one 1 MB pairing buffer whatever the cloud size; a one-row tile is
-    paired beside a copy of itself (the rule for a batch of one in ``walks``),
-    and a cloud block is padded to whole groups of ``_PARTICLE_GROUP`` particles
-    with copies of its first ones, whose columns are dropped before the log, so
-    a row alone reads the value it reads in a batch (README: a BLAS limit).
+    The rows are cut into tiles of 64, the one unit of work: the tiles are
+    spread over the walk threads, and each pairs its rows with every cloud
+    block of 2048 particles in cloud order, adding up the blocks' weighted
+    sums as it goes, so the values do not depend on the thread count and a
+    worker thread holds one 1 MB pairing buffer whatever the cloud size. A
+    one-row tile is paired beside a copy of itself (the rule for a batch of
+    one in ``walks``), and every cloud block is padded once, before any tile,
+    to whole groups of ``_PARTICLE_GROUP`` particles with copies of its first
+    ones, whose columns are dropped before the log, so a row alone reads the
+    value it reads in a batch (README: a BLAS limit).
     """
     cloud = psi.dual_cloud
     x_rows = np.asarray(x_rows, dtype=float)
@@ -250,22 +259,22 @@ def psi_eval_many(psi, x_rows):
                          f"got {x_rows.shape}")
     if not np.all(np.isfinite(x_rows)):
         raise ValueError("evaluation rows must be finite")
+    if not walks._unit(x_rows):
+        raise ValueError("evaluation rows must be unit rows")
+    blocks = [(clo, _whole_groups(cloud.reps[clo:clo + _EVAL_CHUNK]),
+               cloud.weights[clo:clo + _EVAL_CHUNK]) for clo in range(0, cloud.size, _EVAL_CHUNK)]
     per_thread = threading.local()   # one pairing buffer per worker thread
 
-    def block_sum(lo, clo):
-        reps, hi = cloud.reps[clo:clo + _EVAL_CHUNK], min(lo + _EVAL_CHUNK, len(x_rows))
-        count = len(reps)
-        if count % _PARTICLE_GROUP:
-            reps = np.resize(reps, (_whole_groups(count), cloud.dim))   # copies of its first rows
+    def tile_sum(a):
+        rows = x_rows[a:a + _EVAL_ROWS]
+        tile = walks._paired(rows, 0)
         if not hasattr(per_thread, "buf"):
-            per_thread.buf = np.empty(min(max(len(x_rows), 2), _EVAL_ROWS)
-                                      * _whole_groups(min(cloud.size, _EVAL_CHUNK)))
-        out = np.empty(hi - lo + 1)   # a lone last row's copy lands in the spare slot
-        for a in range(lo, hi, _EVAL_ROWS):
-            tile = walks._paired(x_rows[a:min(a + _EVAL_ROWS, hi)], 0)
+            per_thread.buf = np.empty(min(max(len(x_rows), 2), _EVAL_ROWS) * len(blocks[0][1]))
+        total = np.zeros(len(tile))
+        for clo, reps, weights in blocks:
             padded = per_thread.buf[:len(tile) * len(reps)].reshape(len(tile), len(reps))
             least = _pairings(reps, tile, out=padded)[1]
-            vals = padded[:, :count]   # the copies' columns are dropped before the log
+            vals = padded[:, :len(weights)]   # the copies' columns are dropped before the log
             if least <= DELTA_FLOOR:
                 i, j = np.argwhere(vals <= DELTA_FLOOR)[0]
                 raise SingularEvaluationError(
@@ -274,19 +283,12 @@ def psi_eval_many(psi, x_rows):
                 )
             np.log(vals, out=vals)
             # einsum, not BLAS: weighted sums over the cloud do not depend on BLAS threads
-            np.einsum("ij,j->i", vals, cloud.weights[clo:clo + _EVAL_CHUNK],
-                      out=out[a - lo:a - lo + len(tile)])
-        return out[:-1]
+            total += np.einsum("ij,j->i", vals, weights)
+        return total[:len(rows)]
 
     # serial or threaded, _run_blocks raises the first failure in task order
-    cloud_blocks = range(0, cloud.size, _EVAL_CHUNK)
-    row_blocks = range(0, len(x_rows), _EVAL_CHUNK)
-    parts = walks._run_blocks(block_sum, [(lo, clo) for lo in row_blocks for clo in cloud_blocks])
-    out = np.zeros(len(x_rows))
-    for i, lo in enumerate(row_blocks):
-        block = parts[i * len(cloud_blocks):(i + 1) * len(cloud_blocks)]
-        out[lo:lo + len(block[0])] = sum(block, np.zeros(len(block[0])))
-    return out
+    tiles = walks._run_blocks(tile_sum, [(a,) for a in range(0, len(x_rows), _EVAL_ROWS)])
+    return np.concatenate([np.zeros(0)] + tiles)
 
 
 def markov_apply(mu, f, x):
@@ -308,6 +310,7 @@ def cohomological_residual(mu, psi, lambda1, xs):
     With the exact stationary dual measure this vanishes identically; with an
     empirical cloud it shrinks as the cloud grows.
     """
+    _check_lines(xs)
     x_rows = np.stack([x.rep for x in xs])
     log_norms, images = walks.atom_images(mu.atoms, x_rows)
     points = np.concatenate([x_rows[None], images])   # x, then every a x

@@ -113,7 +113,7 @@ UNIT_ROUNDING = 1e-9   # a start row's norm may differ from 1 by this much
 
 
 def set_thread_count(k):
-    """Worker threads for matrix-walk and psi blocks; affects wall time only."""
+    """Worker threads for matrix-walk blocks and psi tiles; affects wall time only."""
     global _THREADS
     _THREADS = max(1, int(k))
 

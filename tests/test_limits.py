@@ -167,6 +167,12 @@ def test_variance_via_corrector_rejects_short_words(free_pair, word_len):
         mw.variance_via_corrector(free_pair, psi, 0.0, nu, word_len=word_len)
 
 
+def test_variance_via_corrector_refuses_a_dual_cloud(free_pair):
+    dual = mw.estimate_dual_stationary(free_pair, burn_in=5, particles=20, seed=2)
+    with pytest.raises(TypeError, match="primal cloud"):
+        mw.variance_via_corrector(free_pair, mw.PsiFunction(dual), 0.396, dual)
+
+
 def test_variance_deterministic_walk_is_zero():
     mu = mw.GeneratorMeasure.from_atoms([np.diag([2.0, 0.5])])
     rep = mw.clt_experiment(mu, n=100, samples=64, seed=12, lambda1=np.log(2.0))

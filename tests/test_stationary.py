@@ -281,6 +281,7 @@ def test_psi_eval_many_tiles_are_byte_invisible(dim, particles, sets):
     (np.array([[0.6, 0.8, 0.0]]), "shape"),
     (np.array([[0.6, 0.8], [np.nan, 1.0]]), "finite"),
     (np.array([[np.inf, 0.0]]), "finite"),
+    (np.array([[2.0, 0.0]]), "unit"),
 ])
 def test_psi_eval_many_rejects_malformed_rows(x_rows, message):
     psi = mw.PsiFunction(uniform_circle_cloud(5, dual=True))
@@ -297,6 +298,14 @@ def test_psi_eval_many_rejects_malformed_rows(x_rows, message):
 def test_empirical_measure_rejects_non_finite_entries(reps, weights):
     with pytest.raises(ValueError):
         mw.EmpiricalMeasure(reps=np.array(reps), weights=np.array(weights), dual=True)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_empirical_measure_rejects_particles_off_the_unit_sphere(dual):
+    # [3, 0] is the line of [1, 0], but log delta would read log 3 > 0 on it
+    with pytest.raises(ValueError, match="unit"):
+        mw.EmpiricalMeasure(reps=np.array([[3.0, 0.0], [0.0, 1.0]]),
+                            weights=np.array([0.5, 0.5]), dual=dual)
 
 
 def test_psi_eval_many_working_memory_is_bounded():
@@ -380,17 +389,48 @@ def _first_singular(row_on_atom_4500, row_on_atom_10):
 
 
 def test_psi_singular_pairing_reported_in_scan_order():
-    # row 700 meets cloud atom 4500 and row 2500 meets atom 10: the first
-    # 2048-row block is scanned over the whole cloud before the second
+    # row 700 meets cloud atom 4500 and row 2500 meets atom 10: the tile of
+    # row 700 is scanned over the whole cloud before the tile of row 2500
     one, two = _first_singular(700, 2500)
     assert one == two == (4500, "evaluation point 700 is orthogonal to cloud atom 4500")
 
 
 def test_psi_singular_pairing_scan_order_inside_one_block():
-    # rows 100 and 700 share a 2048-row block: its first cloud block (atom 10)
-    # is scanned over all its rows before its third (atom 4500), tiles or not
+    # rows 100 and 700 lie in tiles 1 and 10 of 64 rows: the tile of row 100
+    # is scanned over the whole cloud, up to its third block (atom 4500),
+    # before the tile of row 700 meets the first block (atom 10)
     one, two = _first_singular(100, 700)
-    assert one == two == (10, "evaluation point 700 is orthogonal to cloud atom 10")
+    assert one == two == (4500, "evaluation point 100 is orthogonal to cloud atom 4500")
+
+
+def test_psi_singular_pairing_first_cloud_block_wins_inside_one_tile():
+    # rows 70 and 100 share the tile of rows 64-127: its first cloud block
+    # (atom 10) is scanned before its third (atom 4500)
+    one, two = _first_singular(70, 100)
+    assert one == two == (10, "evaluation point 100 is orthogonal to cloud atom 10")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_psi_eval_many_of_no_rows_is_empty(dim):
+    cloud = mw.EmpiricalMeasure(reps=np.eye(dim)[:1], weights=np.array([1.0]), dual=True)
+    for values in _thread_runs(lambda: psi_eval_many(mw.PsiFunction(cloud), np.empty((0, dim)))):
+        assert values.dtype == float and values.shape == (0,)
+
+
+def test_psi_eval_many_runs_one_task_per_tile(monkeypatch):
+    # 130 rows against a cloud of one block: tiles of 64, 64 and 2 rows
+    tasks = []
+    run_blocks = walks._run_blocks
+
+    def counted(fn, blocks):
+        tasks.extend(blocks)
+        return run_blocks(fn, blocks)
+
+    monkeypatch.setattr(walks, "_run_blocks", counted)
+    psi = mw.PsiFunction(uniform_circle_cloud(300, dual=True))
+    x = _unit_rows(np.random.default_rng(4), 130, 2)
+    assert psi_eval_many(psi, x).shape == (130,)
+    assert len(tasks) == 3 == -(-len(x) // _EVAL_ROWS)
 
 
 def _tile(kind):
@@ -514,6 +554,13 @@ def test_residual_matches_its_pointwise_definition(d, n_atoms):
     want = [mw.drift(mu, x) - mw.psi_eval(psi, x) + mw.markov_apply(mu, psi, x) - 0.3
             for x in xs]
     assert np.abs(res - want).max() <= 1e-12
+
+
+def test_residual_refuses_dual_points(free_pair):
+    psi = mw.PsiFunction(uniform_circle_cloud(50, dual=True))
+    xs = [mw.ProjectivePoint([0.6, 0.8]), mw.DualProjectivePoint([1.0, 0.0])]
+    with pytest.raises(TypeError, match="projective space"):
+        mw.cohomological_residual(free_pair, psi, 0.4, xs)
 
 
 def test_residual_is_affine_in_the_rate(free_pair):
