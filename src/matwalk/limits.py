@@ -22,7 +22,7 @@ from .cocycles import ensure_unimodular
 from .errors import DimensionError
 from .linalg import ProjectivePoint, exterior_power
 from .measures import GeneratorMeasure
-from .stationary import psi_eval_many
+from .stationary import _check_psi, psi_eval_many
 from .stats import (
     covariance_fit,
     gaussian_cdf,
@@ -224,12 +224,15 @@ def variance_via_corrector(mu, psi, lambda1, nu, word_len=1, seed=0):
     length.  For ``word_len = 1`` the group average is the exact finite sum
     over the atoms; longer words are sampled, one per particle, from streams
     derived from ``seed``.  Requires the corrector from the dual cloud and a
-    primal cloud ``nu``.
+    primal cloud ``nu``, both of the dimension of ``mu`` (``ValueError`` else).
     """
     if word_len < 1:
         raise ValueError("word length must be >= 1")
     if nu.dual:
         raise TypeError("corrector variance averages over a primal cloud")
+    if nu.dim != mu.dim:
+        raise ValueError(f"nu has dimension {nu.dim}, the measure {mu.dim}")
+    _check_psi(psi, mu.dim)
     x_rows = nu.reps
     if word_len == 1:  # every atom, with its weight
         sigma, images = walks.atom_images(mu.atoms, x_rows)

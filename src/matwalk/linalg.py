@@ -22,6 +22,7 @@ from .errors import DegenerateGapError, DimensionError, SingularMatrixError
 SINGULAR_TOL = 1e-12   # relative: smallest singular value vs operator norm
 GAP_TOL = 1e-9         # first_gap above 1 - GAP_TOL means no density point
 CANONICAL_ZERO = 1e-12  # coordinate threshold for the canonical sign rule
+UNIT_ROUNDING = 1e-9   # a unit row's norm may differ from 1 by this much
 _MINOR_ENTRIES = 1 << 24  # gathered minor entries per determinant call (128 MB), or one matrix's
 
 
@@ -47,6 +48,18 @@ def check_group_element(g):
             f"matrix is numerically singular (sigma_min/sigma_max = {ratio:.3e})"
         )
     return g
+
+
+def check_unit_rows(rows, dim, what, count=None):
+    """A stack of points as a float64 ``(N, dim)`` array, ``N == count`` when given: one
+    ``ValueError`` naming ``what`` unless every row has norm 1 within ``UNIT_ROUNDING``,
+    which a non-finite entry has not (walk and scan starts, cloud particles, psi rows)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != dim or count not in (None, len(rows)) or not (
+            abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_ROUNDING).all():
+        raise ValueError(f"{what} must be finite unit rows of shape "
+                         f"({'N' if count is None else count}, {dim}), got shape {rows.shape}")
+    return rows
 
 
 def _canonical_signs(rows):

@@ -323,29 +323,22 @@ def brown_triangular_check(spec):
     covariance ``phi``.
     """
     ns = np.asarray(spec.row_sizes, dtype=int)
+    # replica r reads draw 0 of stream r; the zero array reads none
+    u = None if spec.kind == "zero" else rng.replica_uniforms(
+        spec.seed, rng.TAG_MARTINGALE, spec.replicas, 1)[:, 0]
     if spec.kind == "iid_gaussian":
-        w = np.ones(len(ns))
+        w, phi = np.ones(len(ns)), 1.0
         lind = np.array([
             n * _gaussian_truncated_second_moment(1.0 / n, spec.eps) for n in ns
         ])
-        phi = 1.0
-    elif spec.kind == "zero":
-        w = np.zeros(len(ns))
-        lind = np.zeros(len(ns))
-        phi = 0.0
-    else:  # single_spike
-        w = np.ones(len(ns))
-        lind = np.where(spec.eps <= 1.0, 1.0, 0.0) * np.ones(len(ns))
-        phi = 1.0
-
-    # replica r reads draw 0 of stream r; the last-stage row sum of the
-    # Gaussian array is exactly N(0, 1), so one quantile gives it
-    u = rng.replica_uniforms(spec.seed, rng.TAG_MARTINGALE, spec.replicas, 1)[:, 0]
-    if spec.kind == "iid_gaussian":
+        # the last-stage row sum is exactly N(0, 1), so one quantile gives it
         samples = ndtri(np.maximum(u, 2.0**-53))   # u = 0 has no quantile
     elif spec.kind == "zero":
+        w, lind, phi = np.zeros(len(ns)), np.zeros(len(ns)), 0.0
         samples = np.zeros(spec.replicas)
-    else:
+    else:  # single_spike
+        w, phi = np.ones(len(ns)), 1.0
+        lind = np.where(spec.eps <= 1.0, 1.0, 0.0) * np.ones(len(ns))
         samples = np.where(u < 0.5, -1.0, 1.0)
 
     ks = None

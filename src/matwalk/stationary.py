@@ -28,7 +28,8 @@ import numpy as np
 
 from . import reports, rng, walks
 from .errors import SingularEvaluationError
-from .linalg import DualProjectivePoint, ProjectivePoint, act, canonicalize_rows
+from .linalg import (DualProjectivePoint, ProjectivePoint, act, canonicalize_rows,
+                     check_unit_rows)
 from .stats import ndtri
 
 DELTA_FLOOR = 1e-300
@@ -73,7 +74,8 @@ def start_cloud(dim, count):
 
 @dataclass(frozen=True, eq=False)  # holds arrays: equal and hashed by identity
 class EmpiricalMeasure:
-    """Particle cloud on projective space or on its dual, with positive weights."""
+    """Particle cloud on projective space or on its dual: at least one finite unit row
+    (``linalg.check_unit_rows``), with positive weights summing to 1 (``ValueError`` else)."""
 
     reps: np.ndarray      # (N, d) canonical unit rows
     weights: np.ndarray   # (N,) positive, sums to 1
@@ -82,13 +84,10 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         reps = np.asarray(self.reps, dtype=float)
+        reps = check_unit_rows(reps, reps.shape[-1] if reps.ndim else 1, "reps")
         weights = np.asarray(self.weights, dtype=float)
-        if reps.ndim != 2 or reps.shape[0] < 1:
+        if reps.shape[0] < 1:
             raise ValueError("cloud needs at least one particle")
-        if not np.all(np.isfinite(reps)):
-            raise ValueError("particle coordinates must be finite")
-        if not walks._unit(reps):
-            raise ValueError("particles must be unit rows")
         if weights.shape != (reps.shape[0],) or not np.all(weights > 0.0):
             raise ValueError("one positive weight per particle required")
         if abs(float(weights.sum()) - 1.0) > 1e-10:
@@ -161,7 +160,13 @@ def estimate_dual_stationary(mu, burn_in=DEFAULT_BURN_IN, particles=DEFAULT_PART
 
 
 def advance_cloud(mu, cloud, steps=1):
-    """Push every particle ``steps >= 1`` more steps, continuing its own stream."""
+    """Push every particle ``steps >= 1`` more steps, continuing its own stream.
+
+    ``ValueError`` for a ``cloud`` of another dimension than ``mu``, or for other ``steps``."""
+    if cloud.dim != mu.dim:
+        raise ValueError(f"cloud has dimension {cloud.dim}, the measure {mu.dim}")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     seed, burn_in, _ = cloud.provenance
     return _walk_cloud(mu, cloud.dual, cloud.reps, seed, burn_in, steps)
 
@@ -225,21 +230,30 @@ def _whole_groups(reps):
     return np.resize(reps, (-(-len(reps) // _PARTICLE_GROUP) * _PARTICLE_GROUP, reps.shape[1]))
 
 
-def _check_lines(xs):
-    """Raise ``TypeError`` unless every point of ``xs`` lies in projective space, not its dual."""
+def _check_lines(xs, dim, what):
+    """Raise ``TypeError`` unless every point of ``xs`` lies in projective space, not its dual,
+    and ``ValueError`` naming ``what`` when there is none or one is not of dimension ``dim``."""
     if not all(isinstance(x, ProjectivePoint) and not isinstance(x, DualProjectivePoint)
                for x in xs):
         raise TypeError("corrector is evaluated at points of projective space")
+    if len(xs) == 0 or any(x.dim != dim for x in xs):
+        raise ValueError(f"{what} must be one or more points of dimension {dim}")
+
+
+def _check_psi(psi, dim):
+    """Raise ``ValueError`` naming ``psi`` unless its dual cloud has dimension ``dim``."""
+    if psi.dual_cloud.dim != dim:
+        raise ValueError(f"psi has dimension {psi.dual_cloud.dim}, the measure {dim}")
 
 
 def psi_eval(psi, x):
     """Exact finite sum ``sum_j w_j log delta(x, y_j)``; always <= 0."""
-    _check_lines([x])
+    _check_lines([x], psi.dual_cloud.dim, "x")
     return float(psi_eval_many(psi, x.rep[None, :])[0])
 
 
 def psi_eval_many(psi, x_rows):
-    """Vectorized corrector evaluation at many unit rows.
+    """Vectorized corrector evaluation at zero or more unit rows (``linalg.check_unit_rows``).
 
     The rows are cut into tiles of 64, the one unit of work: the tiles are
     spread over the walk threads, and each pairs its rows with every cloud
@@ -253,14 +267,7 @@ def psi_eval_many(psi, x_rows):
     value it reads in a batch (README: a BLAS limit).
     """
     cloud = psi.dual_cloud
-    x_rows = np.asarray(x_rows, dtype=float)
-    if x_rows.ndim != 2 or x_rows.shape[1] != cloud.dim:
-        raise ValueError(f"evaluation rows must have shape (N, {cloud.dim}), "
-                         f"got {x_rows.shape}")
-    if not np.all(np.isfinite(x_rows)):
-        raise ValueError("evaluation rows must be finite")
-    if not walks._unit(x_rows):
-        raise ValueError("evaluation rows must be unit rows")
+    x_rows = check_unit_rows(x_rows, cloud.dim, "x_rows")
     blocks = [(clo, _whole_groups(cloud.reps[clo:clo + _EVAL_CHUNK]),
                cloud.weights[clo:clo + _EVAL_CHUNK]) for clo in range(0, cloud.size, _EVAL_CHUNK)]
     per_thread = threading.local()   # one pairing buffer per worker thread
@@ -308,9 +315,11 @@ def cohomological_residual(mu, psi, lambda1, xs):
 
     For each test point: ``r(x) = drift(x) - psi(x) + (P psi)(x) - lambda1``.
     With the exact stationary dual measure this vanishes identically; with an
-    empirical cloud it shrinks as the cloud grows.
+    empirical cloud it shrinks as the cloud grows.  ``ValueError`` when ``xs`` is
+    empty or ``xs`` or ``psi`` is not of the dimension of ``mu``.
     """
-    _check_lines(xs)
+    _check_lines(xs, mu.dim, "xs")
+    _check_psi(psi, mu.dim)
     x_rows = np.stack([x.rep for x in xs])
     log_norms, images = walks.atom_images(mu.atoms, x_rows)
     points = np.concatenate([x_rows[None], images])   # x, then every a x
@@ -335,6 +344,8 @@ def log_regularity_integral(nu, y, p):
         raise ValueError(f"order p must lie in (1, {MAX_ORDER:g}]")
     if nu.dual or not isinstance(y, DualProjectivePoint):
         raise TypeError("expected a primal cloud and a dual test point")
+    if y.dim != nu.dim:
+        raise ValueError(f"y has dimension {y.dim}, the cloud nu {nu.dim}")
     vals, least = _pairings(nu.reps, y.rep[None, :])
     if least <= DELTA_FLOOR:
         return inf

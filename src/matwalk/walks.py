@@ -88,7 +88,7 @@ import bisect
 import numpy as np
 
 from . import rng
-from .linalg import atom_growth
+from .linalg import atom_growth, check_unit_rows
 
 BLOCK = 4096    # replicas per block: no byte depends on it, as a lone replica walks paired
 _SEGMENT = 1 << 13       # letters per row a block draws at once: 32 MB of words at BLOCK rows
@@ -109,7 +109,6 @@ _JOIN_FLOOR = 2.0 ** -511
 # relative: the growth of the matrices a walk steps with (an exterior power, a transpose)
 # rounds apart from the sums of the atom's log singular values that validation reads
 GROWTH_ROUNDING = 1e-9
-UNIT_ROUNDING = 1e-9   # a start row's norm may differ from 1 by this much
 
 
 def set_thread_count(k):
@@ -139,12 +138,6 @@ def _run_blocks(fn, blocks):
 
     with ThreadPoolExecutor(max_workers=_THREADS) as pool:
         return list(pool.map(lambda b: fn(*b), blocks))
-
-
-def _unit(rows):
-    """Whether every row of ``rows`` is finite with norm 1 within ``UNIT_ROUNDING``."""
-    return bool(np.isfinite(rows).all() and
-                (abs(np.linalg.norm(rows, axis=-1) - 1.0) <= UNIT_ROUNDING).all())
 
 
 def rescale_interval(atoms):
@@ -449,7 +442,8 @@ def _walk_block(tables, states, checkpoints, n, words):
 def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None, skip=0):
     """Cocycle values ``log |b_n ... b_1 v|`` for every replica, from a unit row ``v``.
 
-    ``start`` is a finite unit row (shared) or one per replica (``ValueError`` else).
+    ``start`` is one finite unit row, shared, or a stack of exactly ``replicas`` of them
+    (``linalg.check_unit_rows``; ``ValueError`` naming ``start`` else).
     The letters are ``skip, ..., skip + n - 1`` of each replica's stream.
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
     column per checkpoint (the last one need not be ``n``).  Blocks run in
@@ -457,21 +451,19 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     that drops and retakes the interpreter lock on every row, so on two threads
     short rows draw slower (ROADMAP item 7) and worker threads gain nothing.
     """
-    tables = _tables([atoms])
-    start = np.asarray(start, dtype=float)
-    if start.ndim not in (1, 2) or start.shape[-1] != tables[0].dim or (
-            start.ndim == 2 and len(start) < replicas) or not _unit(start):
-        raise ValueError(f"start must be one finite unit row of dimension {tables[0].dim}, or "
-                         "one per replica")
+    tables, blocks = _tables([atoms]), _blocks(replicas)
+    shared = np.ndim(start) == 1
+    start = check_unit_rows(np.atleast_2d(start) if shared else start, tables[0].dim, "start",
+                            None if shared else replicas)
 
     def run_block(first, count):
-        rows = np.tile(start, (count, 1)) if start.ndim == 1 else start[first:first + count]
+        rows = np.tile(start, (count, 1)) if shared else start[first:first + count]
         [logs], [state] = _walk_block(tables, [_entry_major(rows)], checkpoints, n, lambda lo, hi: (
             rng.replica_words(seed, tag, count, hi - lo, weights, first, skip + lo)))
         v = np.ascontiguousarray(np.moveaxis(state, -1, 0))
         return logs[:, 0] if checkpoints is None else logs, v / np.linalg.norm(v, axis=1)[:, None]
 
-    parts = [run_block(*b) for b in _blocks(replicas)]
+    parts = [run_block(*b) for b in blocks]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
@@ -545,23 +537,24 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
     """Cocycle values and positions after every letter, by chunked prefix products.
 
     Row ``r`` walks stream ``first_replica + r`` from the finite unit row ``starts[r]``
-    (``ValueError`` else).  The time axis is taken in segments of whole chunks that
-    hold about ``2^18`` letter-replica products, and in dimension ``d >= 4`` about
-    ``9 x 2^18 / d^2``, so no segment holds more matrix entries than a ``3 x 3`` one
-    (at least one chunk per row); each segment yields ``(lo, values, units)``, where
-    ``values[r, k]`` is ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit
-    row of that vector.  With ``units=False`` only the last unit row of a segment is
-    formed, to carry the walk on, and ``None`` is yielded in place of units.
+    (``linalg.check_unit_rows``; ``ValueError`` naming ``starts`` else, or for no rows).
+    The time axis is taken in segments of whole chunks that hold about ``2^18``
+    letter-replica products, and in dimension ``d >= 4`` about ``9 x 2^18 / d^2``, so
+    no segment holds more matrix entries than a ``3 x 3`` one (at least one chunk per
+    row); each segment yields ``(lo, values, units)``, where ``values[r, k]`` is
+    ``log |b_(lo+k+1) ... b_1 x_r|`` and ``units[r, k]`` the unit row of that vector.
+    With ``units=False`` only the last unit row of a segment is formed, to carry the
+    walk on, and ``None`` is yielded in place of units.
     """
     atoms = np.asarray(atoms, dtype=float)
     d = atoms.shape[1]
     chunk = rescale_interval(atoms)
     # code A pads the last chunk; a chunk of single letters reaches no rescale
     table = _LetterTable(np.concatenate([atoms, np.eye(d)[None]]), chunk, 1)
-    u = np.array(starts, dtype=float)
-    if u.ndim != 2 or len(u) == 0 or u.shape[1] != d or not _unit(u):
-        raise ValueError(f"starts must hold at least one finite unit row of dimension {d}")
+    u = check_unit_rows(starts, d, "starts")
     rows = len(u)
+    if not rows:
+        raise ValueError("starts must hold at least one row")
     base = np.zeros(rows)
     products = min(_SCAN_PRODUCTS, 9 * _SCAN_PRODUCTS // (d * d))
     segment = max(chunk, products // rows // chunk * chunk)

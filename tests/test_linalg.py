@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import matwalk as mw
 from matwalk import linalg
-from matwalk.linalg import CANONICAL_ZERO, atom_growth, canonicalize_rows, check_group_element
+from matwalk.linalg import (CANONICAL_ZERO, atom_growth, canonicalize_rows, check_group_element,
+                            check_unit_rows)
 
 from conftest import random_invertible
 
@@ -384,7 +385,26 @@ def test_attracting_direction_inequalities_hold_with_tiny_slack():
         assert mw.proj_distance(mw.act(g, x), x_att) * lo <= gap + 1e-12
 
 
-# --- group-element validation and actions ---
+# --- point-stack and group-element validation, actions ---
+
+@pytest.mark.parametrize("rows, count, shape", [
+    ([1.0, 0.0], None, "N"), ([[[1.0, 0.0]]], None, "N"), ([[1.0, 0.0, 0.0]], None, "N"),
+    ([[1.0, 0.0]], 2, "2"), (np.eye(2), 1, "1"), ([[np.nan, 1.0]], None, "N"),
+    ([[np.inf, 0.0]], None, "N"), ([[2.0, 0.0]], None, "N"), ([[0.0, 0.0]], 1, "1")])
+def test_check_unit_rows_refuses_bad_stacks_by_name(rows, count, shape):
+    message = rf"^rows must be finite unit rows of shape \({shape}, 2\)"
+    with pytest.raises(ValueError, match=message):
+        check_unit_rows(rows, 2, "rows", count)
+
+
+def test_check_unit_rows_returns_float_rows():
+    rows = check_unit_rows([[0, 1], [0.6, 0.8]], 2, "rows", count=2)
+    assert rows.dtype == np.float64 and rows.shape == (2, 2)
+    assert check_unit_rows(np.empty((0, 3)), 3, "rows").shape == (0, 3)
+    # a norm within UNIT_ROUNDING of 1 is accepted as given
+    near = np.array([[1.0 + 0.5 * linalg.UNIT_ROUNDING, 0.0]])
+    assert check_unit_rows(near, 2, "rows") is near
+
 
 def test_check_group_element_rejects_bad_input():
     with pytest.raises(ValueError):

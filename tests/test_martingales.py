@@ -204,6 +204,17 @@ def test_brown_single_spike_flags_violation():
     assert report.ks_vs_limit > 0.25  # +-1 sums are nothing like a Gaussian
 
 
+@pytest.mark.parametrize("kind, draws", [("iid_gaussian", 1), ("zero", 0), ("single_spike", 1)])
+def test_brown_draws_uniforms_only_for_arrays_that_read_them(monkeypatch, kind, draws):
+    # the zero array's samples are all 0: it reads no stream
+    calls, uniforms = [], rng.replica_uniforms
+    monkeypatch.setattr(rng, "replica_uniforms",
+                        lambda *a, **k: calls.append(a) or uniforms(*a, **k))
+    mw.brown_triangular_check(
+        mw.TriangularArraySpec(kind=kind, row_sizes=(10, 40), replicas=100, seed=9))
+    assert len(calls) == draws
+
+
 @pytest.mark.parametrize("kind", ["iid_gaussian", "single_spike"])
 def test_brown_replicas_do_not_depend_on_batch_size(kind):
     # replica r reads stream r

@@ -294,6 +294,8 @@ def test_psi_eval_many_rejects_malformed_rows(x_rows, message):
     ([[1.0, 0.0], [0.0, np.inf]], [0.5, 0.5]),
     ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.nan]),
     ([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]),
+    ([1.0, 0.0], [0.5, 0.5]),
+    ([[[1.0, 0.0], [0.0, 1.0]]], [0.5, 0.5]),
 ])
 def test_empirical_measure_rejects_non_finite_entries(reps, weights):
     with pytest.raises(ValueError):
@@ -561,6 +563,37 @@ def test_residual_refuses_dual_points(free_pair):
     xs = [mw.ProjectivePoint([0.6, 0.8]), mw.DualProjectivePoint([1.0, 0.0])]
     with pytest.raises(TypeError, match="projective space"):
         mw.cohomological_residual(free_pair, psi, 0.4, xs)
+
+
+# each bad input of the corrector layer is refused by a ValueError naming its argument
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.cohomological_residual(
+        mu, psi, 0.4, []), "xs", id="residual-no-points"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.cohomological_residual(
+        mu, psi, 0.4, [mw.ProjectivePoint([1.0, 0.0, 0.0])]), "xs", id="residual-point-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.cohomological_residual(
+        mu, psi3, 0.4, [mw.ProjectivePoint([1.0, 0.0])]), "psi", id="residual-psi-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.psi_eval(
+        psi, mw.ProjectivePoint([1.0, 0.0, 0.0])), "x", id="psi-point-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.variance_via_corrector(
+        mu, psi, 0.4, nu3), "nu", id="variance-cloud-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.variance_via_corrector(
+        mu, psi3, 0.4, nu), "psi", id="variance-psi-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.log_regularity_integral(
+        nu, mw.DualProjectivePoint([1.0, 0.0, 0.0]), 2.0), "y", id="log-regularity-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.advance_cloud(
+        mu3, psi.dual_cloud), "cloud", id="advance-cloud-dimension"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.advance_cloud(
+        mu, psi.dual_cloud, 2.5), "steps", id="advance-steps-float"),
+    pytest.param(lambda mu, mu3, psi, psi3, nu, nu3: mw.advance_cloud(
+        mu, psi.dual_cloud, 0), "steps", id="advance-steps-zero")])
+def test_corrector_layer_names_a_bad_argument(free_pair, sl3_pair, call, name):
+    psi, psi3 = (mw.PsiFunction(mw.estimate_dual_stationary(mu, burn_in=5, particles=20, seed=2))
+                 for mu in (free_pair, sl3_pair))
+    nu, nu3 = (mw.estimate_stationary(mu, burn_in=5, particles=20, seed=3)
+               for mu in (free_pair, sl3_pair))
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(free_pair, sl3_pair, psi, psi3, nu, nu3)
 
 
 def test_residual_is_affine_in_the_rate(free_pair):

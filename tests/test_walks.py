@@ -784,6 +784,8 @@ def test_walks_refuse_checkpoints_off_the_walk(free_pair, checkpoints, n, messag
                  id="matrix-replicas-0"),
     pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.eye(2), 10, 3, 1,
                                               rng.TAG_WALK), "start", id="too-few-starts"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.eye(2), 10, 1, 1,
+                                              rng.TAG_WALK), "start", id="too-many-starts"),
     pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [1.0, 0.0, 0.0], 10, 2, 1,
                                               rng.TAG_WALK), "start", id="start-dimension"),
     pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.ones((2, 2, 2)), 10, 2,
