@@ -6,13 +6,20 @@ representatives: Euclidean norm one, first coordinate above the zero threshold
 made positive.  With that convention equality and hashing of points are exact
 byte comparisons.  This module owns that sign rule: points, rows of point
 clouds (``canonicalize_rows``) and the columns of ``k`` in a Cartan triple all
-apply it through one helper.
+apply it through one helper.  It owns the normalisation too: a caller-given
+direction (a point, a trajectory or martingale start) becomes its unit row
+through ``_canonical_unit``, which refuses a zero or non-finite vector by a
+``ValueError`` naming the argument.  Every such vector and every cloud row is
+first scaled by an exact power of two (``_prescaled``), so no square overflows
+or underflows, and a row whose squares are normal numbers keeps the plain
+quotient's bytes.
 
 The field is the reals with Euclidean norms throughout; configurations asking
 for anything else are rejected at load time.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -51,14 +58,24 @@ def check_group_element(g):
 
 
 def check_unit_rows(rows, dim, what, count=None):
-    """A stack of points as a float64 ``(N, dim)`` array, ``N == count`` when given: one
-    ``ValueError`` naming ``what`` unless every row has norm 1 within ``UNIT_ROUNDING``,
-    which a non-finite entry has not (walk and scan starts, cloud particles, psi rows)."""
-    rows = np.asarray(rows, dtype=float)
+    """A stack of points as a float64 ``(N, dim)`` array, ``N == count`` when given, or with a
+    count one row ``(dim,)`` for a start shared by all, checked and returned as a one-row stack:
+    one ``ValueError`` naming ``what`` unless every row has norm 1 within ``UNIT_ROUNDING``,
+    which a non-finite entry has not (walk and scan starts, cloud particles, psi rows), or for
+    entries that do not form a float array.  Entries are bounded before they are squared, so a
+    huge one is refused, not overflowed."""
+    want = f"{what} must be finite unit rows of shape ({'N' if count is None else count}, {dim})"
+    try:
+        rows = np.asarray(rows, dtype=float)
+    except ValueError:   # a ragged stack, or an entry that is no number
+        raise ValueError(f"{want}, got entries that do not form a float array") from None
+    shape = rows.shape
+    if count is not None and rows.ndim == 1:
+        rows, count = rows[None], 1
     if rows.ndim != 2 or rows.shape[1] != dim or count not in (None, len(rows)) or not (
+            np.abs(rows) <= 2.0).all() or not (
             abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_ROUNDING).all():
-        raise ValueError(f"{what} must be finite unit rows of shape "
-                         f"({'N' if count is None else count}, {dim}), got shape {rows.shape}")
+        raise ValueError(f"{want}, got shape {shape}")
     return rows
 
 
@@ -70,24 +87,32 @@ def _canonical_signs(rows):
     return np.where(lead < 0.0, -1.0, 1.0)
 
 
+def _prescaled(v):
+    """``v`` with each row (its last axis) scaled by the exact power of two that takes its
+    largest entry into [1/2, 1): no square overflows, a tiny row keeps its direction, and
+    the row's unit row is unchanged where no square is subnormal."""
+    # each row's largest entry, column by column: numpy's max along a short axis is slow
+    return np.ldexp(v, -np.frexp(reduce(np.maximum, np.abs(v).T, 0.0))[1][..., None])
+
+
 def canonicalize_rows(v):
-    """Unit-normalize rows and apply the canonical sign rule to each."""
-    v = np.asarray(v, dtype=float)
+    """Unit-normalize rows, each ``_prescaled`` first, and apply the canonical sign rule to each."""
+    v = _prescaled(np.asarray(v, dtype=float))
     v = v / np.linalg.norm(v, axis=1)[:, None]
     return v * _canonical_signs(v)[:, None] + 0.0  # clear any -0.0
 
 
-def _canonical_unit(v):
+def _canonical_unit(v, what="representative", dim=None):
+    """The one normaliser of a single direction: ``v`` as its read-only canonical unit row,
+    or a ``ValueError`` naming ``what`` unless it is a nonzero finite vector, of ``dim``
+    entries when given (points, trajectory and walk-induced martingale starts)."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("representative must be a vector")
-    if v.size:
-        # an exact power-of-two scale takes the largest entry into [1/2, 1), so no
-        # square overflows and a tiny vector keeps its direction; the unit row is unchanged
-        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    if v.ndim != 1 or dim not in (None, v.size):
+        raise ValueError(f"{what} must be a vector" + (f" of dimension {dim}" if dim else ""))
+    v = _prescaled(v)
     norm = np.linalg.norm(v)
     if not np.isfinite(norm) or norm == 0.0:
-        raise ValueError("representative must be a nonzero finite vector")
+        raise ValueError(f"{what} must be a nonzero finite vector")
     v = v / norm
     v = v * _canonical_signs(v[None])[0] + 0.0  # no -0.0: equal rays hash equally
     v.setflags(write=False)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, walks
-from .linalg import atom_growth
+from .linalg import _canonical_unit, atom_growth
 from .stats import binomial_ci_halfwidth, gaussian_cdf, ks_statistic, ndtr, ndtri
 
 INCREMENT_TOL = 1e-3   # summability heuristic on the last doubling increment
@@ -48,7 +48,11 @@ def azuma_bound(n, eps, a):
 
 @dataclass(frozen=True)
 class DifferenceStream:
-    """A reproducible martingale-difference generator."""
+    """A reproducible martingale-difference generator.
+
+    A walk-induced stream starts from the direction of ``start``, a point or a nonzero
+    finite vector of the measure's dimension (``linalg._canonical_unit``; ``ValueError``
+    naming ``start`` at construction else)."""
 
     kind: str
     seed: int = 0
@@ -74,6 +78,7 @@ class DifferenceStream:
         elif self.kind == "walk_induced":
             if self.measure is None or self.start is None:
                 raise ValueError("walk_induced stream needs a measure and a start point")
+            _canonical_unit(getattr(self.start, "rep", self.start), "start", self.measure.dim)
         else:
             raise ValueError(f"unknown stream kind: {self.kind!r}")
 
@@ -141,8 +146,7 @@ def _walk_checkpoint_sums(stream, schedule, replicas):
     position of the segment at once.
     """
     mu = stream.measure
-    x0 = np.asarray(getattr(stream.start, "rep", stream.start), dtype=float)
-    x = np.tile(x0 / np.linalg.norm(x0), (replicas, 1))
+    x = np.tile(_canonical_unit(getattr(stream.start, "rep", stream.start)), (replicas, 1))
     cps = np.asarray(schedule)
     out = np.empty((replicas, len(schedule)))
     drift_sum = np.zeros(replicas)

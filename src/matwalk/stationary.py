@@ -45,9 +45,9 @@ MAX_START_DIMENSION = len(_START_PRIMES)
 _EVAL_CHUNK = 2048   # particles per cloud block: a row adds up its blocks in cloud order
 # rows per pairing tile, psi's unit of work: a tile against a cloud block is 1 MB
 _EVAL_ROWS = 64
-# a cloud block is paired in whole groups of 8 particles, padded with copies of its first
-# ones: numpy's bundled OpenBLAS (x86-64 Xeon) rounds a pairing by its row's place in the
-# tile when a block of 196-599 particles ends 4 to 7 past a multiple of 8
+# a cloud block is paired in whole groups of 8 particles, the cloud padded with copies of
+# its first ones: numpy's bundled OpenBLAS (x86-64 Xeon) rounds a pairing by its row's place
+# in the tile when a block of 196-599 particles ends 4 to 7 past a multiple of 8
 _PARTICLE_GROUP = 8
 
 
@@ -227,17 +227,21 @@ def _pairings(reps, x_rows, out=None):
 
 def _whole_groups(reps):
     """Cloud rows ``reps`` padded to whole groups of ``_PARTICLE_GROUP`` with copies of the first."""
-    return np.resize(reps, (-(-len(reps) // _PARTICLE_GROUP) * _PARTICLE_GROUP, reps.shape[1]))
+    pad = np.resize(reps, (-len(reps) % _PARTICLE_GROUP, reps.shape[1]))
+    return np.concatenate([reps, pad])
 
 
 def _check_lines(xs, dim, what):
-    """Raise ``TypeError`` unless every point of ``xs`` lies in projective space, not its dual,
-    and ``ValueError`` naming ``what`` when there is none or one is not of dimension ``dim``."""
+    """The points of ``xs``, read once into a list: ``TypeError`` unless every one lies in
+    projective space, not its dual, and ``ValueError`` naming ``what`` when there is none or
+    one is not of dimension ``dim``."""
+    xs = list(xs)
     if not all(isinstance(x, ProjectivePoint) and not isinstance(x, DualProjectivePoint)
                for x in xs):
         raise TypeError("corrector is evaluated at points of projective space")
     if len(xs) == 0 or any(x.dim != dim for x in xs):
         raise ValueError(f"{what} must be one or more points of dimension {dim}")
+    return xs
 
 
 def _check_psi(psi, dim):
@@ -261,15 +265,16 @@ def psi_eval_many(psi, x_rows):
     sums as it goes, so the values do not depend on the thread count and a
     worker thread holds one 1 MB pairing buffer whatever the cloud size. A
     one-row tile is paired beside a copy of itself (the rule for a batch of
-    one in ``walks``), and every cloud block is padded once, before any tile,
-    to whole groups of ``_PARTICLE_GROUP`` particles with copies of its first
-    ones, whose columns are dropped before the log, so a row alone reads the
-    value it reads in a batch (README: a BLAS limit).
+    one in ``walks``), and the cloud is padded once, before any tile, to whole
+    groups of ``_PARTICLE_GROUP`` particles with copies of its first ones, whose
+    columns are dropped before the log, so a row alone reads the value it reads
+    in a batch (README: a BLAS limit).  Its blocks are slices of that array.
     """
     cloud = psi.dual_cloud
     x_rows = check_unit_rows(x_rows, cloud.dim, "x_rows")
-    blocks = [(clo, _whole_groups(cloud.reps[clo:clo + _EVAL_CHUNK]),
-               cloud.weights[clo:clo + _EVAL_CHUNK]) for clo in range(0, cloud.size, _EVAL_CHUNK)]
+    grouped = _whole_groups(cloud.reps)
+    blocks = [(clo, grouped[clo:clo + _EVAL_CHUNK], cloud.weights[clo:clo + _EVAL_CHUNK])
+              for clo in range(0, cloud.size, _EVAL_CHUNK)]
     per_thread = threading.local()   # one pairing buffer per worker thread
 
     def tile_sum(a):
@@ -318,7 +323,7 @@ def cohomological_residual(mu, psi, lambda1, xs):
     empirical cloud it shrinks as the cloud grows.  ``ValueError`` when ``xs`` is
     empty or ``xs`` or ``psi`` is not of the dimension of ``mu``.
     """
-    _check_lines(xs, mu.dim, "xs")
+    xs = _check_lines(xs, mu.dim, "xs")
     _check_psi(psi, mu.dim)
     x_rows = np.stack([x.rep for x in xs])
     log_norms, images = walks.atom_images(mu.atoms, x_rows)

@@ -88,7 +88,7 @@ import bisect
 import numpy as np
 
 from . import rng
-from .linalg import atom_growth, check_unit_rows
+from .linalg import _canonical_unit, atom_growth, check_unit_rows
 
 BLOCK = 4096    # replicas per block: no byte depends on it, as a lone replica walks paired
 _SEGMENT = 1 << 13       # letters per row a block draws at once: 32 MB of words at BLOCK rows
@@ -443,7 +443,7 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     """Cocycle values ``log |b_n ... b_1 v|`` for every replica, from a unit row ``v``.
 
     ``start`` is one finite unit row, shared, or a stack of exactly ``replicas`` of them
-    (``linalg.check_unit_rows``; ``ValueError`` naming ``start`` else).
+    (``linalg.check_unit_rows``; ``ValueError`` naming ``start`` else, a ragged stack too).
     The letters are ``skip, ..., skip + n - 1`` of each replica's stream.
     Returns ``(values, final_units)``; with checkpoints, ``values`` has one
     column per checkpoint (the last one need not be ``n``).  Blocks run in
@@ -452,12 +452,10 @@ def vector_walk(atoms, weights, start, n, replicas, seed, tag, checkpoints=None,
     short rows draw slower (ROADMAP item 7) and worker threads gain nothing.
     """
     tables, blocks = _tables([atoms]), _blocks(replicas)
-    shared = np.ndim(start) == 1
-    start = check_unit_rows(np.atleast_2d(start) if shared else start, tables[0].dim, "start",
-                            None if shared else replicas)
+    start = check_unit_rows(start, tables[0].dim, "start", replicas)
 
     def run_block(first, count):
-        rows = np.tile(start, (count, 1)) if shared else start[first:first + count]
+        rows = np.tile(start, (count, 1)) if len(start) < replicas else start[first:first + count]
         [logs], [state] = _walk_block(tables, [_entry_major(rows)], checkpoints, n, lambda lo, hi: (
             rng.replica_words(seed, tag, count, hi - lo, weights, first, skip + lo)))
         v = np.ascontiguousarray(np.moveaxis(state, -1, 0))
@@ -595,11 +593,10 @@ def chunked_walk(atoms, weights, starts, n, seed, tag, first_replica=0, units=Tr
 
 def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
     """Running cocycle values ``S_1, ..., S_{n_max}`` along a single walk from the direction
-    of ``start``, a finite nonzero vector (``ValueError`` else, or for ``n_max < 0``)."""
+    of ``start``, a finite nonzero vector (``linalg._canonical_unit``; ``ValueError`` naming
+    ``start`` else, or for ``n_max < 0``)."""
     atoms = np.asarray(atoms, dtype=float)
-    v = np.asarray(start, dtype=float)
-    if v.shape != (atoms.shape[1],) or not np.isfinite(v).all() or not v.any():
-        raise ValueError(f"start must be a finite nonzero vector of dimension {atoms.shape[1]}")
+    x = _canonical_unit(start, "start", atoms.shape[1])
     if n_max < 0:
         raise ValueError("n_max must be at least 0")
     if atoms.shape[1] == 1:
@@ -608,7 +605,7 @@ def trajectory_cocycle(atoms, weights, start, n_max, seed, tag, stream_index=0):
         increments = np.log(np.abs(atoms[:, 0, 0]))[word]
         return np.cumsum(increments)
     out = np.empty(n_max)
-    for lo, values, _ in chunked_walk(atoms, weights, (v / np.linalg.norm(v))[None], n_max,
-                                      seed, tag, first_replica=stream_index, units=False):
+    for lo, values, _ in chunked_walk(atoms, weights, x[None], n_max, seed, tag,
+                                      first_replica=stream_index, units=False):
         out[lo:lo + values.shape[1]] = values[0]
     return out

@@ -212,6 +212,8 @@ def test_a_point_far_from_unit_scale_keeps_its_direction(scale, unit):
     # an exact power-of-two rescale comes first: no square overflows or underflows
     v = scale * np.array(unit)
     assert mw.ProjectivePoint(v).rep.tobytes() == mw.ProjectivePoint(unit).rep.tobytes()
+    # a cloud row far from unit norm is rescaled the same way
+    assert canonicalize_rows(v[None]).tobytes() == canonicalize_rows([unit]).tobytes()
 
 
 def test_the_rescale_leaves_every_unit_row_as_the_plain_quotient():
@@ -220,6 +222,9 @@ def test_the_rescale_leaves_every_unit_row_as_the_plain_quotient():
         v = rng.normal(size=rng.integers(1, 7)) * 10.0 ** rng.uniform(-100, 100)
         plain = v / np.linalg.norm(v)
         assert np.abs(mw.ProjectivePoint(v).rep).tobytes() == np.abs(plain).tobytes()
+        # a cloud row is rescaled the same way: it reads the row-wise quotient
+        rows = v[None] / np.linalg.norm(v[None], axis=1)[:, None]
+        assert np.abs(canonicalize_rows(v[None])).tobytes() == np.abs(rows).tobytes()
 
 
 # first entries at, just below and just above the threshold, and -0.0 entries
@@ -390,17 +395,32 @@ def test_attracting_direction_inequalities_hold_with_tiny_slack():
 @pytest.mark.parametrize("rows, count, shape", [
     ([1.0, 0.0], None, "N"), ([[[1.0, 0.0]]], None, "N"), ([[1.0, 0.0, 0.0]], None, "N"),
     ([[1.0, 0.0]], 2, "2"), (np.eye(2), 1, "1"), ([[np.nan, 1.0]], None, "N"),
-    ([[np.inf, 0.0]], None, "N"), ([[2.0, 0.0]], None, "N"), ([[0.0, 0.0]], 1, "1")])
+    ([[np.inf, 0.0]], None, "N"), ([[2.0, 0.0]], None, "N"), ([[0.0, 0.0]], 1, "1"),
+    ([[1e200, 0.0]], None, "N"), ([[1.0, 0.0], [1.0]], None, "N"), ([[1.0, 0.0], [1.0]], 2, "2"),
+    ([2.0, 0.0], 3, "3"), ([["a", 0.0]], None, "N")])
 def test_check_unit_rows_refuses_bad_stacks_by_name(rows, count, shape):
     message = rf"^rows must be finite unit rows of shape \({shape}, 2\)"
     with pytest.raises(ValueError, match=message):
         check_unit_rows(rows, 2, "rows", count)
 
 
+@pytest.mark.parametrize("rows, got", [
+    ([2.0, 0.0], r"got shape \(2,\)"),
+    ([[1.0, 0.0], [1.0]], "got entries that do not form a float array"),
+    ([["a", 0.0]], "got entries that do not form a float array")])
+def test_check_unit_rows_reports_what_the_caller_passed(rows, got):
+    # a bad shared row is reported by its own shape; a stack numpy cannot read as floats,
+    # ragged or not numeric, by that
+    with pytest.raises(ValueError, match=rf", {got}$"):
+        check_unit_rows(rows, 2, "rows", count=3)
+
+
 def test_check_unit_rows_returns_float_rows():
     rows = check_unit_rows([[0, 1], [0.6, 0.8]], 2, "rows", count=2)
     assert rows.dtype == np.float64 and rows.shape == (2, 2)
     assert check_unit_rows(np.empty((0, 3)), 3, "rows").shape == (0, 3)
+    # with a count, one row shared by all is checked once and returned as a one-row stack
+    assert check_unit_rows([0.6, 0.8], 2, "rows", count=3).tolist() == [[0.6, 0.8]]
     # a norm within UNIT_ROUNDING of 1 is accepted as given
     near = np.array([[1.0 + 0.5 * linalg.UNIT_ROUNDING, 0.0]])
     assert check_unit_rows(near, 2, "rows") is near

@@ -80,6 +80,15 @@ def test_walk_induced_stream_is_centered(free_pair):
     assert stream.bound > 0.0
 
 
+def test_walk_induced_sums_read_only_the_direction_of_the_start(free_pair):
+    # the start goes through linalg's normaliser: a huge one keeps every byte
+    far, near = (mw.checkpoint_sums(mw.DifferenceStream(kind="walk_induced", seed=4,
+                                                        measure=free_pair, start=start),
+                                    [1, 40, 300], 50)
+                 for start in ([2.0**600, 2.0**600], [1.0, 1.0]))
+    assert far.tobytes() == near.tobytes()
+
+
 @pytest.mark.parametrize("measure", ["free_pair", "sl3_pair"])
 def test_walk_induced_sums_match_step_loop(measure, request):
     # 4100 replicas cut the 150-step time axis into three segments of the scan

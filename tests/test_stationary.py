@@ -259,11 +259,12 @@ def _per_block_psi(cloud, x):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("particles", [1, 2049])
+@pytest.mark.parametrize("particles", [1, 2049, 4100])
 @pytest.mark.parametrize("sets", [1, 3])
 def test_psi_eval_many_tiles_are_byte_invisible(dim, particles, sets):
     # tiles of 64 rows read the bytes of a whole 2048-row block, and a call on
-    # three stacked sets the bytes of each set's own call
+    # three stacked sets the bytes of each set's own call; the last cloud block of
+    # 4100 particles holds 4, padded with copies of the cloud's first ones
     gen = np.random.default_rng(100 * dim + particles + sets)
     cloud = mw.EmpiricalMeasure(reps=_unit_rows(gen, particles, dim),
                                 weights=np.full(particles, 1.0 / particles), dual=True)
@@ -282,6 +283,7 @@ def test_psi_eval_many_tiles_are_byte_invisible(dim, particles, sets):
     (np.array([[0.6, 0.8], [np.nan, 1.0]]), "finite"),
     (np.array([[np.inf, 0.0]]), "finite"),
     (np.array([[2.0, 0.0]]), "unit"),
+    ([[0.6, 0.8], [1.0]], "float array"),
 ])
 def test_psi_eval_many_rejects_malformed_rows(x_rows, message):
     psi = mw.PsiFunction(uniform_circle_cloud(5, dual=True))
@@ -558,6 +560,14 @@ def test_residual_matches_its_pointwise_definition(d, n_atoms):
     assert np.abs(res - want).max() <= 1e-12
 
 
+def test_residual_reads_a_generator_of_points_once(free_pair):
+    psi = mw.PsiFunction(uniform_circle_cloud(50, dual=True))
+    xs = [mw.ProjectivePoint(v) for v in ([0.6, 0.8], [1.0, 0.0], [0.28, -0.96])]
+    listed = mw.cohomological_residual(free_pair, psi, 0.4, xs).residuals
+    once = mw.cohomological_residual(free_pair, psi, 0.4, (x for x in xs)).residuals
+    assert once.tobytes() == listed.tobytes()
+
+
 def test_residual_refuses_dual_points(free_pair):
     psi = mw.PsiFunction(uniform_circle_cloud(50, dual=True))
     xs = [mw.ProjectivePoint([0.6, 0.8]), mw.DualProjectivePoint([1.0, 0.0])]
@@ -659,6 +669,17 @@ def test_push_cloud_moves_points_as_act_does(dual):
     assert pushed.dual == dual
     expected = np.stack([mw.act(g, point).rep for point in cloud.points()])
     np.testing.assert_allclose(pushed.reps, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+def test_push_cloud_by_a_far_scalar_keeps_the_rows_of_the_identity(dual, scale):
+    # pushed rows far from unit norm are rescaled by a power of two before they are
+    # normalised: no square overflows or underflows, and no byte moves
+    cloud = mw.EmpiricalMeasure(reps=mw.start_cloud(3, 50), weights=np.full(50, 1 / 50),
+                                dual=dual)
+    pushed = mw.push_cloud(cloud, scale * np.eye(3))
+    assert pushed.reps.tobytes() == mw.push_cloud(cloud, np.eye(3)).reps.tobytes()
 
 
 def test_log_regularity_examples():

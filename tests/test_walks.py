@@ -131,6 +131,17 @@ def test_trajectory_cocycle_matches_vector_walk(free_pair):
     assert traj[-1] == pytest.approx(vals[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("start, unit", [([2.0**600, 2.0**600], [1.0, 1.0]),
+                                         ([2.0**-1070, 0.0], [1.0, 0.0]),
+                                         ([-2.0**-600, -2.0**-600], [1.0, 1.0])])
+def test_trajectory_cocycle_reads_only_the_direction_of_its_start(free_pair, start, unit):
+    # linalg's normaliser takes a start a power of two from unit norm, of either sign,
+    # to its canonical unit row exactly, which changes no cocycle value
+    far, near = (walks.trajectory_cocycle(free_pair.atoms, free_pair.weights, v, 1000, 5,
+                                          rng.TAG_WALK) for v in (start, unit))
+    assert far.tobytes() == near.tobytes()
+
+
 def test_rotating_measure_log_norm_equals_scalar_walk(rotating):
     # the product is rotation-diagonal, so its log norm is the absolute value
     # of a +-1 scalar walk read off the same letters
@@ -799,6 +810,11 @@ def test_walks_refuse_checkpoints_off_the_walk(free_pair, checkpoints, n, messag
     pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [[1.0, 0.0], [0.0, 0.5]],
                                               10, 2, 1, rng.TAG_WALK), "start",
                  id="starts-one-not-unit"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, np.array([[1e200, 0.0]]),
+                                              10, 1, 1, rng.TAG_WALK), "start",
+                 id="start-entry-overflows-its-square"),
+    pytest.param(lambda mu: walks.vector_walk(mu.atoms, mu.weights, [[1.0, 0.0], [1.0]], 10, 2,
+                                              1, rng.TAG_WALK), "start", id="starts-ragged"),
     pytest.param(lambda mu: list(walks.chunked_walk(mu.atoms, mu.weights, np.empty((0, 2)), 10,
                                                     1, rng.TAG_WALK)), "starts",
                  id="scan-no-rows"),
@@ -822,7 +838,15 @@ def test_walks_refuse_checkpoints_off_the_walk(free_pair, checkpoints, n, messag
                  id="trajectory-n-max-negative"),
     pytest.param(lambda mu: mw.checkpoint_sums(mw.DifferenceStream(
         kind="walk_induced", seed=1, measure=mu, start=mw.ProjectivePoint([1.0, 0.0])),
-        [4, 8], 0), "starts", id="walk-induced-sums-no-rows")])
+        [4, 8], 0), "starts", id="walk-induced-sums-no-rows"),
+    pytest.param(lambda mu: mw.DifferenceStream(kind="walk_induced", measure=mu,
+                                                start=[0.0, 0.0]), "start", id="walk-induced-zero"),
+    pytest.param(lambda mu: mw.DifferenceStream(kind="walk_induced", measure=mu,
+                                                start=[np.inf, 1.0]), "start",
+                 id="walk-induced-inf"),
+    pytest.param(lambda mu: mw.DifferenceStream(kind="walk_induced", measure=mu,
+                                                start=[1.0, 0.0, 0.0]), "start",
+                 id="walk-induced-dimension")])
 def test_walks_refuse_bad_replicas_and_starts(free_pair, call, message):
     with pytest.raises(ValueError, match=message):
         call(free_pair)
